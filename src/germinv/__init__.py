@@ -14,8 +14,8 @@ from .errors import GermInputError, ParseError, ResourceLimitError
 from .poly import VariableContext, Polynomial
 from .orderings import OrderingSpec
 from .gb import Ideal, INFINITE, EMPTY
-from .syzygy import SyzygyBasis, Submodule, syzygy_basis, kernel_fields, \
-    tangent_fields, parameter_part
+from .syzygy import SyzygyBasis, syzygy_basis, kernel_fields, tangent_fields, \
+    parameter_part
 from .invariants import (
     MapGermSpec, ImageEquation, InvariantReport, SamuelResult, SliceResult,
     LCIdeal, image_equation, ft_ideal, ft_codim, ft_dimension,
@@ -37,7 +37,6 @@ __all__ = [
     "INFINITE",
     "EMPTY",
     "SyzygyBasis",
-    "Submodule",
     "syzygy_basis",
     "kernel_fields",
     "tangent_fields",

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
+import tempfile
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -147,13 +149,24 @@ def _cache_load(path: str, key: str, gf: GermFile) -> Optional[List[Polynomial]]
 
 
 def _cache_store(path: str, key: str, factors: Sequence[Polynomial]) -> None:
+    """Write the sidecar through a temp file and a rename, so that a
+    concurrent run reads either the old sidecar or the whole new one."""
     body = "\n".join([_CACHE_MAGIC, f"key={key}"]
                      + [f"factor={p}" for p in factors]) + "\n"
+    tmp = None
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                                   prefix=os.path.basename(path) + ".", suffix=".tmp")
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(body)
+        os.replace(tmp, path)
     except OSError:
-        pass   # a read-only corpus directory must not break the computation
+        # a read-only corpus directory must not break the computation
+        if tmp is not None:
+            try:
+                os.remove(tmp)
+            except OSError:
+                pass
 
 
 def _load_image(gf: GermFile, germ_path: str, cfg: ComputeConfig,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 @dataclass(frozen=True)
 class ComputeConfig:
     # basis computations
-    max_pairs: int = 200_000      # s-pair reductions per basis run
+    max_pairs: int = 200_000      # s-pairs per basis run; steps per reduction
     max_degree: int = 120         # total degree any intermediate term may reach
     jet_bound: int = 96           # largest truncation order for local dimensions
     # multiplicity profile

@@ -1,20 +1,40 @@
-"""Groebner and standard bases for ideals over Q, with the derived ideal calculus.
+"""Standard bases over Q: one reduction engine for ideals, modules and jets.
 
-Global orders run plain Buchberger with sugar-degree pair selection and the
-two classical pair criteria; the result is the unique reduced basis. Local
-orders run Mora's tangent-cone algorithm: reduction picks an ecart-minimal
-reducer and may enlist intermediate remainders as new reducers, which is what
-makes the loop terminate without a well-order. Local bases are minimalized
-and lead-normalized but their tails are left alone (full tail reduction need
-not terminate in a local ring).
+The engine is `_Engine`: one element type, one s-polynomial, one reducer and
+one pair loop. A run fixes a term order and three pieces of data:
+
+- whether the order is local (1 the largest monomial) or global;
+- an optional truncation order (jets): every term of total degree at or
+  above it is dropped, which is reduction by the implicit generators of
+  m^bound;
+- a module rank. Ideal terms are plain exponent tuples. A term of a free
+  module of rank r over n variables is the ring exponent followed by the
+  two position coordinates (c, r - c) of its component c < r. Plain
+  componentwise divisibility then already requires equal components, and
+  degrees (maximal degree, ecart, sugar, truncation) subtract r so that they
+  count ring variables only.
+
+The reducer keys each term once into a heap and pops the largest live term
+(Monagan and Pearce, CASC 2007), so no step rescans the polynomial. For a
+local order without truncation it picks reducers by Mora's ecart rule and
+may enlist intermediate remainders as new reducers, which is what makes it
+terminate without a well-order; otherwise it takes the first divisor. It
+reduces every term for global bases and normal forms, and stops at the first
+irreducible term for membership tests, Mora weak normal forms and jets.
+
+The pair loop selects pairs by sugar under global orders and by lowest lcm
+under local ones, and applies the chain criterion and, where sound, the
+product criterion. Global ideal bases are tail-interreduced into the unique
+reduced basis; local bases and module bases keep their tails (full tail
+reduction need not terminate in a local ring, and buys nothing for
+harvesting syzygies).
 
 Everything downstream (elimination, intersection, colon ideals, saturation,
 the two dimension counts) reduces to basis computations here. Dimension
 counting never inspects coefficients: it reads the staircase of the leading
 ideal, which is the correct recipe for both the polynomial ring and the
-local ring at the origin. Local quotient dimensions have a second, much
-faster route through truncated standard bases (jets), which certifies its
-own exactness and is the default for quotient_dimension on local handles.
+local ring at the origin. Local quotient dimensions go through truncated
+standard bases (jets), which certify their own exactness.
 """
 
 from __future__ import annotations
@@ -23,6 +43,7 @@ import heapq
 import itertools
 from fractions import Fraction
 from math import gcd
+from operator import add, sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .config import ComputeConfig, DEFAULT_CONFIG
@@ -55,26 +76,17 @@ def _intify(terms) -> Dict[Exponent, int]:
     for c in terms.values():
         if isinstance(c, Fraction):
             den = den * c.denominator // gcd(den, c.denominator)
-    out: Dict[Exponent, int] = {}
-    g = 0
-    for e, c in terms.items():
-        n = int(c * den)
-        out[e] = n
-        g = gcd(g, n)
-    if g > 1:
-        return {e: n // g for e, n in out.items()}
-    return out
+    return _primitive({e: int(c * den) for e, c in terms.items()})[0]
 
 
-def _content_strip(h: Dict[Exponent, int]) -> Dict[Exponent, int]:
+def _primitive(h: Dict[Exponent, int]) -> Tuple[Dict[Exponent, int], int]:
+    """(h divided by its content, the content) for a nonzero integer polynomial."""
     g = 0
     for v in h.values():
         g = gcd(g, v)
         if g == 1:
-            return h
-    if g > 1:
-        return {e: v // g for e, v in h.items()}
-    return h
+            return h, 1
+    return {e: v // g for e, v in h.items()}, g
 
 
 def _divides(a: Exponent, b: Exponent) -> bool:
@@ -85,303 +97,250 @@ def _divides(a: Exponent, b: Exponent) -> bool:
 
 
 class _Elt:
-    """Basis element with the data the reducers need on every step.
+    """Basis element with the data the reducer needs on every step.
 
     Engine-internal elements always carry primitive integer coefficients;
     operating over Z with explicit content handling keeps the hot loops free
-    of per-operation gcd normalization.
+    of per-operation gcd normalization. `off` is the run's module rank.
     """
 
     __slots__ = ("terms", "lm", "lc", "lmkey", "maxdeg", "ecart", "sugar")
 
-    def __init__(self, terms: Dict[Exponent, int], key, sugar: Optional[int] = None):
+    def __init__(self, terms: Dict[Exponent, int], key, off: int = 0):
         self.terms = terms
         self.lm = max(terms, key=key)
         self.lc = terms[self.lm]
         self.lmkey = key(self.lm)
-        self.maxdeg = max(sum(e) for e in terms)
-        self.ecart = self.maxdeg - sum(self.lm)
-        self.sugar = self.maxdeg if sugar is None else sugar
+        self.maxdeg = max(sum(e) for e in terms) - off
+        self.ecart = self.maxdeg - sum(self.lm) + off
+        self.sugar = self.maxdeg
 
 
-def _reduce_global(f, elts: Sequence[_Elt], key, cfg: ComputeConfig,
-                   stop_early: bool = False) -> Dict[Exponent, int]:
-    """Full pseudo-reduction under a global order.
+class _Engine:
+    """One standard-basis run: an order, the limits, and the data of the
+    module docstring (local order, truncation bound, module rank)."""
 
-    Returns an integer-coefficient dict equal to a positive rational multiple
-    of the reduced normal form (zero iff the true normal form is zero); the
-    caller rescales when the exact normal form matters. With stop_early the
-    loop bails at the first irreducible term, enough for membership tests.
-    """
-    h = _intify(f)
-    if not h:
-        return h
-    heap = [(tuple(-v for v in key(e)), e) for e in h]
-    heapq.heapify(heap)
-    steps = 0
-    while heap:
-        _, e = heapq.heappop(heap)
-        c = h.get(e)
-        if c is None:
-            continue
-        red = None
-        for g in elts:
-            if _divides(g.lm, e):
-                red = g
-                break
-        if red is None:
-            if stop_early:
-                return h
-            continue  # settled: coefficient may still change, monomial won't return
-        steps += 1
-        if steps > cfg.max_pairs:
-            raise ResourceLimitError("reduction exceeded the configured step budget")
-        m = tuple(a - b for a, b in zip(e, red.lm))
-        if sum(m) + red.maxdeg > cfg.max_degree:
-            raise ResourceLimitError("reduction exceeded the configured degree bound")
-        g0 = gcd(c, red.lc)
-        scale = red.lc // g0
-        if scale < 0:
-            scale, g0 = -scale, -g0
-        if scale != 1:
-            for k in h:
-                h[k] *= scale
-        factor = c // g0
-        del h[e]
-        for ge, gc in red.terms.items():
-            if ge == red.lm:
-                continue
-            te = tuple(a + b for a, b in zip(ge, m))
-            prev = h.get(te)
-            if prev is None:
-                h[te] = -factor * gc
-                heapq.heappush(heap, (tuple(-v for v in key(te)), te))
+    def __init__(self, key, local: bool, cfg: ComputeConfig, nvars: int,
+                 bound: Optional[int] = None, rank: int = 0):
+        self.key = key
+        self.local = local
+        self.cfg = cfg
+        self.nvars = nvars
+        self.off = rank
+        # truncation drops terms whose exponent sum reaches `limit`
+        self.limit = None if bound is None else bound + rank
+        self.mora = local and bound is None
+        self.stage = "jet" if bound is not None else "module" if rank else "ideal"
+        self.heap_key = lambda e: tuple([-v for v in key(e)])
+
+    def elt(self, terms: Dict[Exponent, int]) -> _Elt:
+        return _Elt(terms, self.key, self.off)
+
+    def reduce(self, f, elts: Sequence[_Elt], full: bool) -> Tuple[Dict[Exponent, int], Fraction]:
+        """Pseudo-reduce f by elts over Z.
+
+        Returns (r, scale): r has primitive integer coefficients and equals
+        scale times the remainder over Q, scale a positive rational; r is
+        zero exactly when that remainder is. With `full` (global orders)
+        the remainder is the reduced normal form; otherwise reduction stops
+        at the first term no lead divides. Under Mora's rule the remainder
+        is a weak normal form, determined only up to a unit of the local ring.
+        """
+        h = _intify(f)
+        if not h:
+            return h, Fraction(1)
+        e0 = next(iter(h))
+        num, den = h[e0], 1     # scale = num / (den * f[e0])
+        cfg, limit, heap_key = self.cfg, self.limit, self.heap_key
+        pool = list(elts) if self.mora else elts
+        heap = [(heap_key(e), e) for e in h]
+        heapq.heapify(heap)
+        steps = 0
+        while heap:
+            e = heapq.heappop(heap)[1]
+            c = h.get(e)
+            if c is None:
+                continue                # stale: the term cancelled after it was keyed
+            red = None
+            if self.mora:
+                for g in pool:
+                    if _divides(g.lm, e) and (red is None or g.ecart < red.ecart):
+                        red = g
             else:
-                s = prev - factor * gc
-                if s:
-                    h[te] = s
-                else:
-                    del h[te]
-        if steps % 64 == 0 and h:
-            h = _content_strip(h)
-    return _content_strip(h) if h else h
-
-
-def _reduce_exact(f, elts: Sequence[_Elt], key, cfg: ComputeConfig) -> Dict[Exponent, Fraction]:
-    """Reduced normal form with exact rational coefficients (global orders).
-
-    The pseudo-reduction above only preserves the remainder up to scale,
-    which is fine for bases and membership but not for normal_form, whose
-    answer is the canonical linear representative. This variant keeps
-    rational arithmetic; it is never on a hot path.
-    """
-    h: Dict[Exponent, Fraction] = {e: Fraction(c) for e, c in f.items()}
-    if not h:
-        return h
-    heap = [(tuple(-v for v in key(e)), e) for e in h]
-    heapq.heapify(heap)
-    steps = 0
-    while heap:
-        _, e = heapq.heappop(heap)
-        c = h.get(e)
-        if c is None:
-            continue
-        red = None
-        for g in elts:
-            if _divides(g.lm, e):
-                red = g
+                for g in elts:
+                    if _divides(g.lm, e):
+                        red = g
+                        break
+            if red is None:
+                if full:
+                    continue  # settled: coefficient may still change, monomial won't return
                 break
-        if red is None:
-            continue
-        steps += 1
-        if steps > cfg.max_pairs:
-            raise ResourceLimitError("reduction exceeded the configured step budget")
-        m = tuple(a - b for a, b in zip(e, red.lm))
-        if sum(m) + red.maxdeg > cfg.max_degree:
-            raise ResourceLimitError("reduction exceeded the configured degree bound")
-        factor = c / red.lc
-        del h[e]
-        for ge, gc in red.terms.items():
-            if ge == red.lm:
-                continue
-            te = tuple(a + b for a, b in zip(ge, m))
-            prev = h.get(te)
-            if prev is None:
-                h[te] = -factor * gc
-                heapq.heappush(heap, (tuple(-v for v in key(te)), te))
-            else:
-                s = prev - factor * gc
-                if s:
-                    h[te] = s
+            if self.mora and red.ecart and red.ecart > max(map(sum, h)) - sum(e):
+                pool.append(self.elt(_primitive(dict(h))[0]))
+            m = tuple(map(sub, e, red.lm))
+            steps += 1
+            # truncation bounds the degrees, and every step lowers the lead
+            # within the finite set of monomials below it: only other runs
+            # need the guards
+            if limit is None:
+                if steps > cfg.max_pairs:
+                    raise ResourceLimitError(
+                        f"{self.stage} reduction exceeded the pair budget "
+                        f"(max_pairs={cfg.max_pairs} steps)")
+                if sum(m) + red.maxdeg > cfg.max_degree:
+                    raise ResourceLimitError(
+                        f"{self.stage} reduction exceeded the degree bound "
+                        f"max_degree={cfg.max_degree}")
+            g0 = gcd(c, red.lc)
+            scale = red.lc // g0
+            if scale < 0:
+                scale, g0 = -scale, -g0
+            if scale != 1:
+                for k in h:
+                    h[k] *= scale
+                num *= scale
+            factor = c // g0
+            del h[e]
+            lm = red.lm
+            for ge, gc in red.terms.items():
+                if ge == lm:
+                    continue
+                te = tuple(map(add, ge, m))
+                if limit is not None and sum(te) >= limit:
+                    continue
+                prev = h.get(te)
+                if prev is None:
+                    h[te] = -factor * gc
+                    heapq.heappush(heap, (heap_key(te), te))
                 else:
-                    del h[te]
-    return h
+                    s = prev - factor * gc
+                    if s:
+                        h[te] = s
+                    else:
+                        del h[te]
+            if steps % 64 == 0 and h:
+                h, g = _primitive(h)
+                den *= g
+                g = gcd(num, den)
+                num, den = num // g, den // g
+        if h:
+            h, g = _primitive(h)
+            den *= g
+        return h, Fraction(num, den) / f[e0]
 
-
-def _reduce_mora(f, elts: Sequence[_Elt], key, cfg: ComputeConfig) -> Dict[Exponent, int]:
-    """Mora weak normal form: valid for local (and any) orders.
-
-    Returns h with u*f = (combination of elts) + h for some unit u of the
-    local ring and a nonzero rational scale; h is zero exactly when f lies in
-    the ideal locally. The tail of h is not reduced, and h is determined only
-    up to units anyway, so a primitive-integer representative is returned.
-    """
-    pool: List[_Elt] = list(elts)
-    h = _intify(f)
-    steps = 0
-    while h:
-        lm_h = max(h, key=key)
-        cands = [g for g in pool if _divides(g.lm, lm_h)]
-        if not cands:
-            return _content_strip(h)
-        maxdeg_h = max(sum(e) for e in h)
-        ecart_h = maxdeg_h - sum(lm_h)
-        g = min(cands, key=lambda x: x.ecart)
-        if g.ecart > ecart_h:
-            pool.append(_Elt(_content_strip(dict(h)), key))
-        steps += 1
-        if steps > cfg.max_pairs:
-            raise ResourceLimitError("local reduction exceeded the configured step budget")
-        m = tuple(a - b for a, b in zip(lm_h, g.lm))
-        if sum(m) + g.maxdeg > cfg.max_degree:
-            raise ResourceLimitError("local reduction exceeded the configured degree bound")
-        c = h[lm_h]
-        g0 = gcd(c, g.lc)
-        scale = g.lc // g0
-        if scale < 0:
-            scale, g0 = -scale, -g0
-        if scale != 1:
-            for k in h:
-                h[k] *= scale
-        factor = c // g0
-        for ge, gc in g.terms.items():
-            te = tuple(a + b for a, b in zip(ge, m))
-            s = h.get(te, 0) - factor * gc
+    def spoly(self, f: _Elt, g: _Elt) -> Dict[Exponent, int]:
+        lcm = tuple(map(max, f.lm, g.lm))
+        if sum(lcm) - self.off > self.cfg.max_degree:
+            raise ResourceLimitError(
+                f"{self.stage} s-polynomial exceeded the degree bound "
+                f"max_degree={self.cfg.max_degree}")
+        mf = tuple(map(sub, lcm, f.lm))
+        mg = tuple(map(sub, lcm, g.lm))
+        g0 = gcd(f.lc, g.lc)
+        cf = g.lc // g0
+        cg = f.lc // g0
+        out = {tuple(map(add, e, mf)): c * cf for e, c in f.terms.items()}
+        for e, c in g.terms.items():
+            te = tuple(map(add, e, mg))
+            s = out.get(te, 0) - c * cg
             if s:
-                h[te] = s
+                out[te] = s
             else:
-                h.pop(te, None)
-        if len(h) > 4 and steps % 32 == 0:
-            h = _content_strip(h)
-    return h
+                del out[te]
+        if self.limit is not None:
+            out = {e: c for e, c in out.items() if sum(e) < self.limit}
+        return out
 
+    def basis(self, gens: Sequence[Dict[Exponent, Fraction]],
+              lead_stop=None) -> Optional[List[_Elt]]:
+        """Minimal standard basis of `gens`, leads in descending order.
 
-def _spoly(f: _Elt, g: _Elt, key, cfg: ComputeConfig) -> Dict[Exponent, int]:
-    lcm = tuple(max(a, b) for a, b in zip(f.lm, g.lm))
-    if sum(lcm) > cfg.max_degree:
-        raise ResourceLimitError("s-polynomial exceeded the configured degree bound")
-    mf = tuple(a - b for a, b in zip(lcm, f.lm))
-    mg = tuple(a - b for a, b in zip(lcm, g.lm))
-    g0 = gcd(f.lc, g.lc)
-    cf = g.lc // g0
-    cg = f.lc // g0
-    out: Dict[Exponent, int] = {}
-    for e, c in f.terms.items():
-        te = tuple(a + b for a, b in zip(e, mf))
-        out[te] = c * cf
-    for e, c in g.terms.items():
-        te = tuple(a + b for a, b in zip(e, mg))
-        s = out.get(te, 0) - c * cg
-        if s:
-            out[te] = s
-        else:
-            out.pop(te, None)
-    return out
+        Global ideal bases come back tail-interreduced (the reduced basis).
+        With `lead_stop` set, the predicate sees the accumulated lead
+        exponents after every new element; once it returns true the loop
+        aborts and None comes back — no partial basis escapes, the caller
+        already saw the leads.
+        """
+        cfg, off, n, limit = self.cfg, self.off, self.nvars, self.limit
+        elts: List[_Elt] = []
+        for g in gens:
+            if limit is not None:
+                g = {e: c for e, c in g.items() if sum(e) < limit}
+            if g:
+                elts.append(self.elt(_intify(g)))
 
+        heap: List[tuple] = []
+        done: set = set()
 
-def _pair_sugar(f: _Elt, g: _Elt, key) -> Tuple[int, tuple]:
-    lcm = tuple(max(a, b) for a, b in zip(f.lm, g.lm))
-    d = sum(lcm)
-    sugar = max(f.sugar + d - sum(f.lm), g.sugar + d - sum(g.lm))
-    return sugar, key(lcm)
+        def add_pairs(j: int):
+            b = elts[j]
+            for i in range(j):
+                a = elts[i]
+                if a.lm[n:] != b.lm[n:]:
+                    continue          # leads in different components never pair
+                lcm = tuple(map(max, a.lm, b.lm))
+                d = sum(lcm)
+                if limit is not None and d >= limit:
+                    continue          # the s-polynomial lies in m^bound
+                d -= off
+                sugar = max(a.sugar + d - sum(a.lm), b.sugar + d - sum(b.lm)) + off
+                # normal strategy: lowest lcm first, by sugar under a global order
+                prio = self.heap_key(lcm) if self.local else (sugar, self.key(lcm))
+                heapq.heappush(heap, (prio, i, j, sugar))
 
+        for j in range(len(elts)):
+            add_pairs(j)
 
-def _basis(gens: Sequence[Dict[Exponent, Fraction]], key, is_global: bool,
-           cfg: ComputeConfig, lead_stop=None) -> Optional[List[Dict[Exponent, Fraction]]]:
-    """Shared Buchberger/Mora loop; returns a minimal, monic basis.
-
-    With `lead_stop` set, the predicate sees the accumulated lead exponents
-    after every new element; once it returns true the loop aborts and None
-    comes back — no partial basis escapes, the caller already saw the leads.
-    """
-    elts: List[_Elt] = []
-    for g in gens:
-        if g:
-            elts.append(_Elt(_intify(g), key))
-    reduce_one = _reduce_global if is_global else _reduce_mora
-
-    heap: List[Tuple[int, tuple, int, int]] = []
-    done: set = set()
-
-    def add_pairs(j: int):
-        for i in range(j):
-            sugar, lk = _pair_sugar(elts[i], elts[j], key)
-            heapq.heappush(heap, (sugar, lk, i, j))
-
-    for j in range(len(elts)):
-        add_pairs(j)
-
-    handled = 0
-    while heap:
-        sugar, _, i, j = heapq.heappop(heap)
-        done.add((i, j))
-        handled += 1
-        if handled > cfg.max_pairs:
-            raise ResourceLimitError("basis computation exceeded the configured pair budget")
-        f, g = elts[i], elts[j]
-        lcm = tuple(max(a, b) for a, b in zip(f.lm, g.lm))
-        # product criterion: coprime leads never yield new information
-        if all(a + b == c for a, b, c in zip(f.lm, g.lm, lcm)):
-            continue
-        # chain criterion: a third lead dividing the lcm, both its pairs settled
-        skip = False
-        for k in range(len(elts)):
-            if k == i or k == j:
+        handled = 0
+        while heap:
+            _, i, j, sugar = heapq.heappop(heap)
+            done.add((i, j))
+            handled += 1
+            if handled > cfg.max_pairs:
+                raise ResourceLimitError(
+                    f"{self.stage} basis exceeded the pair budget max_pairs={cfg.max_pairs}")
+            f, g = elts[i], elts[j]
+            lcm = tuple(map(max, f.lm, g.lm))
+            # Product criterion: coprime leads leave an s-polynomial that
+            # reduces to zero, because lm(g)f - lm(f)g = tail(f)g - tail(g)f.
+            # Under a local order the two sides can cancel when a lead divides
+            # a tail term, so one element must have ecart 0. The identity
+            # multiplies two elements, which vectors cannot do: the criterion
+            # is unsound for modules, and it never fires there, since the
+            # position coordinates of same-component leads always overlap.
+            if (not self.local or not f.ecart or not g.ecart) and \
+                    all(a + b == c for a, b, c in zip(f.lm, g.lm, lcm)):
                 continue
-            if _divides(elts[k].lm, lcm):
-                a = (min(i, k), max(i, k))
-                b = (min(j, k), max(j, k))
-                if a in done and b in done:
+            # chain criterion: a third lead dividing the lcm, both its pairs settled
+            skip = False
+            for k in range(len(elts)):
+                if k != i and k != j and _divides(elts[k].lm, lcm) and \
+                        (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done:
                     skip = True
                     break
-        if skip:
-            continue
-        h = reduce_one(_spoly(f, g, key, cfg), elts, key, cfg)
-        if not h:
-            continue
-        elts.append(_Elt(_content_strip(h), key, sugar=max(sugar, max(sum(e) for e in h))))
-        add_pairs(len(elts) - 1)
-        if lead_stop is not None and lead_stop([e.lm for e in elts]):
-            return None
-
-    # minimalize: drop elements whose lead is divisible by another lead
-    keep: List[int] = []
-    for i, e in enumerate(elts):
-        drop = False
-        for j, f in enumerate(elts):
-            if i == j:
+            if skip:
                 continue
-            if _divides(f.lm, e.lm) and (f.lm != e.lm or j < i):
-                drop = True
-                break
-        if not drop:
-            keep.append(i)
-    minimal = [elts[i] for i in keep]
-    minimal.sort(key=lambda e: e.lmkey, reverse=True)
+            h = self.reduce(self.spoly(f, g), elts, full=not self.local)[0]
+            if not h:
+                continue
+            new = self.elt(h)
+            new.sugar = max(sugar, new.maxdeg)
+            elts.append(new)
+            add_pairs(len(elts) - 1)
+            if lead_stop is not None and lead_stop([e.lm for e in elts]):
+                return None
 
-    if is_global:
-        # tail interreduction gives the unique reduced basis
-        current = list(minimal)
-        for idx in range(len(current)):
-            others = [current[k] for k in range(len(current)) if k != idx]
-            red = _reduce_global(current[idx].terms, others, key, cfg)
-            current[idx] = _Elt(red, key)
-        minimal = current
-    result = []
-    for e in minimal:
-        lc = e.terms[e.lm]
-        result.append({m: Fraction(c, lc) for m, c in e.terms.items()})
-    return result
+        # minimalize: drop elements whose lead is divisible by another lead
+        minimal = [e for i, e in enumerate(elts)
+                   if not any(k != i and _divides(o.lm, e.lm) and (o.lm != e.lm or k < i)
+                              for k, o in enumerate(elts))]
+        minimal.sort(key=lambda e: e.lmkey, reverse=True)
+        if not self.local and not off:
+            # tail interreduction gives the unique reduced basis
+            for idx in range(len(minimal)):
+                others = minimal[:idx] + minimal[idx + 1:]
+                minimal[idx] = self.elt(self.reduce(minimal[idx].terms, others, full=True)[0])
+        return minimal
 
 
 def _exact_divide(p: Dict[Exponent, Fraction], f: Dict[Exponent, Fraction], key,
@@ -450,114 +409,6 @@ def staircase_count(leads: Sequence[Exponent], nvars: int):
     return profile[0]
 
 
-def _jet_leads(gens: Sequence[Dict[Exponent, Fraction]], nvars: int,
-               bound: int, cfg: ComputeConfig) -> List[Exponent]:
-    """Lead exponents of a standard basis of I + m^bound (anti-degree order).
-
-    Dropping every term of total degree >= bound is reduction by the implicit
-    m^bound generators, and any s-pair against one of those generators only
-    carries terms of degree >= bound, so the pair loop runs over the explicit
-    elements alone. Within the truncated monomial set each rewrite strictly
-    lowers the lead, so plain lead reduction terminates without the ecart
-    bookkeeping a full local computation needs.
-    """
-    key = key_function(OrderingSpec.local(), nvars)
-    elts: List[_Elt] = []
-
-    def lead_reduce(h: Dict[Exponent, int]) -> Dict[Exponent, int]:
-        steps = 0
-        while h:
-            lm = max(h, key=key)
-            red = None
-            for e in elts:
-                if _divides(e.lm, lm):
-                    red = e
-                    break
-            if red is None:
-                return h
-            m = tuple(a - b for a, b in zip(lm, red.lm))
-            c = h[lm]
-            g0 = gcd(c, red.lc)
-            scale = red.lc // g0
-            if scale < 0:
-                scale, g0 = -scale, -g0
-            if scale != 1:
-                for k in h:
-                    h[k] *= scale
-            factor = c // g0
-            for ge, gc in red.terms.items():
-                te = tuple(a + b for a, b in zip(ge, m))
-                if sum(te) >= bound:
-                    continue
-                s = h.get(te, 0) - factor * gc
-                if s:
-                    h[te] = s
-                else:
-                    h.pop(te, None)
-            steps += 1
-            if steps % 32 == 0 and h:
-                h = _content_strip(h)
-        return h
-
-    for t in gens:
-        cut = {e: c for e, c in t.items() if sum(e) < bound}
-        if cut:
-            elts.append(_Elt(_intify(cut), key))
-
-    pairs: Dict[Tuple[int, int], tuple] = {}
-
-    def push_pairs(idx: int) -> None:
-        e = elts[idx]
-        for k in range(idx):
-            lcm = tuple(max(a, b) for a, b in zip(elts[k].lm, e.lm))
-            if sum(lcm) < bound:
-                pairs[(k, idx)] = key(lcm)
-
-    for i in range(len(elts)):
-        push_pairs(i)
-
-    done = set()
-    handled = 0
-    while pairs:
-        # normal strategy: largest key first, i.e. lowest lcm degree
-        p = max(pairs, key=lambda q: (pairs[q], (-q[1], -q[0])))
-        del pairs[p]
-        done.add(p)
-        i, j = p
-        a, b = elts[i], elts[j]
-        lcm = tuple(max(u, v) for u, v in zip(a.lm, b.lm))
-        chained = False
-        for k in range(len(elts)):
-            if k == i or k == j:
-                continue
-            if _divides(elts[k].lm, lcm):
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik in done and pjk in done:
-                    chained = True
-                    break
-        if chained:
-            continue
-        handled += 1
-        if handled > cfg.max_pairs:
-            raise ResourceLimitError("jet basis exceeded the configured pair budget")
-        sp = _spoly(a, b, key, cfg)
-        sp = {e: c for e, c in sp.items() if sum(e) < bound}
-        rem = lead_reduce(sp)
-        if rem:
-            elts.append(_Elt(_content_strip(rem), key))
-            push_pairs(len(elts) - 1)
-
-    leads = [e.lm for e in elts]
-    out: List[Exponent] = []
-    for i, m in enumerate(leads):
-        covered = any(k != i and _divides(leads[k], m) and (leads[k] != m or k < i)
-                      for k in range(len(leads)))
-        if not covered:
-            out.append(m)
-    return out
-
-
 def _local_quotient_dimension(gens: Sequence[Dict[Exponent, Fraction]], nvars: int,
                               cfg: ComputeConfig, start: Optional[int] = None):
     """dim of the local quotient at the origin by truncation-order growth.
@@ -571,16 +422,18 @@ def _local_quotient_dimension(gens: Sequence[Dict[Exponent, Fraction]], nvars: i
     """
     if not gens:
         return INFINITE
+    key = key_function(OrderingSpec.local(), nvars)
     bound = start if start is not None else 8
     bound = max(2, min(bound, cfg.jet_bound))
     while True:
-        leads = _jet_leads(gens, nvars, bound, cfg)
-        profile = _staircase_profile(leads, nvars)
+        # a jet: the standard basis of I + m^bound, m^bound kept implicit
+        jet = _Engine(key, True, cfg, nvars, bound=bound).basis(gens)
+        profile = _staircase_profile([e.lm for e in jet], nvars)
         if profile is not INFINITE and profile[1] < bound:
             return profile[0]
         if bound >= cfg.jet_bound:
             raise ResourceLimitError(
-                "local quotient dimension did not stabilize below the jet bound; "
+                f"local quotient dimension did not stabilize below jet_bound={cfg.jet_bound}; "
                 "the quotient may have positive local dimension")
         if profile is INFINITE:
             bound = min(bound * 2, cfg.jet_bound)
@@ -634,12 +487,18 @@ class Ideal:
     def is_local(self) -> bool:
         return not self.ordering.is_global
 
+    def _engine(self) -> _Engine:
+        return _Engine(self._key, self.is_local, self.config, len(self.ctx))
+
+    def _keep_basis(self, elts: List[_Elt]) -> None:
+        self._basis_cache = [Polynomial._raw(self.ctx, {m: Fraction(c, e.lc)
+                                                        for m, c in e.terms.items()})
+                             for e in elts]
+
     def basis(self) -> List[Polynomial]:
         """Reduced Groebner basis (global order) or minimal standard basis (local)."""
         if self._basis_cache is None:
-            raw = _basis([g.terms for g in self.gens], self._key,
-                         self.ordering.is_global, self.config)
-            self._basis_cache = [Polynomial._raw(self.ctx, t) for t in raw]
+            self._keep_basis(self._engine().basis([g.terms for g in self.gens]))
         return self._basis_cache
 
     def leading_monomials(self) -> List[Exponent]:
@@ -658,19 +517,18 @@ class Ideal:
         """
         if p.ctx != self.ctx:
             raise GermInputError("normal form argument over the wrong context")
-        elts = [_Elt(_intify(b.terms), self._key) for b in self.basis()]
-        if self.ordering.is_global:
-            return Polynomial._raw(self.ctx, _reduce_exact(p.terms, elts, self._key, self.config))
-        red = _reduce_mora(p.terms, elts, self._key, self.config)
-        return Polynomial._raw(self.ctx, {e: Fraction(c) for e, c in red.items()})
+        red, scale = self._reduce(p, full=not self.is_local)
+        if self.is_local:
+            scale = 1     # a weak normal form is only defined up to a unit anyway
+        return Polynomial._raw(self.ctx, {e: Fraction(c) / scale for e, c in red.items()})
 
     def contains(self, p: Polynomial) -> bool:
-        if p.is_zero():
-            return True
-        elts = [_Elt(_intify(b.terms), self._key) for b in self.basis()]
-        if self.ordering.is_global:
-            return not _reduce_global(p.terms, elts, self._key, self.config, stop_early=True)
-        return not _reduce_mora(p.terms, elts, self._key, self.config)
+        return p.is_zero() or not self._reduce(p, full=False)[0]
+
+    def _reduce(self, p: Polynomial, full: bool):
+        eng = self._engine()
+        elts = [eng.elt(_intify(b.terms)) for b in self.basis()]
+        return eng.reduce(p.terms, elts, full)
 
     def contains_ideal(self, other: "Ideal") -> bool:
         return all(self.contains(g) for g in other.gens)
@@ -788,9 +646,8 @@ class Ideal:
             seen["bound"] = min(seen["bound"], d)
             return d <= stop_at
 
-        raw = _basis([g.terms for g in self.gens], self._key, True,
-                     self.config, lead_stop=hit)
+        raw = self._engine().basis([g.terms for g in self.gens], lead_stop=hit)
         if raw is None:
             return seen["bound"]
-        self._basis_cache = [Polynomial._raw(self.ctx, t) for t in raw]
+        self._keep_basis(raw)
         return self.dimension()

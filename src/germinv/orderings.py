@@ -1,13 +1,10 @@
-"""Monomial and module term orders, realized as integer sort keys.
+"""Monomial orders, realized as integer sort keys.
 
 Every supported order is translated into a key function mapping an exponent
 tuple to a tuple of ints, so that order comparison is plain tuple comparison
 and leading terms come from max(). Local (anti-degree) orders make 1 the
-largest monomial; basis algorithms pick Mora reduction for those.
-
-Module terms are pairs (component, exponent). The extension is either
-position-over-term (component decides first, lower index wins) or
-term-over-position.
+largest monomial; the standard-basis engine reduces by Mora's rule or by
+truncation under those. Module orders are built on these keys in `syzygy`.
 """
 
 from __future__ import annotations
@@ -23,11 +20,6 @@ WEIGHTED = "weighted-degrevlex"
 LOCAL = "local-anti-degree"
 BLOCK = "block"
 
-POSITION_OVER_TERM = "position-over-term"
-TERM_OVER_POSITION = "term-over-position"
-
-LT, EQ, GT = -1, 0, 1
-
 
 @dataclass(frozen=True)
 class OrderingSpec:
@@ -37,7 +29,6 @@ class OrderingSpec:
     weights: Optional[Tuple[int, ...]] = None
     # for block orders: ((sub_spec, variable_indices), ...) partitioning 0..n-1
     blocks: Optional[Tuple[Tuple["OrderingSpec", Tuple[int, ...]], ...]] = None
-    module: Optional[str] = None
 
     @staticmethod
     def lex() -> "OrderingSpec":
@@ -73,11 +64,6 @@ class OrderingSpec:
             raise GermInputError("elimination order needs a proper variable split")
         return OrderingSpec.block([(OrderingSpec.degrevlex(), front),
                                    (inner or OrderingSpec.degrevlex(), rest)])
-
-    def with_module(self, layout: str) -> "OrderingSpec":
-        if layout not in (POSITION_OVER_TERM, TERM_OVER_POSITION):
-            raise GermInputError(f"unknown module layout {layout!r}")
-        return OrderingSpec(self.kind, self.weights, self.blocks, layout)
 
     @property
     def is_global(self) -> bool:
@@ -117,20 +103,3 @@ def key_function(spec: OrderingSpec, nvars: int) -> Callable[[Tuple[int, ...]], 
         return key
     raise GermInputError(f"unknown ordering kind {spec.kind!r}")
 
-
-def module_key_function(spec: OrderingSpec, nvars: int) -> Callable[[Tuple[int, tuple]], tuple]:
-    """Key on (component, exponent) pairs. Lower component index = higher priority."""
-    ring_key = key_function(spec, nvars)
-    layout = spec.module or POSITION_OVER_TERM
-    if layout == POSITION_OVER_TERM:
-        return lambda t: (-t[0],) + ring_key(t[1])
-    return lambda t: ring_key(t[1]) + (-t[0],)
-
-
-def compare(m1: Tuple[int, ...], m2: Tuple[int, ...], spec: OrderingSpec) -> int:
-    """-1, 0, or 1 as m1 <, =, > m2 under the given order."""
-    if len(m1) != len(m2):
-        raise GermInputError("exponent tuples of different lengths")
-    k = key_function(spec, len(m1))
-    a, b = k(tuple(m1)), k(tuple(m2))
-    return LT if a < b else GT if a > b else EQ

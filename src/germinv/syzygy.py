@@ -1,16 +1,15 @@
 """Syzygy modules and the vector-field modules attached to a hypersurface.
 
-A module element is a tuple of polynomials; internally terms are keyed by
-(component, exponent) so the basis algorithms mirror the ideal engine. The
-syzygy computation is the classical free-module construction: present each
-input g_i as a row (g_i, e_i) in R x R^k, run a basis under a module order
-whose first slot dominates, and harvest the rows whose first slot vanished.
-The harvest order is term-over-position on the unit-tracking slots — any
-order works there, and this one yields markedly smaller syzygies than
-stratifying by component.
-
-Note the product criterion is sound for ideals but not for modules, so the
-pair loop here applies only the chain criterion.
+This module builds rows and harvests relations; the standard-basis work runs
+on the engine in `gb`, which takes module terms as flat exponent tuples: the
+ring exponent followed by (c, r - c) for component c of a free module of
+rank r. The syzygy computation is the classical free-module construction:
+present each input g_i as a row (g_i, e_i) in R x R^k, run a basis under a
+module order whose first slot dominates, and harvest the rows whose first
+slot vanished. Among the unit-tracking slots the order is term-over-position
+(any order works there, and this one yields markedly smaller syzygies than
+stratifying by component). The engine never applies the product criterion
+to module elements; see its pair loop.
 
 Vector fields live here too: a field is its coefficient tuple against the
 coordinate partials, and the fields annihilating g (respectively tangent to
@@ -20,334 +19,36 @@ the partials extended by g, cofactor slot discarded).
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .config import ComputeConfig, DEFAULT_CONFIG
-from .errors import GermInputError, ResourceLimitError
-from .gb import Ideal
-from .orderings import (OrderingSpec, POSITION_OVER_TERM, key_function,
-                        module_key_function)
+from .errors import GermInputError
+from .gb import Ideal, _Engine
+from .orderings import OrderingSpec, key_function
 from .poly import Exponent, Polynomial, VariableContext
 
-ModTerm = Tuple[int, Exponent]
 Vector = Tuple[Polynomial, ...]
 
 
-def _vec_to_terms(vec: Vector) -> Dict[ModTerm, Fraction]:
-    out: Dict[ModTerm, Fraction] = {}
-    for comp, p in enumerate(vec):
-        for e, c in p.terms.items():
-            out[(comp, e)] = c
-    return out
+def _engine(ctx: VariableContext, ordering: Optional[OrderingSpec], rank: int,
+            config: ComputeConfig) -> _Engine:
+    """Engine for submodules of R^rank: the first slot dominates, then
+    term-over-position with lower components first."""
+    ordering = ordering or OrderingSpec.degrevlex()
+    n = len(ctx)
+    ring_key = key_function(ordering, n)
+
+    def key(t: Exponent):
+        return ((1 if t[n] == 0 else 0),) + ring_key(t[:n]) + (-t[n],)
+
+    return _Engine(key, not ordering.is_global, config, n, rank=rank)
 
 
-def _terms_to_vec(terms: Dict[ModTerm, Fraction], ctx: VariableContext, rank: int) -> Vector:
-    split: List[Dict[Exponent, Fraction]] = [{} for _ in range(rank)]
-    for (comp, e), c in terms.items():
-        split[comp][e] = Fraction(c)
-    return tuple(Polynomial._raw(ctx, d) for d in split)
-
-
-def _mintify(terms) -> Dict[ModTerm, int]:
-    """Clear denominators and strip content: primitive integer coefficients."""
-    if not terms:
-        return {}
-    den = 1
-    for c in terms.values():
-        if isinstance(c, Fraction):
-            den = den * c.denominator // gcd(den, c.denominator)
-    out: Dict[ModTerm, int] = {}
-    g = 0
-    for t, c in terms.items():
-        n = int(c * den)
-        out[t] = n
-        g = gcd(g, n)
-    if g > 1:
-        return {t: n // g for t, n in out.items()}
-    return out
-
-
-def _mcontent_strip(h: Dict[ModTerm, int]) -> Dict[ModTerm, int]:
-    g = 0
-    for v in h.values():
-        g = gcd(g, v)
-        if g == 1:
-            return h
-    if g > 1:
-        return {t: v // g for t, v in h.items()}
-    return h
-
-
-def _divides(a: Exponent, b: Exponent) -> bool:
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
-
-
-class _MElt:
-    __slots__ = ("terms", "lt", "lc", "ltkey", "maxdeg", "ecart", "sugar")
-
-    def __init__(self, terms: Dict[ModTerm, int], mkey, sugar: Optional[int] = None):
-        self.terms = terms
-        self.lt = max(terms, key=mkey)
-        self.lc = terms[self.lt]
-        self.ltkey = mkey(self.lt)
-        self.maxdeg = max(sum(e) for _, e in terms)
-        self.ecart = self.maxdeg - sum(self.lt[1])
-        self.sugar = self.maxdeg if sugar is None else sugar
-
-
-def _mreduce_global(f, elts: Sequence[_MElt], mkey, cfg: ComputeConfig,
-                    stop_early: bool = False) -> Dict[ModTerm, int]:
-    """Pseudo-reduction over Z; remainder is a rational multiple of the true
-    normal form, zero exactly on members. See the ideal engine twin."""
-    h = _mintify(f)
-    if not h:
-        return h
-    heap = [(tuple(-v for v in mkey(t)), t) for t in h]
-    heapq.heapify(heap)
-    steps = 0
-    while heap:
-        _, t = heapq.heappop(heap)
-        c = h.get(t)
-        if c is None:
-            continue
-        comp, e = t
-        red = None
-        for g in elts:
-            if g.lt[0] == comp and _divides(g.lt[1], e):
-                red = g
-                break
-        if red is None:
-            if stop_early:
-                return h
-            continue
-        steps += 1
-        if steps > cfg.max_pairs:
-            raise ResourceLimitError("module reduction exceeded the configured step budget")
-        m = tuple(a - b for a, b in zip(e, red.lt[1]))
-        if sum(m) + red.maxdeg > cfg.max_degree:
-            raise ResourceLimitError("module reduction exceeded the configured degree bound")
-        g0 = gcd(c, red.lc)
-        scale = red.lc // g0
-        if scale < 0:
-            scale, g0 = -scale, -g0
-        if scale != 1:
-            for k in h:
-                h[k] *= scale
-        factor = c // g0
-        del h[t]
-        for (tc, ge), gc in red.terms.items():
-            if (tc, ge) == red.lt:
-                continue
-            tt = (tc, tuple(a + b for a, b in zip(ge, m)))
-            prev = h.get(tt)
-            if prev is None:
-                h[tt] = -factor * gc
-                heapq.heappush(heap, (tuple(-v for v in mkey(tt)), tt))
-            else:
-                s = prev - factor * gc
-                if s:
-                    h[tt] = s
-                else:
-                    del h[tt]
-        if steps % 64 == 0 and h:
-            h = _mcontent_strip(h)
-    return _mcontent_strip(h) if h else h
-
-
-def _mreduce_mora(f, elts: Sequence[_MElt], mkey, cfg: ComputeConfig) -> Dict[ModTerm, int]:
-    pool: List[_MElt] = list(elts)
-    h = _mintify(f)
-    steps = 0
-    while h:
-        lt_h = max(h, key=mkey)
-        comp, e = lt_h
-        cands = [g for g in pool if g.lt[0] == comp and _divides(g.lt[1], e)]
-        if not cands:
-            return _mcontent_strip(h)
-        ecart_h = max(sum(ee) for _, ee in h) - sum(e)
-        g = min(cands, key=lambda x: x.ecart)
-        if g.ecart > ecart_h:
-            pool.append(_MElt(_mcontent_strip(dict(h)), mkey))
-        steps += 1
-        if steps > cfg.max_pairs:
-            raise ResourceLimitError("local module reduction exceeded the configured step budget")
-        m = tuple(a - b for a, b in zip(e, g.lt[1]))
-        if sum(m) + g.maxdeg > cfg.max_degree:
-            raise ResourceLimitError("local module reduction exceeded the configured degree bound")
-        c = h[lt_h]
-        g0 = gcd(c, g.lc)
-        scale = g.lc // g0
-        if scale < 0:
-            scale, g0 = -scale, -g0
-        if scale != 1:
-            for k in h:
-                h[k] *= scale
-        factor = c // g0
-        for (tc, te), tcoef in g.terms.items():
-            tt = (tc, tuple(a + b for a, b in zip(te, m)))
-            s = h.get(tt, 0) - factor * tcoef
-            if s:
-                h[tt] = s
-            else:
-                h.pop(tt, None)
-        if len(h) > 4 and steps % 32 == 0:
-            h = _mcontent_strip(h)
-    return h
-
-
-def _mspoly(f: _MElt, g: _MElt, cfg: ComputeConfig) -> Dict[ModTerm, int]:
-    lcm = tuple(max(a, b) for a, b in zip(f.lt[1], g.lt[1]))
-    if sum(lcm) > cfg.max_degree:
-        raise ResourceLimitError("module s-vector exceeded the configured degree bound")
-    mf = tuple(a - b for a, b in zip(lcm, f.lt[1]))
-    mg = tuple(a - b for a, b in zip(lcm, g.lt[1]))
-    g0 = gcd(f.lc, g.lc)
-    cf = g.lc // g0
-    cg = f.lc // g0
-    out: Dict[ModTerm, int] = {}
-    for (tc, te), c in f.terms.items():
-        out[(tc, tuple(a + b for a, b in zip(te, mf)))] = c * cf
-    for (tc, te), c in g.terms.items():
-        tt = (tc, tuple(a + b for a, b in zip(te, mg)))
-        s = out.get(tt, 0) - c * cg
-        if s:
-            out[tt] = s
-        else:
-            out.pop(tt, None)
-    return out
-
-
-def _mbasis(gens: Sequence[Dict[ModTerm, Fraction]], mkey, is_global: bool,
-            cfg: ComputeConfig) -> List[Dict[ModTerm, int]]:
-    elts: List[_MElt] = [_MElt(_mintify(g), mkey) for g in gens if g]
-    reduce_one = _mreduce_global if is_global else _mreduce_mora
-
-    heap: List[Tuple[int, tuple, int, int]] = []
-    done: set = set()
-
-    def pair_data(f: _MElt, g: _MElt):
-        lcm = tuple(max(a, b) for a, b in zip(f.lt[1], g.lt[1]))
-        d = sum(lcm)
-        sugar = max(f.sugar + d - sum(f.lt[1]), g.sugar + d - sum(g.lt[1]))
-        return sugar, mkey((f.lt[0], lcm))
-
-    def add_pairs(j: int):
-        for i in range(j):
-            if elts[i].lt[0] == elts[j].lt[0]:
-                sugar, lk = pair_data(elts[i], elts[j])
-                heapq.heappush(heap, (sugar, lk, i, j))
-
-    for j in range(len(elts)):
-        add_pairs(j)
-
-    handled = 0
-    while heap:
-        sugar, _, i, j = heapq.heappop(heap)
-        done.add((i, j))
-        handled += 1
-        if handled > cfg.max_pairs:
-            raise ResourceLimitError("module basis exceeded the configured pair budget")
-        f, g = elts[i], elts[j]
-        comp = f.lt[0]
-        lcm = tuple(max(a, b) for a, b in zip(f.lt[1], g.lt[1]))
-        skip = False
-        for k in range(len(elts)):
-            if k == i or k == j:
-                continue
-            if elts[k].lt[0] == comp and _divides(elts[k].lt[1], lcm):
-                a = (min(i, k), max(i, k))
-                b = (min(j, k), max(j, k))
-                if a in done and b in done:
-                    skip = True
-                    break
-        if skip:
-            continue
-        h = reduce_one(_mspoly(f, g, cfg), elts, mkey, cfg)
-        if not h:
-            continue
-        elts.append(_MElt(_mcontent_strip(h), mkey,
-                          sugar=max(sugar, max(sum(e) for _, e in h))))
-        add_pairs(len(elts) - 1)
-
-    keep: List[int] = []
-    for i, e in enumerate(elts):
-        drop = False
-        for j, f in enumerate(elts):
-            if i == j:
-                continue
-            if f.lt[0] == e.lt[0] and _divides(f.lt[1], e.lt[1]) \
-                    and (f.lt != e.lt or j < i):
-                drop = True
-                break
-        if not drop:
-            keep.append(i)
-    minimal = [elts[i] for i in keep]
-    minimal.sort(key=lambda e: e.ltkey, reverse=True)
-
-    # Tails are kept as computed: module elements can be large, and full tail
-    # interreduction buys nothing for harvesting or membership. Elements are
-    # normalized to primitive integer coefficients with positive lead.
-    out = []
-    for e in minimal:
-        terms = e.terms
-        if terms[e.lt] < 0:
-            terms = {t: -c for t, c in terms.items()}
-        out.append(terms)
-    return out
-
-
-class Submodule:
-    """Handle for a finitely generated submodule of a free module R^rank."""
-
-    def __init__(self, ctx: VariableContext, rank: int, gens: Sequence[Vector],
-                 ordering: Optional[OrderingSpec] = None,
-                 config: ComputeConfig = DEFAULT_CONFIG):
-        self.ctx = ctx
-        self.rank = rank
-        self.ordering = ordering or OrderingSpec.degrevlex().with_module(POSITION_OVER_TERM)
-        if self.ordering.module is None:
-            self.ordering = self.ordering.with_module(POSITION_OVER_TERM)
-        self.config = config
-        for v in gens:
-            if len(v) != rank:
-                raise GermInputError("module generator of the wrong rank")
-            for p in v:
-                if p.ctx != ctx:
-                    raise GermInputError("module generator over the wrong context")
-        self._mkey = module_key_function(self.ordering, len(ctx))
-        self.gens: List[Vector] = [v for v in gens if any(not p.is_zero() for p in v)]
-        self._basis_cache: Optional[List[Vector]] = None
-
-    def basis(self) -> List[Vector]:
-        if self._basis_cache is None:
-            raw = _mbasis([_vec_to_terms(v) for v in self.gens], self._mkey,
-                          self.ordering.is_global, self.config)
-            self._basis_cache = [_terms_to_vec(t, self.ctx, self.rank) for t in raw]
-        return self._basis_cache
-
-    def normal_form(self, vec: Vector) -> Vector:
-        """Weak normal form: zero exactly on members, otherwise a primitive-
-        integer representative (scaled by a nonzero rational)."""
-        terms = _vec_to_terms(tuple(vec))
-        elts = [_MElt(_mintify(_vec_to_terms(b)), self._mkey) for b in self.basis()]
-        fn = _mreduce_global if self.ordering.is_global else _mreduce_mora
-        return _terms_to_vec(fn(terms, elts, self._mkey, self.config), self.ctx, self.rank)
-
-    def contains(self, vec: Vector) -> bool:
-        terms = _vec_to_terms(tuple(vec))
-        if not terms:
-            return True
-        elts = [_MElt(_mintify(_vec_to_terms(b)), self._mkey) for b in self.basis()]
-        if self.ordering.is_global:
-            return not _mreduce_global(terms, elts, self._mkey, self.config, stop_early=True)
-        return not _mreduce_mora(terms, elts, self._mkey, self.config)
+def _encode(vec: Sequence[Polynomial], rank: int) -> Dict[Exponent, Fraction]:
+    return {e + (comp, rank - comp): c
+            for comp, p in enumerate(vec) for e, c in p.terms.items()}
 
 
 @dataclass
@@ -362,10 +63,20 @@ class SyzygyBasis:
     components: Tuple[str, ...]
     original: Tuple[Polynomial, ...]
     elements: List[Vector]
+    _bases: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def as_submodule(self, ordering: Optional[OrderingSpec] = None,
-                     config: ComputeConfig = DEFAULT_CONFIG) -> Submodule:
-        return Submodule(self.ctx, len(self.components), self.elements, ordering, config)
+    def contains(self, vec: Vector, ordering: Optional[OrderingSpec] = None) -> bool:
+        """Whether vec lies in the module the elements generate: over the
+        polynomial ring for a global `ordering` (degrevlex by default), over
+        the local ring at the origin for a local one."""
+        rank = len(self.components)
+        if len(vec) != rank or any(p.ctx != self.ctx for p in vec):
+            raise GermInputError("module element of the wrong rank or context")
+        if ordering not in self._bases:
+            eng = _engine(self.ctx, ordering, rank, DEFAULT_CONFIG)
+            self._bases[ordering] = eng, eng.basis([_encode(v, rank) for v in self.elements])
+        eng, elts = self._bases[ordering]
+        return not eng.reduce(_encode(vec, rank), elts, full=False)[0]
 
 
 def syzygy_basis(polys: Sequence[Polynomial],
@@ -375,10 +86,9 @@ def syzygy_basis(polys: Sequence[Polynomial],
     """Generating set of {(a_1..a_k) : sum a_i p_i = 0}.
 
     Computed over the polynomial ring; a generating set over the local ring
-    too, localization being flat. Pass a local `ordering` to run the module
-    Mora loop instead. The first module slot must dominate for the harvest
-    argument to apply; among the unit-tracking slots the order is
-    term-over-position, which keeps the harvested vectors small.
+    too, localization being flat. Pass a local `ordering` to run the engine
+    under Mora's rule instead. Harvested vectors have primitive integer
+    coefficients and a positive leading coefficient.
     """
     polys = list(polys)
     if not polys:
@@ -393,25 +103,20 @@ def syzygy_basis(polys: Sequence[Polynomial],
     labels = tuple(labels)
     if len(labels) != k:
         raise GermInputError("syzygy component labels of the wrong length")
-    ring_ord = ordering or OrderingSpec.degrevlex()
-    ring_key = key_function(ring_ord, len(ctx))
-
-    def mkey(t: ModTerm):
-        comp, e = t
-        return ((1 if comp == 0 else 0),) + ring_key(e) + (-comp,)
-
-    rows: List[Dict[ModTerm, Fraction]] = []
-    for i, p in enumerate(polys):
-        row = {(0, e): c for e, c in p.terms.items()}
-        row[(i + 1, (0,) * len(ctx))] = Fraction(1)
-        rows.append(row)
-    basis = _mbasis(rows, mkey, ring_ord.is_global, config)
+    n, rank = len(ctx), k + 1
+    one = Polynomial.constant(ctx, 1)
+    zero = Polynomial.zero(ctx)
+    rows = [_encode([p] + [one if j == i else zero for j in range(k)], rank)
+            for i, p in enumerate(polys)]
     elements: List[Vector] = []
-    for t in basis:
-        if any(comp == 0 for comp, _ in t):
+    for elt in _engine(ctx, ordering, rank, config).basis(rows):
+        if any(t[n] == 0 for t in elt.terms):
             continue
-        shifted = {(comp - 1, e): c for (comp, e), c in t.items()}
-        elements.append(_terms_to_vec(shifted, ctx, k))
+        split: List[Dict[Exponent, Fraction]] = [{} for _ in range(k)]
+        sign = 1 if elt.lc > 0 else -1
+        for t, c in elt.terms.items():
+            split[t[n] - 1][t[:n]] = Fraction(sign * c)
+        elements.append(tuple(Polynomial._raw(ctx, d) for d in split))
     return SyzygyBasis(ctx, labels, tuple(polys), elements)
 
 

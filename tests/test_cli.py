@@ -229,3 +229,19 @@ def test_no_cache_leaves_no_sidecar(capsys, tmp_path, tmp_corpus):
     path = tmp_corpus("crosscap")
     run(capsys, "mu-br", path, "--no-cache", "--format", "machine")
     assert not (tmp_path / "crosscap.germ.gcache").exists()
+
+
+def test_cache_store_leaves_only_the_sidecar(capsys, tmp_path, tmp_corpus):
+    path = tmp_corpus("s1")
+    code, _, _ = run(capsys, "ft", path, "--format", "machine")
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s1.germ", "s1.germ.gcache"]
+
+
+def test_failed_cache_store_leaves_no_temp_file(capsys, tmp_path, tmp_corpus):
+    path = tmp_corpus("s1")
+    (tmp_path / "s1.germ.gcache").mkdir()     # renaming onto a directory fails
+    code, out, _ = run(capsys, "report", path, "--format", "machine")
+    assert code == 0 and machine_dict(out)["mu_image"] == "1"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s1.germ", "s1.germ.gcache"]
+    assert (tmp_path / "s1.germ.gcache").is_dir()

@@ -129,17 +129,18 @@ def test_local_vs_global_membership():
 
 def test_jet_route_matches_mora_staircase():
     rng = random.Random(37)
-    for _ in range(15):
+    cases = [(C2, [X2, Y2])] * 15 + [(C3, [X3, Y3, Z3])] * 10
+    for ctx, variables in cases:
         m = rng.randint(2, 4)
-        gens = [X2 ** m, Y2 ** m]
-        extra = rand_poly(rng, C2, max_terms=3, max_deg=3)
-        extra = extra - Polynomial.constant(C2, extra.constant_term())
+        gens = [v ** m for v in variables]
+        extra = rand_poly(rng, ctx, max_terms=3, max_deg=3)
+        extra = extra - Polynomial.constant(ctx, extra.constant_term())
         if not extra.is_zero():
             gens.append(extra)
-        jets = Ideal(C2, gens, LOC).quotient_dimension()
-        mora = Ideal(C2, gens, LOC)
+        jets = Ideal(ctx, gens, LOC).quotient_dimension()
+        mora = Ideal(ctx, gens, LOC)
         leads = [max(p.terms, key=mora._key) for p in mora.basis()]
-        assert jets == staircase_count(leads, 2)
+        assert jets == staircase_count(leads, len(ctx))
 
 
 # -- elimination -----------------------------------------------------------------
@@ -247,7 +248,7 @@ def test_dimension_bound_exact_when_basis_completes():
 def test_pair_budget_raises():
     cfg = ComputeConfig(max_pairs=1)
     gens = [X3 ** 3 - Y3 * Z3, Y3 ** 3 - X3 * Z3, Z3 ** 3 - X3 * Y3]
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="max_pairs=1"):
         Ideal(C3, gens, DRL, cfg).basis()
 
 
@@ -255,7 +256,7 @@ def test_degree_cap_raises():
     # leads x^2 and x*y are not coprime, so the S-pair (lcm degree 3)
     # cannot be discarded by a criterion and must trip the cap
     cfg = ComputeConfig(max_degree=2)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="max_degree=2"):
         Ideal(C2, [X2 ** 2 + Y2 ** 2, X2 * Y2 + X2], DRL, cfg).basis()
 
 

@@ -1,10 +1,7 @@
 import itertools
 import random
 
-from germinv.orderings import (
-    OrderingSpec, POSITION_OVER_TERM, TERM_OVER_POSITION, compare,
-    key_function, module_key_function,
-)
+from germinv.orderings import OrderingSpec, key_function
 
 DRL = OrderingSpec.degrevlex()
 LEX = OrderingSpec.lex()
@@ -63,30 +60,6 @@ def test_keys_are_total_and_multiplicative():
             ac = tuple(i + j for i, j in zip(a, c))
             bc = tuple(i + j for i, j in zip(b, c))
             assert (key(a) > key(b)) == (key(ac) > key(bc))
-
-
-def test_compare_agrees_with_keys():
-    rng = random.Random(5)
-    key = key_function(DRL, 4)
-    for a, b in zip(sample_exponents(rng, 4, 30), sample_exponents(rng, 4, 30)):
-        c = compare(a, b, DRL)
-        if key(a) > key(b):
-            assert c > 0
-        elif key(a) < key(b):
-            assert c < 0
-        else:
-            assert c == 0
-
-
-def test_module_layouts_disagree_exactly_when_expected():
-    pot = module_key_function(DRL.with_module(POSITION_OVER_TERM), 2)
-    top = module_key_function(DRL.with_module(TERM_OVER_POSITION), 2)
-    lo, hi = (0, (0, 0)), (1, (5, 5))    # low component, huge monomial
-    assert pot(lo) > pot(hi)             # position first
-    assert top(hi) > top(lo)             # term first
-    same_comp = [(1, (1, 0)), (1, (0, 1))]
-    assert (pot(same_comp[0]) > pot(same_comp[1])) == \
-           (top(same_comp[0]) > top(same_comp[1]))
 
 
 def test_is_global_flag():

@@ -105,8 +105,6 @@ def _resolve_config(gf: Optional[GermFile], args) -> ComputeConfig:
         cfg = cfg.with_overrides(**_parse_limits(args.limits))
     if getattr(args, "seed", None) is not None:
         cfg = cfg.with_overrides(seed=args.seed)
-    if getattr(args, "kmax", None) is not None:
-        cfg = cfg.with_overrides(kmax=args.kmax)
     return cfg
 
 
@@ -339,8 +337,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="ignore and do not write the image-equation cache")
         p.add_argument("--seed", type=int, default=None,
                        help="seed for sampled slice values and guards")
-        p.add_argument("--kmax", type=int, default=None,
-                       help="largest parameter power in the multiplicity profile")
         p.add_argument("--limits", default=None,
                        help="file of limit overrides (same keys as germ files)")
         p.add_argument("--format", choices=("human", "machine"),
@@ -349,7 +345,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, help_ in (
             ("image", "compute and print the image equation"),
             ("ft", "transversality-failure ideal, codimension, dimension"),
-            ("mu-image", "image Milnor number via the multiplicity profile"),
+            ("mu-image", "image Milnor number: the parameter's multiplicity on "
+                         "the FT quotient, by saturation"),
             ("mu-br", "Bruce-Roberts number of the parameter projection"),
             ("ae-codim", "Ae-codimension (input must assert a stable unfolding)"),
             ("lc-check", "characteristic-locus dimension and substitution check"),

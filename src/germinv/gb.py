@@ -29,8 +29,8 @@ reduced basis; local bases and module bases keep their tails (full tail
 reduction need not terminate in a local ring, and buys nothing for
 harvesting syzygies).
 
-Everything downstream (elimination, intersection, colon ideals, saturation,
-the two dimension counts) reduces to basis computations here. Dimension
+Everything downstream (elimination, intersection, saturation, the two
+dimension counts) reduces to basis computations here. Dimension
 counting never inspects coefficients: it reads the staircase of the leading
 ideal, which is the correct recipe for both the polynomial ring and the
 local ring at the origin. Local quotient dimensions go through truncated
@@ -64,8 +64,6 @@ class _Sentinel:
 
 INFINITE = _Sentinel("INFINITE")   # quotient has no finite vector-space dimension
 EMPTY = _Sentinel("EMPTY")         # Krull dimension of the empty variety (unit ideal)
-
-_ZERO = Fraction(0)
 
 
 def _intify(terms) -> Dict[Exponent, int]:
@@ -343,33 +341,6 @@ class _Engine:
         return minimal
 
 
-def _exact_divide(p: Dict[Exponent, Fraction], f: Dict[Exponent, Fraction], key,
-                  cfg: ComputeConfig) -> Dict[Exponent, Fraction]:
-    """Quotient p/f when f divides p exactly (used by colon ideals).
-
-    Stays in rational arithmetic: the quotient's coefficients are honest
-    values, not scale-free intermediates, and this path is never hot.
-    """
-    felt = _Elt(dict(f), key)
-    h = dict(p)
-    q: Dict[Exponent, Fraction] = {}
-    while h:
-        lm = max(h, key=key)
-        if not _divides(felt.lm, lm):
-            raise GermInputError("exact division failed; quotient generator not divisible")
-        m = tuple(a - b for a, b in zip(lm, felt.lm))
-        c = h[lm] / felt.lc
-        q[m] = c
-        for ge, gc in felt.terms.items():
-            te = tuple(a + b for a, b in zip(ge, m))
-            s = h.get(te, _ZERO) - c * gc
-            if s:
-                h[te] = s
-            else:
-                h.pop(te, None)
-    return q
-
-
 def _staircase_profile(leads: Sequence[Exponent], nvars: int):
     """(count, largest total degree) over the staircase, or INFINITE.
 
@@ -574,28 +545,20 @@ class Ideal:
         polys = [p.rename(self.ctx) for p in elim.basis()]
         return Ideal(self.ctx, polys, self.ordering, self.config)
 
-    def quotient(self, f: Polynomial) -> "Ideal":
-        """Colon ideal (I : f)."""
-        if f.is_zero():
-            raise GermInputError("colon ideal by zero")
-        if f.total_degree() == 0:
-            return Ideal(self.ctx, self.gens, self.ordering, self.config)
-        principal = Ideal(self.ctx, [f], OrderingSpec.degrevlex(), self.config)
-        meet = self.intersect(principal)
-        key = key_function(OrderingSpec.degrevlex(), len(self.ctx))
-        out = [Polynomial._raw(self.ctx, _exact_divide(p.terms, f.terms, key, self.config))
-               for p in meet.gens]
-        return Ideal(self.ctx, out, self.ordering, self.config)
-
     def saturation(self, f: Polynomial) -> "Ideal":
-        """Stable colon ideal (I : f^infinity); iterates until the chain stops."""
-        current = self
-        for _ in range(64):
-            nxt = current.quotient(f)
-            if current.contains_ideal(nxt):
-                return current
-            current = nxt
-        raise ResourceLimitError("saturation chain failed to stabilize")
+        """Stable colon ideal (I : f^infinity), by one elimination: a fresh
+        variable z is eliminated from I + (1 - z*f) (Rabinowitsch's trick)."""
+        if f.ctx != self.ctx:
+            raise GermInputError("saturation argument over the wrong context")
+        if f.is_zero():
+            raise GermInputError("saturation by zero")
+        zname = self.ctx.fresh_name("_z")
+        ext = self.ctx.extend([zname], "source")
+        gens = [g.rename(ext) for g in self.gens]
+        z = Polynomial.variable(ext, zname)
+        gens.append(Polynomial.constant(ext, 1) - z * f.rename(ext))
+        elim = Ideal(ext, gens, OrderingSpec.degrevlex(), self.config).elimination([zname])
+        return Ideal(self.ctx, elim.gens, self.ordering, self.config)
 
     # -- dimensions ------------------------------------------------------
 

@@ -23,8 +23,8 @@ parameter variables. Branch expressions live in the source variables plus
 the parameter, the image expression in the target variables plus the
 parameter. `#` starts a comment anywhere.
 
-Config overrides are single lines `kmax N`, `seed N`, `retries N`,
-`jet-bound N`, `max-pairs N`, `max-degree N`.
+Config overrides are single lines `seed N`, `retries N`, `jet-bound N`,
+`max-pairs N`, `max-degree N`; any other keyword is a parse error.
 
 `print_germ_file` emits the canonical form: fixed section order, one
 canonical expression per branch line. Parsing the printed form reproduces
@@ -44,7 +44,6 @@ from .poly import Polynomial, VariableContext
 
 # file keyword -> ComputeConfig field, in canonical print order
 _CONFIG_KEYS: Tuple[Tuple[str, str], ...] = (
-    ("kmax", "kmax"),
     ("seed", "seed"),
     ("retries", "s0_retries"),
     ("jet-bound", "jet_bound"),

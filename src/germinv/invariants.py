@@ -9,8 +9,10 @@ from that single equation:
   ideal measuring where the projection to the parameter axis fails to be
   transverse to the fibers (`ft_ideal`);
 * the multiplicity of that ideal along the parameter counts the vanishing
-  cycles of a nearby fiber (`image_milnor_number`), and an independent count
-  of slice critical points (`slice_milnor_total`) cross-checks it;
+  cycles of a nearby fiber (`image_milnor_number`); it is the colength of
+  the ideal saturated by the parameter, plus the parameter, and an
+  independent count of slice critical points (`slice_milnor_total`)
+  cross-checks it;
 * the fields merely tangent to {g = 0} give the finer Bruce-Roberts count
   (`bruce_roberts_number`) and, for stable unfoldings, the codimension of
   the germ's orbit (`ae_codimension`);
@@ -18,8 +20,9 @@ from that single equation:
   the logarithmic characteristic locus (`lc_ideal`).
 
 All verdicts are exact: dimensions come from certified truncations or
-completed bases, never from numerics, and the two routes to the image
-Milnor number are computed independently and compared, not reconciled.
+completed bases, never from numerics or a stopping heuristic, and the two
+routes to the image Milnor number are computed independently and compared,
+not reconciled.
 """
 
 from __future__ import annotations
@@ -263,16 +266,13 @@ def _br_global(G: ImageEquation) -> List[Polynomial]:
     return G._cache["br_global"]
 
 
-def _local_dim(G: ImageEquation, gens: Sequence[Polynomial], what: str,
-               jet_start: Optional[int] = None) -> int:
-    d = None
+def _local_dim(ideal: Ideal, what: str, jet_start: Optional[int] = None) -> int:
+    """Colength of a local-order handle. Only a proven INFINITE is bad input; an
+    exhausted limit stays a resource error, prefixed with the stage."""
     try:
-        d = Ideal(G.ctx, list(gens), LOCAL, G.config).quotient_dimension(jet_start)
+        d = ideal.quotient_dimension(jet_start)
     except ResourceLimitError as exc:
-        raise GermInputError(
-            f"no finite certificate for {what} within the configured jet bound; "
-            "the germ is probably not finitely determined (or raise jet_bound)"
-        ) from exc
+        raise ResourceLimitError(f"{what}: {exc}") from exc
     if d is INFINITE:
         raise GermInputError(f"{what} is infinite; input violates finiteness")
     return d
@@ -299,7 +299,8 @@ def ft_codim(G: ImageEquation) -> int:
     """dim of the local quotient by FT + (parameter); 0 exactly when stable."""
     if "ft_codim" not in G._cache:
         s = Polynomial.variable(G.ctx, G.spec.parameter)
-        G._cache["ft_codim"] = _local_dim(G, _ft_global(G) + [s], "ft codimension")
+        ft = Ideal(G.ctx, _ft_global(G) + [s], LOCAL, G.config)
+        G._cache["ft_codim"] = _local_dim(ft, "ft codimension")
     return G._cache["ft_codim"]
 
 
@@ -322,13 +323,19 @@ class SamuelResult:
 
 def samuel_multiplicity(I: Ideal, t: str,
                         config: ComputeConfig = DEFAULT_CONFIG) -> SamuelResult:
-    """Multiplicity of the ideal (t) on the quotient by I.
+    """Multiplicity e of the ideal (t) on the local quotient A = O/I, with
+    the profile d_k = dim A/t^k A.
 
-    Computed from the profile d_k = dim O/(I + (t^k)), whose first
-    difference stabilizes at the multiplicity once k clears the regularity
-    of the quotient; stabilization is accepted after two consecutive equal
-    differences. Requires the quotient to be at most a curve (leading-term
-    dimension <= 1), so that the profile is eventually linear.
+    Needs A to be at most a curve (leading-term dimension <= 1). The t-torsion
+    H = (I : t^inf)/I then has finite length and t is a nonzerodivisor on
+    A/H, so e = dim O/((I : t^inf) + (t)) and d_k = k*e + dim H/t^k H. The
+    increments d_{k+1} - d_k = e + dim t^k H/t^{k+1} H never increase, never
+    drop below e, and stay at e once they reach it (Nakayama). Hence:
+
+    * d_1 == e exactly when H = 0, that is when A is Cohen-Macaulay; then
+      d_k = k*e is proven and the profile is reported as (e, 2e, 3e);
+    * otherwise d_k is computed until an increment equals e, and the profile
+      ends with that d_k.
     """
     ctx = I.ctx
     clean = Ideal(ctx, I.gens, DEGREVLEX, config)
@@ -338,27 +345,20 @@ def samuel_multiplicity(I: Ideal, t: str,
             f"parameter multiplicity needs a quotient of dimension <= 1, got {dim}")
     base = clean.basis()
     tvar = Polynomial.variable(ctx, t)
-    profile: List[int] = []
-    tk = tvar
-    for k in range(1, config.kmax + 1):
-        handle = Ideal(ctx, base + [tk], LOCAL, config)
-        try:
-            dk = handle.quotient_dimension(jet_start=6 + 2 * k)
-        except ResourceLimitError as exc:
-            raise GermInputError(
-                "multiplicity profile step is not finite-dimensional within the "
-                f"jet bound (k={k}); is the quotient really a curve germ?") from exc
-        if dk is INFINITE:
-            raise GermInputError(f"profile step k={k} is infinite-dimensional")
-        profile.append(dk)
-        if k >= 3:
-            e1 = profile[-2] - profile[-3]
-            e2 = profile[-1] - profile[-2]
-            if e1 == e2:
-                return SamuelResult(e2, tuple(profile))
-        tk = tk * tvar
-    raise ResourceLimitError(
-        f"multiplicity profile did not stabilize by k={config.kmax}: {profile}")
+
+    def d(k: int) -> int:
+        return _local_dim(Ideal(ctx, base + [tvar ** k], LOCAL, config),
+                          f"multiplicity profile step k={k}", jet_start=6 + 2 * k)
+
+    profile = [d(1)]
+    sat = clean.saturation(tvar)
+    e = _local_dim(Ideal(ctx, sat.gens + [tvar], LOCAL, config),
+                   "multiplicity of the saturated quotient")
+    if profile[0] == e:
+        return SamuelResult(e, (e, 2 * e, 3 * e))
+    while len(profile) < 2 or profile[-1] - profile[-2] > e:
+        profile.append(d(len(profile) + 1))
+    return SamuelResult(e, tuple(profile))
 
 
 def image_milnor_number(G: ImageEquation) -> SamuelResult:
@@ -515,7 +515,8 @@ def bruce_roberts_number(G: ImageEquation) -> int:
     """Local dimension of the quotient by the parameter components of the
     fields tangent to the image (not merely annihilating its equation)."""
     if "mu_br" not in G._cache:
-        G._cache["mu_br"] = _local_dim(G, _br_global(G), "tangent-field quotient")
+        br = Ideal(G.ctx, _br_global(G), LOCAL, G.config)
+        G._cache["mu_br"] = _local_dim(br, "tangent-field quotient")
     return G._cache["mu_br"]
 
 
@@ -526,7 +527,8 @@ def ae_codimension(G: ImageEquation) -> int:
     if not G.spec.is_stable_unfolding:
         raise GermInputError("ae codimension needs is_stable_unfolding asserted")
     s = Polynomial.variable(G.ctx, G.spec.parameter)
-    return _local_dim(G, _br_global(G) + [s], "ae codimension")
+    ae = Ideal(G.ctx, _br_global(G) + [s], LOCAL, G.config)
+    return _local_dim(ae, "ae codimension")
 
 
 # -- logarithmic characteristic ideal ----------------------------------------

@@ -54,10 +54,10 @@ def test_flags_and_weights_are_carried():
 
 
 def test_config_overrides_flow_into_config():
-    gf = parse_germ_file(MINIMAL + "kmax 9\nseed 17\nretries 3\n"
+    gf = parse_germ_file(MINIMAL + "seed 17\nretries 3\n"
                          "jet-bound 40\nmax-pairs 1000\nmax-degree 50\n")
     cfg = gf.config()
-    assert (cfg.kmax, cfg.seed, cfg.s0_retries) == (9, 17, 3)
+    assert (cfg.seed, cfg.s0_retries) == (17, 3)
     assert (cfg.jet_bound, cfg.max_pairs, cfg.max_degree) == (40, 1000, 50)
     assert gf.config() == gf.config()   # stable, no hidden state
 
@@ -101,8 +101,8 @@ def test_image_expression_uses_target_context():
     (lambda t: t.replace("target y1 y2 y3", "target y1 x y3"),
      "both source and target"),
     (lambda t: t + "branch\nend\n", "empty 'branch'"),
-    (lambda t: t + "kmax nine\n", "'kmax' needs one integer"),
-    (lambda t: t + "kmax 4\nkmax 5\n", "duplicate 'kmax'"),
+    (lambda t: t + "retries nine\n", "'retries' needs one integer"),
+    (lambda t: t + "retries 4\nretries 5\n", "duplicate 'retries'"),
     (lambda t: t + "weights y1=1\nweights y2=1\n", "duplicate 'weights'"),
     (lambda t: t + "weights y1\n", "bad weight entry"),
     (lambda t: t + "weights q=1\n", "unknown variable 'q'"),
@@ -114,6 +114,11 @@ def test_image_expression_uses_target_context():
 def test_malformed_files(mutate, fragment):
     with pytest.raises(ParseError, match=fragment):
         parse_germ_file(mutate(MINIMAL))
+
+
+def test_multiplicity_has_no_power_cap_key():
+    with pytest.raises(ParseError, match="unknown keyword 'kmax'"):
+        parse_germ_file(MINIMAL + "kmax 12\n")
 
 
 def test_no_branch_block():

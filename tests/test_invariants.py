@@ -3,11 +3,12 @@ from fractions import Fraction
 import pytest
 
 from germinv import (
-    DEFAULT_CONFIG, EMPTY, GermInputError, INFINITE, ImageEquation,
-    MapGermSpec, Polynomial, VariableContext, ae_codimension,
-    bruce_roberts_number, euler_degree, euler_ideal_identity, ft_codim,
-    ft_dimension, full_report, image_equation, image_milnor_number, lc_ideal,
-    milnor_number, slice_milnor_total,
+    DEFAULT_CONFIG, EMPTY, ComputeConfig, GermInputError, INFINITE, Ideal,
+    ImageEquation, MapGermSpec, OrderingSpec, Polynomial, ResourceLimitError,
+    SamuelResult, VariableContext, ae_codimension, bruce_roberts_number,
+    euler_degree, euler_ideal_identity, ft_codim, ft_dimension, full_report,
+    image_equation, image_milnor_number, lc_ideal, milnor_number,
+    samuel_multiplicity, slice_milnor_total,
 )
 from germinv.exprparse import parse_polynomial
 
@@ -153,6 +154,39 @@ def test_stable_unfolding_gate(s1_image):
     G = image_equation(spec)
     with pytest.raises(GermInputError, match="stable_unfolding"):
         ae_codimension(G)
+
+
+# -- multiplicity along the parameter ----------------------------------------------
+
+YS = VariableContext.make(source=("y",), parameter=("s",))
+XT = VariableContext.make(source=("x",), parameter=("t",))
+LOCAL = OrderingSpec.local()
+
+
+def local_ideal(ctx, *texts):
+    return Ideal(ctx, [parse_polynomial(t, ctx) for t in texts], LOCAL)
+
+
+def test_multiplicity_of_a_non_cohen_macaulay_quotient():
+    # A = O/(y^2, y*s^3) over (y, s). Saturating by s gives (y), so e = 1.
+    # d_k = dim O/(y^2, y*s^3, s^k) counts 1, s, .., s^(k-1) and
+    # y, y*s, .., y*s^(min(k, 3) - 1): 2k for k <= 3, then k + 3.
+    # The increments 2, 2, 2, 1 stop at the first one equal to e.
+    r = samuel_multiplicity(local_ideal(YS, "y^2", "y*s^3"), "s")
+    assert r == SamuelResult(1, (2, 4, 6, 7))
+
+
+def test_multiplicity_needs_no_power_cap():
+    # as above with y*s^14: d_k = 2k for k <= 14, then k + 14; the torsion
+    # y, y*s, .., y*s^13 outlasts any small cap on k
+    r = samuel_multiplicity(local_ideal(YS, "y^2", "y*s^14"), "s")
+    assert r == SamuelResult(1, tuple(range(2, 29, 2)) + (29,))
+
+
+def test_multiplicity_budget_is_a_resource_limit():
+    with pytest.raises(ResourceLimitError, match="max_pairs=1"):
+        samuel_multiplicity(local_ideal(XT, "x^3 - t^2 + x^2*t"), "t",
+                            ComputeConfig(max_pairs=1))
 
 
 # -- milnor oracle ------------------------------------------------------------------

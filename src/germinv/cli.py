@@ -30,8 +30,8 @@ from .gb import EMPTY, INFINITE
 from .germfile import GermFile, _KEY_TO_FIELD, load_germ_file
 from .invariants import (
     ImageEquation, ae_codimension, bruce_roberts_number, ft_codim,
-    ft_dimension, full_report, image_equation, image_milnor_number, lc_ideal,
-    milnor_number, _ft_global,
+    ft_dimension, ft_ideal, full_report, image_equation, image_milnor_number,
+    lc_ideal, milnor_number,
 )
 from .poly import Polynomial, VariableContext
 
@@ -199,7 +199,7 @@ def _cmd_image(G: ImageEquation, args) -> int:
 
 
 def _cmd_ft(G: ImageEquation, args) -> int:
-    gens = _ft_global(G)
+    gens = ft_ideal(G).basis()
     codim = ft_codim(G)
     fdim = ft_dimension(G)
     if args.format == "machine":

@@ -29,8 +29,8 @@ reduced basis; local bases and module bases keep their tails (full tail
 reduction need not terminate in a local ring, and buys nothing for
 harvesting syzygies).
 
-Everything downstream (elimination, intersection, saturation, the two
-dimension counts) reduces to basis computations here. Dimension
+Everything downstream (elimination, saturation, the two dimension
+counts) reduces to basis computations here. Dimension
 counting never inspects coefficients: it reads the staircase of the leading
 ideal, which is the correct recipe for both the polynomial ring and the
 local ring at the origin. Local quotient dimensions go through truncated
@@ -381,7 +381,7 @@ def staircase_count(leads: Sequence[Exponent], nvars: int):
 
 
 def _local_quotient_dimension(gens: Sequence[Dict[Exponent, Fraction]], nvars: int,
-                              cfg: ComputeConfig, start: Optional[int] = None):
+                              cfg: ComputeConfig):
     """dim of the local quotient at the origin by truncation-order growth.
 
     A truncated basis at order N determines the true local lead ideal below
@@ -394,8 +394,7 @@ def _local_quotient_dimension(gens: Sequence[Dict[Exponent, Fraction]], nvars: i
     if not gens:
         return INFINITE
     key = key_function(OrderingSpec.local(), nvars)
-    bound = start if start is not None else 8
-    bound = max(2, min(bound, cfg.jet_bound))
+    bound = max(2, min(8, cfg.jet_bound))
     while True:
         # a jet: the standard basis of I + m^bound, m^bound kept implicit
         jet = _Engine(key, True, cfg, nvars, bound=bound).basis(gens)
@@ -501,16 +500,14 @@ class Ideal:
         elts = [eng.elt(_intify(b.terms)) for b in self.basis()]
         return eng.reduce(p.terms, elts, full)
 
-    def contains_ideal(self, other: "Ideal") -> bool:
-        return all(self.contains(g) for g in other.gens)
-
     # -- constructions ---------------------------------------------------
 
     def with_ordering(self, ordering: OrderingSpec) -> "Ideal":
+        """The same generators under `ordering`; this handle itself, cached
+        basis included, when the order is unchanged."""
+        if ordering == self.ordering:
+            return self
         return Ideal(self.ctx, self.gens, ordering, self.config)
-
-    def add(self, extra: Iterable[Polynomial]) -> "Ideal":
-        return Ideal(self.ctx, list(self.gens) + list(extra), self.ordering, self.config)
 
     def elimination(self, names: Iterable[str]) -> "Ideal":
         """Intersect with the subring omitting `names` (block order; global only)."""
@@ -531,20 +528,6 @@ class Ideal:
                     {tuple(e[i] for i in keep_idx): c for e, c in p.terms.items()}))
         return Ideal(new_ctx, out, OrderingSpec.degrevlex(), self.config)
 
-    def intersect(self, other: "Ideal") -> "Ideal":
-        """I cap J via the auxiliary-variable construction t*I + (1-t)*J."""
-        if other.ctx != self.ctx:
-            raise GermInputError("intersection needs a common context")
-        tname = self.ctx.fresh_name("_t")
-        ext = self.ctx.extend([tname], "source")
-        t = Polynomial.variable(ext, tname)
-        one_minus_t = Polynomial.constant(ext, 1) - t
-        gens = [t * g.rename(ext) for g in self.gens]
-        gens += [one_minus_t * g.rename(ext) for g in other.gens]
-        elim = Ideal(ext, gens, OrderingSpec.degrevlex(), self.config).elimination([tname])
-        polys = [p.rename(self.ctx) for p in elim.basis()]
-        return Ideal(self.ctx, polys, self.ordering, self.config)
-
     def saturation(self, f: Polynomial) -> "Ideal":
         """Stable colon ideal (I : f^infinity), by one elimination: a fresh
         variable z is eliminated from I + (1 - z*f) (Rabinowitsch's trick)."""
@@ -562,7 +545,7 @@ class Ideal:
 
     # -- dimensions ------------------------------------------------------
 
-    def quotient_dimension(self, jet_start: Optional[int] = None):
+    def quotient_dimension(self):
         """Vector-space dimension of the quotient over the handle's ring.
 
         Global order: staircase of the reduced basis, INFINITE when some
@@ -570,13 +553,13 @@ class Ideal:
         dimension of the quotient of germs at the origin, computed through
         truncated standard bases (see _local_quotient_dimension) rather than
         through a full Mora basis — the two agree, but truncation keeps large
-        inputs affordable. `jet_start` seeds the first truncation order when
-        the caller already knows roughly how tall the staircase is.
+        inputs affordable. Truncation starts at order 8 and doubles until
+        the count is certified or the jet bound is reached.
         """
         if self.ordering.is_global:
             return staircase_count(self.leading_monomials(), len(self.ctx))
         return _local_quotient_dimension([g.terms for g in self.gens],
-                                         len(self.ctx), self.config, jet_start)
+                                         len(self.ctx), self.config)
 
     def dimension(self):
         """Krull dimension of the quotient read off the leading ideal; EMPTY

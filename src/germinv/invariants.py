@@ -7,15 +7,16 @@ from that single equation:
 
 * the parameter components of the vector fields annihilating g generate the
   ideal measuring where the projection to the parameter axis fails to be
-  transverse to the fibers (`ft_ideal`);
+  transverse to the fibers (`ft_ideal`), one global handle whose reduced
+  basis is computed once and read by every count of that ideal;
 * the multiplicity of that ideal along the parameter counts the vanishing
   cycles of a nearby fiber (`image_milnor_number`); it is the colength of
   the ideal saturated by the parameter, plus the parameter, and an
   independent count of slice critical points (`slice_milnor_total`)
   cross-checks it;
-* the fields merely tangent to {g = 0} give the finer Bruce-Roberts count
-  (`bruce_roberts_number`) and, for stable unfoldings, the codimension of
-  the germ's orbit (`ae_codimension`);
+* the fields merely tangent to {g = 0} give, through a second such handle,
+  the finer Bruce-Roberts count (`bruce_roberts_number`) and, for stable
+  unfoldings, the codimension of the germ's orbit (`ae_codimension`);
 * pairing the same annihilating fields with cotangent coordinates cuts out
   the logarithmic characteristic locus (`lc_ideal`).
 
@@ -250,27 +251,19 @@ def _tangent(G: ImageEquation) -> SyzygyBasis:
     return G._cache["tangent"]
 
 
-def _ft_global(G: ImageEquation) -> List[Polynomial]:
-    # reduced basis under a global order: same ideal, far smaller generators.
-    # All downstream dimension counts are generating-set independent.
-    if "ft_global" not in G._cache:
-        raw = ft_ideal(G)
-        G._cache["ft_global"] = Ideal(G.ctx, raw.gens, DEGREVLEX, G.config).basis()
-    return G._cache["ft_global"]
+def _br_ideal(G: ImageEquation) -> Ideal:
+    """Bruce-Roberts ideal: parameter components of the fields tangent to
+    the image, as a global handle (see `ft_ideal`)."""
+    if "br" not in G._cache:
+        G._cache["br"] = parameter_part(_tangent(G), G.config)
+    return G._cache["br"]
 
 
-def _br_global(G: ImageEquation) -> List[Polynomial]:
-    if "br_global" not in G._cache:
-        raw = parameter_part(_tangent(G), LOCAL, G.config)
-        G._cache["br_global"] = Ideal(G.ctx, raw.gens, DEGREVLEX, G.config).basis()
-    return G._cache["br_global"]
-
-
-def _local_dim(ideal: Ideal, what: str, jet_start: Optional[int] = None) -> int:
+def _local_dim(ideal: Ideal, what: str) -> int:
     """Colength of a local-order handle. Only a proven INFINITE is bad input; an
     exhausted limit stays a resource error, prefixed with the stage."""
     try:
-        d = ideal.quotient_dimension(jet_start)
+        d = ideal.quotient_dimension()
     except ResourceLimitError as exc:
         raise ResourceLimitError(f"{what}: {exc}") from exc
     if d is INFINITE:
@@ -285,13 +278,15 @@ def ft_ideal(G: ImageEquation) -> Ideal:
 
     These fields span the directions along which the image is trivial; their
     parameter slots cut out the locus where the parameter projection is not
-    a submersion off the discriminant. Returned over a local order. The
-    handle normalizes its generator list (zero slots dropped, rest sorted);
-    the cotangent pairing in `lc_ideal` re-derives the slots from the field
-    basis, so nothing here depends on that order.
+    a submersion off the discriminant. Returned as one global (degrevlex)
+    handle per equation, whose reduced basis is computed once; every count
+    here reads that basis. The handle normalizes its generator list (zero
+    slots dropped, rest sorted); the cotangent pairing in `lc_ideal`
+    re-derives the slots from the field basis, so nothing here depends on
+    that order.
     """
     if "ft" not in G._cache:
-        G._cache["ft"] = parameter_part(_kernel(G), LOCAL, G.config)
+        G._cache["ft"] = parameter_part(_kernel(G), G.config)
     return G._cache["ft"]
 
 
@@ -299,7 +294,7 @@ def ft_codim(G: ImageEquation) -> int:
     """dim of the local quotient by FT + (parameter); 0 exactly when stable."""
     if "ft_codim" not in G._cache:
         s = Polynomial.variable(G.ctx, G.spec.parameter)
-        ft = Ideal(G.ctx, _ft_global(G) + [s], LOCAL, G.config)
+        ft = Ideal(G.ctx, ft_ideal(G).basis() + [s], LOCAL, G.config)
         G._cache["ft_codim"] = _local_dim(ft, "ft codimension")
     return G._cache["ft_codim"]
 
@@ -307,12 +302,12 @@ def ft_codim(G: ImageEquation) -> int:
 def ft_dimension(G: ImageEquation):
     """Krull dimension of the quotient by FT, off the leading-term ideal.
 
-    Read from the reduced basis under a global order; EMPTY for the unit
+    Read from the cached reduced basis of `ft_ideal`; EMPTY for the unit
     ideal (stable germs). Unstable germs in this class have a curve of
     instability through the origin, so the expected value is 1 — the report
     checks, rather than assumes, this.
     """
-    return Ideal(G.ctx, _ft_global(G), DEGREVLEX, G.config).dimension()
+    return ft_ideal(G).dimension()
 
 
 @dataclass(frozen=True)
@@ -321,10 +316,13 @@ class SamuelResult:
     profile: Tuple[int, ...]
 
 
-def samuel_multiplicity(I: Ideal, t: str,
-                        config: ComputeConfig = DEFAULT_CONFIG) -> SamuelResult:
+def samuel_multiplicity(I: Ideal, t: str) -> SamuelResult:
     """Multiplicity e of the ideal (t) on the local quotient A = O/I, with
     the profile d_k = dim A/t^k A.
+
+    Works on the degrevlex handle of I (I itself when it is one, so a
+    cached basis is reused) under I's config. Every colength and the
+    saturation start from its reduced basis.
 
     Needs A to be at most a curve (leading-term dimension <= 1). The t-torsion
     H = (I : t^inf)/I then has finite length and t is a nonzerodivisor on
@@ -337,8 +335,8 @@ def samuel_multiplicity(I: Ideal, t: str,
     * otherwise d_k is computed until an increment equals e, and the profile
       ends with that d_k.
     """
-    ctx = I.ctx
-    clean = Ideal(ctx, I.gens, DEGREVLEX, config)
+    ctx, config = I.ctx, I.config
+    clean = I.with_ordering(DEGREVLEX)
     dim = clean.dimension()
     if dim is not EMPTY and dim > 1:
         raise GermInputError(
@@ -348,10 +346,10 @@ def samuel_multiplicity(I: Ideal, t: str,
 
     def d(k: int) -> int:
         return _local_dim(Ideal(ctx, base + [tvar ** k], LOCAL, config),
-                          f"multiplicity profile step k={k}", jet_start=6 + 2 * k)
+                          f"multiplicity profile step k={k}")
 
     profile = [d(1)]
-    sat = clean.saturation(tvar)
+    sat = Ideal(ctx, base, DEGREVLEX, config).saturation(tvar)
     e = _local_dim(Ideal(ctx, sat.gens + [tvar], LOCAL, config),
                    "multiplicity of the saturated quotient")
     if profile[0] == e:
@@ -365,15 +363,15 @@ def image_milnor_number(G: ImageEquation) -> SamuelResult:
     """Number of vanishing cycles of a nearby fiber of the unfolding.
 
     Equals the parameter-multiplicity of the FT quotient. Zero exactly when
-    the germ is stable, which is how the stability verdict is decided.
-    Requires the unfolding to be asserted a stabilisation — whether nearby
-    fibers really are stable is not machine-checkable here.
+    the germ is stable, which is how the stability verdict is decided. The
+    first profile entry d_1 is `ft_codim`. Requires the unfolding to be
+    asserted a stabilisation — whether nearby fibers really are stable is
+    not machine-checkable here.
     """
     if not G.spec.is_stabilisation:
         raise GermInputError("image Milnor number needs is_stabilisation asserted")
     if "mu_image" not in G._cache:
-        clean = Ideal(G.ctx, _ft_global(G), LOCAL, G.config)
-        G._cache["mu_image"] = samuel_multiplicity(clean, G.spec.parameter, G.config)
+        G._cache["mu_image"] = samuel_multiplicity(ft_ideal(G), G.spec.parameter)
     return G._cache["mu_image"]
 
 
@@ -384,11 +382,13 @@ def milnor_number(h: Polynomial, config: ComputeConfig = DEFAULT_CONFIG):
     non-isolated singularities.
 
     The finite case is certified by jet truncation. When truncation gives
-    out, the cause is decided exactly: the origin-centered components are
-    stripped by saturating the Jacobian ideal at the maximal ideal, and the
-    singularity is non-isolated precisely when the stripped ideal still
-    vanishes at 0. A finite-but-huge answer beyond the jet bound stays a
-    resource error rather than becoming a wrong INFINITE.
+    out, the cause is decided exactly: the Krull dimension of the local
+    quotient is read off the leads of a Mora standard basis, which is exact
+    under a local degree order (Greuel-Pfister, A Singular Introduction to
+    Commutative Algebra, the chapter on dimension). The singularity is
+    non-isolated precisely when that dimension is positive. A
+    finite-but-huge answer beyond the jet bound stays a resource error,
+    prefixed with the stage, rather than becoming a wrong INFINITE.
     """
     if h.is_zero():
         raise GermInputError("Milnor number of the zero polynomial")
@@ -396,17 +396,13 @@ def milnor_number(h: Polynomial, config: ComputeConfig = DEFAULT_CONFIG):
         raise GermInputError("Milnor number needs a germ vanishing at the origin")
     ctx = h.ctx
     jac = [p for p in (h.partial(n) for n in ctx.names) if not p.is_zero()]
+    local = Ideal(ctx, jac, LOCAL, config)
     try:
-        return Ideal(ctx, jac, LOCAL, config).quotient_dimension()
-    except ResourceLimitError:
-        sat = Ideal(ctx, jac, DEGREVLEX, config)
-        stripped = None
-        for name in ctx.names:
-            part = sat.saturation(Polynomial.variable(ctx, name))
-            stripped = part if stripped is None else stripped.intersect(part)
-        if all(p.constant_term() == 0 for p in stripped.basis()):
+        return local.quotient_dimension()
+    except ResourceLimitError as exc:
+        if local.dimension() > 0:
             return INFINITE
-        raise
+        raise ResourceLimitError(f"Milnor number: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -515,7 +511,7 @@ def bruce_roberts_number(G: ImageEquation) -> int:
     """Local dimension of the quotient by the parameter components of the
     fields tangent to the image (not merely annihilating its equation)."""
     if "mu_br" not in G._cache:
-        br = Ideal(G.ctx, _br_global(G), LOCAL, G.config)
+        br = Ideal(G.ctx, _br_ideal(G).basis(), LOCAL, G.config)
         G._cache["mu_br"] = _local_dim(br, "tangent-field quotient")
     return G._cache["mu_br"]
 
@@ -527,7 +523,7 @@ def ae_codimension(G: ImageEquation) -> int:
     if not G.spec.is_stable_unfolding:
         raise GermInputError("ae codimension needs is_stable_unfolding asserted")
     s = Polynomial.variable(G.ctx, G.spec.parameter)
-    ae = Ideal(G.ctx, _br_global(G) + [s], LOCAL, G.config)
+    ae = Ideal(G.ctx, _br_ideal(G).basis() + [s], LOCAL, G.config)
     return _local_dim(ae, "ae codimension")
 
 
@@ -632,10 +628,10 @@ def euler_ideal_identity(G: ImageEquation) -> bool:
     affine containments and the germ-level ones agree."""
     euler_degree(G)
     s = Polynomial.variable(G.ctx, G.spec.parameter)
-    a = Ideal(G.ctx, _br_global(G), DEGREVLEX, G.config)
-    b = Ideal(G.ctx, _ft_global(G) + [s], DEGREVLEX, G.config)
+    a = _br_ideal(G)
+    b = Ideal(G.ctx, ft_ideal(G).basis() + [s], DEGREVLEX, G.config)
     return (all(a.contains(p) for p in b.gens)
-            and all(b.contains(q) for q in a.gens))
+            and all(b.contains(q) for q in a.basis()))
 
 
 # -- report ------------------------------------------------------------------
@@ -667,8 +663,8 @@ def full_report(spec: MapGermSpec, config: ComputeConfig = DEFAULT_CONFIG,
     warnings = list(G.warnings)
     disagreement = False
 
-    codim = ft_codim(G)
     mu = image_milnor_number(G)
+    codim = mu.profile[0]
     stability = "stable" if mu.multiplicity == 0 else "unstable"
     if (codim == 0) != (mu.multiplicity == 0):
         disagreement = True

@@ -14,9 +14,7 @@ from typing import Callable, Optional, Tuple
 
 from .errors import GermInputError
 
-LEX = "lex"
 DEGREVLEX = "degrevlex"
-WEIGHTED = "weighted-degrevlex"
 LOCAL = "local-anti-degree"
 BLOCK = "block"
 
@@ -26,24 +24,12 @@ class OrderingSpec:
     """Declarative order description; see the factory constructors."""
 
     kind: str
-    weights: Optional[Tuple[int, ...]] = None
     # for block orders: ((sub_spec, variable_indices), ...) partitioning 0..n-1
     blocks: Optional[Tuple[Tuple["OrderingSpec", Tuple[int, ...]], ...]] = None
 
     @staticmethod
-    def lex() -> "OrderingSpec":
-        return OrderingSpec(LEX)
-
-    @staticmethod
     def degrevlex() -> "OrderingSpec":
         return OrderingSpec(DEGREVLEX)
-
-    @staticmethod
-    def weighted(weights) -> "OrderingSpec":
-        w = tuple(int(x) for x in weights)
-        if not w or any(x <= 0 for x in w):
-            raise GermInputError("weighted orders need positive integer weights")
-        return OrderingSpec(WEIGHTED, weights=w)
 
     @staticmethod
     def local() -> "OrderingSpec":
@@ -75,15 +61,8 @@ class OrderingSpec:
 
 def key_function(spec: OrderingSpec, nvars: int) -> Callable[[Tuple[int, ...]], tuple]:
     """Key function on exponent tuples; larger key = larger monomial."""
-    if spec.kind == LEX:
-        return lambda e: e
     if spec.kind == DEGREVLEX:
         return lambda e: (sum(e),) + tuple(-x for x in reversed(e))
-    if spec.kind == WEIGHTED:
-        w = spec.weights
-        if w is None or len(w) != nvars:
-            raise GermInputError("weight vector length does not match context")
-        return lambda e: (sum(a * b for a, b in zip(w, e)),) + tuple(-x for x in reversed(e))
     if spec.kind == LOCAL:
         return lambda e: (-sum(e),) + tuple(-x for x in reversed(e))
     if spec.kind == BLOCK:

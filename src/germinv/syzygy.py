@@ -148,9 +148,9 @@ def tangent_fields(g: Polynomial, config: ComputeConfig = DEFAULT_CONFIG) -> Syz
     return SyzygyBasis(g.ctx, tuple(names), tuple(polys[:-1]), seen)
 
 
-def parameter_part(basis: SyzygyBasis, ordering: Optional[OrderingSpec] = None,
-                   config: ComputeConfig = DEFAULT_CONFIG) -> Ideal:
-    """Ideal of parameter-direction components of a field basis."""
+def parameter_part(basis: SyzygyBasis, config: ComputeConfig = DEFAULT_CONFIG) -> Ideal:
+    """Ideal of parameter-direction components of a field basis, as a global
+    (degrevlex) handle, whose reduced basis is computed once and cached."""
     idx = None
     pidx = basis.ctx.parameter_index()
     pname = basis.ctx.names[pidx]
@@ -161,4 +161,4 @@ def parameter_part(basis: SyzygyBasis, ordering: Optional[OrderingSpec] = None,
     if idx is None:
         raise GermInputError("field basis has no parameter-labeled component")
     gens = [v[idx] for v in basis.elements]
-    return Ideal(basis.ctx, gens, ordering or OrderingSpec.local(), config)
+    return Ideal(basis.ctx, gens, OrderingSpec.degrevlex(), config)

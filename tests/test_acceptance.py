@@ -117,6 +117,14 @@ def test_multiplicity_bounded_by_codimension(all_fixtures, exam1_report):
     assert exam1_report.mu_br == 8 > 7 == exam1_report.mu_image
 
 
+def test_report_ft_codim_is_the_ft_colength(all_fixtures, exam1_report):
+    # the report reads ft_codim off the multiplicity profile's d_1
+    for name, G in all_fixtures.items():
+        r = (exam1_report if name == "exam1" else
+             full_report(G.spec, G.config, with_lc=False, image=G))
+        assert r.ft_codim == ft_codim(G), name
+
+
 def test_weighted_homogeneous_euler_identity(s1_image):
     assert s1_image.spec.weights == {"y1": 1, "y2": 2, "y3": 3, "s": 2}
     assert euler_degree(s1_image) == 6

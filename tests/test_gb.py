@@ -171,11 +171,6 @@ def test_elimination_is_sound():
 
 # -- ideal operations -------------------------------------------------------------
 
-def test_intersection_of_coordinate_ideals():
-    meet = Ideal(C2, [X2], DRL).intersect(Ideal(C2, [Y2], DRL))
-    assert meet.basis() == [X2 * Y2]
-
-
 def test_saturation_strips_a_variable_factor():
     sat = Ideal(C2, [X2 ** 2 * Y2 ** 3], DRL).saturation(X2)
     assert sat.basis() == [Y2 ** 3]
@@ -193,7 +188,8 @@ def test_saturation_idempotent():
     ideal = Ideal(C2, [X2 ** 2 * Y2, X2 * Y2 ** 2], DRL)
     once = ideal.saturation(X2)
     twice = once.saturation(X2)
-    assert once.contains_ideal(twice) and twice.contains_ideal(once)
+    assert all(once.contains(p) for p in twice.basis())
+    assert all(twice.contains(p) for p in once.basis())
 
 
 # -- staircase oracles ------------------------------------------------------------

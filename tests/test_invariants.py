@@ -6,8 +6,8 @@ from germinv import (
     DEFAULT_CONFIG, EMPTY, ComputeConfig, GermInputError, INFINITE, Ideal,
     ImageEquation, MapGermSpec, OrderingSpec, Polynomial, ResourceLimitError,
     SamuelResult, VariableContext, ae_codimension, bruce_roberts_number,
-    euler_degree, euler_ideal_identity, ft_codim, ft_dimension, full_report,
-    image_equation, image_milnor_number, lc_ideal, milnor_number,
+    euler_degree, euler_ideal_identity, ft_codim, ft_dimension, ft_ideal,
+    full_report, image_equation, image_milnor_number, lc_ideal, milnor_number,
     samuel_multiplicity, slice_milnor_total,
 )
 from germinv.exprparse import parse_polynomial
@@ -102,6 +102,7 @@ def test_twoplane_multigerm_is_stable(twoplane_image):
 
 def test_s1_invariants(s1_image):
     G = s1_image
+    assert ft_ideal(G).ordering.is_global
     assert ft_codim(G) == 1
     assert ft_dimension(G) == 1
     mu = image_milnor_number(G)
@@ -163,8 +164,8 @@ XT = VariableContext.make(source=("x",), parameter=("t",))
 LOCAL = OrderingSpec.local()
 
 
-def local_ideal(ctx, *texts):
-    return Ideal(ctx, [parse_polynomial(t, ctx) for t in texts], LOCAL)
+def local_ideal(ctx, *texts, config=DEFAULT_CONFIG):
+    return Ideal(ctx, [parse_polynomial(t, ctx) for t in texts], LOCAL, config)
 
 
 def test_multiplicity_of_a_non_cohen_macaulay_quotient():
@@ -185,8 +186,8 @@ def test_multiplicity_needs_no_power_cap():
 
 def test_multiplicity_budget_is_a_resource_limit():
     with pytest.raises(ResourceLimitError, match="max_pairs=1"):
-        samuel_multiplicity(local_ideal(XT, "x^3 - t^2 + x^2*t"), "t",
-                            ComputeConfig(max_pairs=1))
+        samuel_multiplicity(local_ideal(XT, "x^3 - t^2 + x^2*t",
+                                        config=ComputeConfig(max_pairs=1)), "t")
 
 
 # -- milnor oracle ------------------------------------------------------------------
@@ -207,6 +208,15 @@ def test_milnor_morse_dominates_cubic_terms():
 
 def test_milnor_nonisolated_is_infinite():
     assert milnor_number(parse_polynomial("x^2*y^2", C2)) is INFINITE
+    # a cylinder over the A_1 curve: singular along the whole z-axis
+    c3 = VariableContext.make(source=("x", "y", "z"))
+    assert milnor_number(parse_polynomial("x^2 + y^2", c3)) is INFINITE
+
+
+def test_milnor_beyond_the_jet_bound_is_a_resource_limit():
+    # mu = 39 is finite, but its staircase is taller than the jet bound
+    with pytest.raises(ResourceLimitError, match="Milnor number: .*jet_bound=16"):
+        milnor_number(parse_polynomial("x^40 + y^2", C2), ComputeConfig(jet_bound=16))
 
 
 def test_milnor_rejects_bad_input():

@@ -4,7 +4,6 @@ import random
 from germinv.orderings import OrderingSpec, key_function
 
 DRL = OrderingSpec.degrevlex()
-LEX = OrderingSpec.lex()
 LOC = OrderingSpec.local()
 
 
@@ -22,21 +21,10 @@ def test_degrevlex_classics():
     assert key((1, 1, 0)) > key((0, 2, 0))
 
 
-def test_lex_ignores_degree():
-    key = key_function(LEX, 2)
-    assert key((1, 0)) > key((0, 5))
-
-
 def test_local_reverses_and_keeps_one_on_top():
     key = key_function(LOC, 2)
     one, x, x2 = (0, 0), (1, 0), (2, 0)
     assert key(one) > key(x) > key(x2)
-
-
-def test_weighted_degree_dominates():
-    key = key_function(OrderingSpec.weighted((1, 3)), 2)
-    assert key((0, 1)) > key((2, 0))     # weight 3 beats degree 2
-    assert key((4, 0)) > key((0, 1))
 
 
 def test_elimination_front_block_dominates():
@@ -47,8 +35,7 @@ def test_elimination_front_block_dominates():
 
 def test_keys_are_total_and_multiplicative():
     rng = random.Random(3)
-    for spec in (DRL, LEX, LOC, OrderingSpec.weighted((2, 1, 1)),
-                 OrderingSpec.elimination((0, 1), 3)):
+    for spec in (DRL, LOC, OrderingSpec.elimination((0, 1), 3)):
         key = key_function(spec, 3)
         pts = sample_exponents(rng, 3, 25)
         for a, b in itertools.combinations(pts, 2):
@@ -64,5 +51,4 @@ def test_keys_are_total_and_multiplicative():
 
 def test_is_global_flag():
     assert DRL.is_global
-    assert LEX.is_global
     assert not LOC.is_global

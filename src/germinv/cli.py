@@ -27,7 +27,7 @@ from .config import ComputeConfig, DEFAULT_CONFIG
 from .errors import GermInputError, ParseError, ResourceLimitError
 from .exprparse import parse_polynomial
 from .gb import EMPTY, INFINITE
-from .germfile import GermFile, _KEY_TO_FIELD, load_germ_file
+from .germfile import GermFile, _KEY_TO_FIELD, config_value, load_germ_file
 from .invariants import (
     ImageEquation, ae_codimension, bruce_roberts_number, ft_codim,
     ft_dimension, ft_ideal, full_report, image_equation, image_milnor_number,
@@ -91,10 +91,7 @@ def _parse_limits(path: str) -> Dict[str, int]:
         key, _, val = body.partition(" ")
         if key not in _KEY_TO_FIELD:
             raise ParseError(f"unknown limit {key!r}", lineno, 1)
-        try:
-            over[_KEY_TO_FIELD[key]] = int(val.strip())
-        except ValueError:
-            raise ParseError(f"'{key}' needs one integer", lineno, 1) from None
+        over[_KEY_TO_FIELD[key]] = config_value(key, val.strip(), lineno)
     return over
 
 

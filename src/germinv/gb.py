@@ -7,12 +7,19 @@ one pair loop. A run fixes a term order and three pieces of data:
 - an optional truncation order (jets): every term of total degree at or
   above it is dropped, which is reduction by the implicit generators of
   m^bound;
-- a module rank. Ideal terms are plain exponent tuples. A term of a free
-  module of rank r over n variables is the ring exponent followed by the
-  two position coordinates (c, r - c) of its component c < r. Plain
-  componentwise divisibility then already requires equal components, and
-  degrees (maximal degree, ecart, sugar, truncation) subtract r so that they
-  count ring variables only.
+- a module rank. Ideal terms are exponent tuples. A term of a free module
+  of rank r over n variables is the ring exponent followed by the two
+  position coordinates (c, r - c) of its component c < r, so componentwise
+  divisibility already requires equal components; degrees (maximal degree,
+  ecart, sugar, truncation) count ring variables only.
+
+Tuples are the engine's boundary. Inside a run each monomial is one packed
+int, so a product is an addition, the order is int order and divisibility
+is one mask; `_Engine` gives the layout and how its field widths follow
+from the maximal degree, the module rank and the degrees of the inputs.
+Results are decoded once, where they leave the engine: the kept basis of an
+`Ideal`, the harvested syzygies, jet leads, the leads a `lead_stop`
+predicate sees and the remainder of `reduce`.
 
 The reducer keys each term once into a heap and pops the largest live term
 (Monagan and Pearce, CASC 2007), so no step rescans the polynomial. For a
@@ -43,7 +50,7 @@ import heapq
 import itertools
 from fractions import Fraction
 from math import gcd
-from operator import add, sub
+from operator import sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .config import ComputeConfig, DEFAULT_CONFIG
@@ -94,29 +101,73 @@ def _divides(a: Exponent, b: Exponent) -> bool:
     return True
 
 
+def _affine(key, origins: Sequence[Exponent], nvars: int):
+    """The key at each origin and its step per ring variable.
+
+    Raises unless the key is affine in the ring exponent with the same steps
+    at every origin, checked at the exponent (1, 2, ..., n) over each origin;
+    the packing of `_Engine` relies on it.
+    """
+    pos = origins[0][nvars:]
+    base = [tuple(key(o)) for o in origins]
+    steps = [tuple(map(sub, key(tuple(int(i == j) for j in range(nvars)) + pos), base[0]))
+             for i in range(nvars)]
+    probe = tuple(range(1, nvars + 1))
+    delta = [sum(x * st[f] for x, st in zip(probe, steps)) for f in range(len(base[0]))]
+    for o, k in zip(origins, base):
+        if tuple(key(probe + o[nvars:])) != tuple(map(sum, zip(k, delta))):
+            raise ValueError("monomial order key is not affine in the exponent")
+    return base, steps
+
+
+class _Overflow(Exception):
+    """A new element has a term above the run's packing cap; args[0] is its degree."""
+
+
 class _Elt:
     """Basis element with the data the reducer needs on every step.
 
-    Engine-internal elements always carry primitive integer coefficients;
-    operating over Z with explicit content handling keeps the hot loops free
-    of per-operation gcd normalization. `off` is the run's module rank.
+    `terms` maps packed monomials (see `_Engine`) to primitive integer
+    coefficients; operating over Z with explicit content handling keeps the
+    hot loops free of per-operation gcd normalization. `lm` is the packed
+    leading monomial, `maxdeg` the largest ring degree of a term and `ecart`
+    its excess over the degree of the lead.
     """
 
-    __slots__ = ("terms", "lm", "lc", "lmkey", "maxdeg", "ecart", "sugar")
+    __slots__ = ("terms", "lm", "lc", "maxdeg", "ecart", "sugar")
 
-    def __init__(self, terms: Dict[Exponent, int], key, off: int = 0):
+    def __init__(self, terms: Dict[int, int], dmask: int):
         self.terms = terms
-        self.lm = max(terms, key=key)
+        self.lm = max(terms)
         self.lc = terms[self.lm]
-        self.lmkey = key(self.lm)
-        self.maxdeg = max(sum(e) for e in terms) - off
-        self.ecart = self.maxdeg - sum(self.lm) + off
+        self.maxdeg = max(z & dmask for z in terms)
+        self.ecart = self.maxdeg - (self.lm & dmask)
         self.sugar = self.maxdeg
 
 
 class _Engine:
     """One standard-basis run: an order, the limits, and the data of the
-    module docstring (local order, truncation bound, module rank)."""
+    module docstring (local order, truncation bound, module rank).
+
+    Inside a run every monomial e is one int Z(e). From the top down it
+    holds the order key, each entry offset to be nonnegative, then the
+    exponent coordinates, each in a field with a guard bit above it, and the
+    ring degree in the lowest field. Z is affine in e, so a product is an
+    addition (Z(e + m) = Z(e) + Z(m') - Z(0), m' the multiplier put in e's
+    component), the order is int order, `lm | e` is `not (Z(e) - Z(lm)) &
+    guard`, and the degree is `Z(e) & dmask`. The packing comes from
+    evaluating `key` at the zero exponent of each component and at the unit
+    exponents (see `_affine`); no second copy of any order exists.
+
+    Field widths follow from `cap`, the largest ring degree an element term
+    may have: the maximal degree, or the inputs' degree where that is larger,
+    or the truncation bound. Fields hold degree 2 * cap, which covers lcms,
+    s-polynomial terms (their lcm is at most the maximal degree) and
+    products (the degree guard, or truncation, bounds them). A new element
+    above the cap restarts the run with a larger one. Tuples appear only at
+    the boundary: inputs are packed by `basis` and `reduce`, and callers
+    decode with `exponent` and `decoded`.
+    """
 
     def __init__(self, key, local: bool, cfg: ComputeConfig, nvars: int,
                  bound: Optional[int] = None, rank: int = 0):
@@ -124,68 +175,136 @@ class _Engine:
         self.local = local
         self.cfg = cfg
         self.nvars = nvars
-        self.off = rank
-        # truncation drops terms whose exponent sum reaches `limit`
-        self.limit = None if bound is None else bound + rank
+        self.rank = rank
+        self.bound = bound
         self.mora = local and bound is None
         self.stage = "jet" if bound is not None else "module" if rank else "ideal"
-        self.heap_key = lambda e: tuple([-v for v in key(e)])
+        # a module term ends in the position pair (c, r - c) of its component c
+        self._origins = [(0,) * nvars + ((c, rank - c) if rank else ())
+                         for c in range(max(rank, 1))]
+        self._key_base, self._key_steps = _affine(key, self._origins, nvars)
+        self.cap = -1
+        self._fit(bound if bound is not None else max(cfg.max_degree, 0))
 
-    def elt(self, terms: Dict[Exponent, int]) -> _Elt:
-        return _Elt(terms, self.key, self.off)
+    def _fit(self, degree: int) -> None:
+        """Lay out the fields for element terms of ring degree up to `degree`."""
+        if degree <= self.cap:
+            return
+        self.cap = degree
+        top = 2 * degree
+        w = max(top, self.rank, 1).bit_length()
+        width = w + 1
+        ncoord = len(self._origins[0])
+        self.dmask = (1 << w) - 1
+        self._shifts = [width * (i + 1) for i in range(ncoord)]
+        self.guard = sum(1 << (s + w) for s in self._shifts)
+        base, steps = self._key_base, self._key_steps
+        # key entries above the exponents, the first one on top, each offset
+        # by its least value over terms of degree at most `top`
+        shift = width * (ncoord + 1)
+        kshift = [0] * len(base[0])
+        offset = 0
+        for f in reversed(range(len(base[0]))):
+            slopes = [0] + [st[f] for st in steps]
+            lo = min(k[f] for k in base) + top * min(slopes)
+            hi = max(k[f] for k in base) + top * max(slopes)
+            kshift[f] = shift
+            offset -= lo << shift
+            shift += (hi - lo).bit_length()
+        self._step = [(1 << s) + 1 + sum(x << t for x, t in zip(st, kshift))
+                      for s, st in zip(self._shifts, steps)]
+        self._zero = [offset + sum(x << t for x, t in zip(k, kshift))
+                      + sum(x << s for x, s in zip(o, self._shifts))
+                      for o, k in zip(self._origins, base)]
 
-    def reduce(self, f, elts: Sequence[_Elt], full: bool) -> Tuple[Dict[Exponent, int], Fraction]:
-        """Pseudo-reduce f by elts over Z.
+    def pack(self, e: Exponent) -> int:
+        z = self._zero[e[self.nvars]] if self.rank else self._zero[0]
+        for x, d in zip(e, self._step):
+            z += x * d
+        return z
 
-        Returns (r, scale): r has primitive integer coefficients and equals
-        scale times the remainder over Q, scale a positive rational; r is
-        zero exactly when that remainder is. With `full` (global orders)
-        the remainder is the reduced normal form; otherwise reduction stops
-        at the first term no lead divides. Under Mora's rule the remainder
-        is a weak normal form, determined only up to a unit of the local ring.
+    def exponent(self, z: int) -> Exponent:
+        m = self.dmask
+        return tuple([(z >> s) & m for s in self._shifts])
+
+    def decoded(self, elt: _Elt) -> Dict[Exponent, int]:
+        return {self.exponent(z): c for z, c in elt.terms.items()}
+
+    def elt(self, terms: Dict[int, int]) -> _Elt:
+        return _Elt(terms, self.dmask)
+
+    def _degree(self, polys) -> int:
+        n = self.nvars
+        return max((sum(e[:n]) for p in polys for e in p), default=0)
+
+    def reduce(self, f: Dict[Exponent, Fraction], basis: Sequence[Dict[Exponent, Fraction]],
+               full: bool) -> Tuple[Dict[Exponent, int], Fraction]:
+        """Pseudo-reduce f by the standard basis `basis`, both exponent-keyed.
+
+        Returns (r, scale): r is exponent-keyed with primitive integer
+        coefficients and equals scale times the remainder over Q, scale a
+        positive rational; r is zero exactly when that remainder is. With
+        `full` (global orders) the remainder is the reduced normal form;
+        otherwise reduction stops at the first term no lead divides. Under
+        Mora's rule the remainder is a weak normal form, determined only up
+        to a unit of the local ring.
         """
         h = _intify(f)
         if not h:
             return h, Fraction(1)
+        basis = [_intify(b) for b in basis]
+        self._fit(self._degree([h] + basis))
+        pack = self.pack
+        elts = [self.elt({pack(e): c for e, c in b.items()}) for b in basis if b]
         e0 = next(iter(h))
-        num, den = h[e0], 1     # scale = num / (den * f[e0])
-        cfg, limit, heap_key = self.cfg, self.limit, self.heap_key
-        pool = list(elts) if self.mora else elts
-        heap = [(heap_key(e), e) for e in h]
+        r, scale = self._reduce({pack(e): c for e, c in h.items()}, elts, full)
+        return ({self.exponent(z): c for z, c in r.items()},
+                scale * h[e0] / f[e0])
+
+    def _reduce(self, h: Dict[int, int], elts: Sequence[_Elt],
+                full: bool) -> Tuple[Dict[int, int], Fraction]:
+        """`reduce` on a packed, primitive h, which it consumes; the scale
+        is relative to h."""
+        if not h:
+            return h, Fraction(1)
+        num, den = 1, 1
+        cfg, bound, dmask, guard, mora = self.cfg, self.bound, self.dmask, self.guard, self.mora
+        pool = list(elts) if mora else elts
+        heap = [-z for z in h]
         heapq.heapify(heap)
         steps = 0
         while heap:
-            e = heapq.heappop(heap)[1]
+            e = -heapq.heappop(heap)
             c = h.get(e)
             if c is None:
                 continue                # stale: the term cancelled after it was keyed
             red = None
-            if self.mora:
+            if mora:
                 for g in pool:
-                    if _divides(g.lm, e) and (red is None or g.ecart < red.ecart):
+                    if not (e - g.lm) & guard and (red is None or g.ecart < red.ecart):
                         red = g
             else:
                 for g in elts:
-                    if _divides(g.lm, e):
+                    if not (e - g.lm) & guard:
                         red = g
                         break
             if red is None:
                 if full:
                     continue  # settled: coefficient may still change, monomial won't return
                 break
-            if self.mora and red.ecart and red.ecart > max(map(sum, h)) - sum(e):
+            if mora and red.ecart and red.ecart > max(z & dmask for z in h) - (e & dmask):
                 pool.append(self.elt(_primitive(dict(h))[0]))
-            m = tuple(map(sub, e, red.lm))
+            m = e - red.lm
             steps += 1
             # truncation bounds the degrees, and every step lowers the lead
             # within the finite set of monomials below it: only other runs
             # need the guards
-            if limit is None:
+            if bound is None:
                 if steps > cfg.max_pairs:
                     raise ResourceLimitError(
                         f"{self.stage} reduction exceeded the pair budget "
                         f"(max_pairs={cfg.max_pairs} steps)")
-                if sum(m) + red.maxdeg > cfg.max_degree:
+                if (m & dmask) + red.maxdeg > cfg.max_degree:
                     raise ResourceLimitError(
                         f"{self.stage} reduction exceeded the degree bound "
                         f"max_degree={cfg.max_degree}")
@@ -200,22 +319,22 @@ class _Engine:
             factor = c // g0
             del h[e]
             lm = red.lm
-            for ge, gc in red.terms.items():
-                if ge == lm:
+            for gz, gc in red.terms.items():
+                if gz == lm:
                     continue
-                te = tuple(map(add, ge, m))
-                if limit is not None and sum(te) >= limit:
+                tz = gz + m
+                if bound is not None and tz & dmask >= bound:
                     continue
-                prev = h.get(te)
+                prev = h.get(tz)
                 if prev is None:
-                    h[te] = -factor * gc
-                    heapq.heappush(heap, (heap_key(te), te))
+                    h[tz] = -factor * gc
+                    heapq.heappush(heap, -tz)
                 else:
                     s = prev - factor * gc
                     if s:
-                        h[te] = s
+                        h[tz] = s
                     else:
-                        del h[te]
+                        del h[tz]
             if steps % 64 == 0 and h:
                 h, g = _primitive(h)
                 den *= g
@@ -224,34 +343,35 @@ class _Engine:
         if h:
             h, g = _primitive(h)
             den *= g
-        return h, Fraction(num, den) / f[e0]
+        return h, Fraction(num, den)
 
-    def spoly(self, f: _Elt, g: _Elt) -> Dict[Exponent, int]:
-        lcm = tuple(map(max, f.lm, g.lm))
-        if sum(lcm) - self.off > self.cfg.max_degree:
+    def spoly(self, f: _Elt, g: _Elt, lcm: int) -> Dict[int, int]:
+        if lcm & self.dmask > self.cfg.max_degree:
             raise ResourceLimitError(
                 f"{self.stage} s-polynomial exceeded the degree bound "
                 f"max_degree={self.cfg.max_degree}")
-        mf = tuple(map(sub, lcm, f.lm))
-        mg = tuple(map(sub, lcm, g.lm))
+        mf = lcm - f.lm
+        mg = lcm - g.lm
         g0 = gcd(f.lc, g.lc)
         cf = g.lc // g0
         cg = f.lc // g0
-        out = {tuple(map(add, e, mf)): c * cf for e, c in f.terms.items()}
-        for e, c in g.terms.items():
-            te = tuple(map(add, e, mg))
-            s = out.get(te, 0) - c * cg
+        out = {z + mf: c * cf for z, c in f.terms.items()}
+        for z, c in g.terms.items():
+            tz = z + mg
+            s = out.get(tz, 0) - c * cg
             if s:
-                out[te] = s
+                out[tz] = s
             else:
-                del out[te]
-        if self.limit is not None:
-            out = {e: c for e, c in out.items() if sum(e) < self.limit}
-        return out
+                del out[tz]
+        if self.bound is not None:
+            dmask, bound = self.dmask, self.bound
+            out = {z: c for z, c in out.items() if z & dmask < bound}
+        return _primitive(out)[0] if out else out
 
     def basis(self, gens: Sequence[Dict[Exponent, Fraction]],
               lead_stop=None) -> Optional[List[_Elt]]:
-        """Minimal standard basis of `gens`, leads in descending order.
+        """Minimal standard basis of the exponent-keyed `gens`, leads in
+        descending order, as packed elements.
 
         Global ideal bases come back tail-interreduced (the reduced basis).
         With `lead_stop` set, the predicate sees the accumulated lead
@@ -259,31 +379,41 @@ class _Engine:
         aborts and None comes back — no partial basis escapes, the caller
         already saw the leads.
         """
-        cfg, off, n, limit = self.cfg, self.off, self.nvars, self.limit
-        elts: List[_Elt] = []
-        for g in gens:
-            if limit is not None:
-                g = {e: c for e, c in g.items() if sum(e) < limit}
-            if g:
-                elts.append(self.elt(_intify(g)))
+        n, bound = self.nvars, self.bound
+        if bound is not None:
+            gens = [{e: c for e, c in g.items() if sum(e[:n]) < bound} for g in gens]
+        gens = [_intify(g) for g in gens if g]
+        if bound is None:
+            self._fit(self._degree(gens))
+        while True:
+            try:
+                return self._basis(gens, lead_stop)
+            except _Overflow as grown:
+                self._fit(max(grown.args[0], 2 * self.cap))
+
+    def _basis(self, gens: Sequence[Dict[Exponent, int]], lead_stop) -> Optional[List[_Elt]]:
+        cfg, n, bound, dmask, guard = self.cfg, self.nvars, self.bound, self.dmask, self.guard
+        pack = self.pack
+        elts = [self.elt({pack(e): c for e, c in g.items()}) for g in gens]
+        leads = [self.exponent(e.lm) for e in elts]
 
         heap: List[tuple] = []
         done: set = set()
 
         def add_pairs(j: int):
-            b = elts[j]
+            b, bx = elts[j], leads[j]
+            db = b.lm & dmask
             for i in range(j):
-                a = elts[i]
-                if a.lm[n:] != b.lm[n:]:
+                a, ax = elts[i], leads[i]
+                if ax[n:] != bx[n:]:
                     continue          # leads in different components never pair
-                lcm = tuple(map(max, a.lm, b.lm))
-                d = sum(lcm)
-                if limit is not None and d >= limit:
+                lcm = pack(tuple(map(max, ax, bx)))
+                d = lcm & dmask
+                if bound is not None and d >= bound:
                     continue          # the s-polynomial lies in m^bound
-                d -= off
-                sugar = max(a.sugar + d - sum(a.lm), b.sugar + d - sum(b.lm)) + off
+                sugar = max(a.sugar + d - (a.lm & dmask), b.sugar + d - db)
                 # normal strategy: lowest lcm first, by sugar under a global order
-                prio = self.heap_key(lcm) if self.local else (sugar, self.key(lcm))
+                prio = -lcm if self.local else (sugar, lcm)
                 heapq.heappush(heap, (prio, i, j, sugar))
 
         for j in range(len(elts)):
@@ -291,53 +421,57 @@ class _Engine:
 
         handled = 0
         while heap:
-            _, i, j, sugar = heapq.heappop(heap)
+            prio, i, j, sugar = heapq.heappop(heap)
             done.add((i, j))
             handled += 1
             if handled > cfg.max_pairs:
                 raise ResourceLimitError(
                     f"{self.stage} basis exceeded the pair budget max_pairs={cfg.max_pairs}")
             f, g = elts[i], elts[j]
-            lcm = tuple(map(max, f.lm, g.lm))
+            lcm = -prio if self.local else prio[1]
             # Product criterion: coprime leads leave an s-polynomial that
             # reduces to zero, because lm(g)f - lm(f)g = tail(f)g - tail(g)f.
             # Under a local order the two sides can cancel when a lead divides
             # a tail term, so one element must have ecart 0. The identity
             # multiplies two elements, which vectors cannot do: the criterion
-            # is unsound for modules, and it never fires there, since the
-            # position coordinates of same-component leads always overlap.
-            if (not self.local or not f.ecart or not g.ecart) and \
-                    all(a + b == c for a, b, c in zip(f.lm, g.lm, lcm)):
+            # is unsound for modules and never applies there. Leads are
+            # coprime exactly when the lcm's degree is the sum of theirs.
+            if not self.rank and (not self.local or not f.ecart or not g.ecart) and \
+                    lcm & dmask == (f.lm & dmask) + (g.lm & dmask):
                 continue
             # chain criterion: a third lead dividing the lcm, both its pairs settled
             skip = False
             for k in range(len(elts)):
-                if k != i and k != j and _divides(elts[k].lm, lcm) and \
+                if k != i and k != j and not (lcm - elts[k].lm) & guard and \
                         (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done:
                     skip = True
                     break
             if skip:
                 continue
-            h = self.reduce(self.spoly(f, g), elts, full=not self.local)[0]
+            h = self._reduce(self.spoly(f, g, lcm), elts, full=not self.local)[0]
             if not h:
                 continue
             new = self.elt(h)
+            if new.maxdeg > self.cap:
+                raise _Overflow(new.maxdeg)
             new.sugar = max(sugar, new.maxdeg)
             elts.append(new)
+            leads.append(self.exponent(new.lm))
             add_pairs(len(elts) - 1)
-            if lead_stop is not None and lead_stop([e.lm for e in elts]):
+            if lead_stop is not None and lead_stop(leads):
                 return None
 
         # minimalize: drop elements whose lead is divisible by another lead
         minimal = [e for i, e in enumerate(elts)
-                   if not any(k != i and _divides(o.lm, e.lm) and (o.lm != e.lm or k < i)
+                   if not any(k != i and not (e.lm - o.lm) & guard and (o.lm != e.lm or k < i)
                               for k, o in enumerate(elts))]
-        minimal.sort(key=lambda e: e.lmkey, reverse=True)
-        if not self.local and not off:
+        minimal.sort(key=lambda e: e.lm, reverse=True)
+        if not self.local and not self.rank:
             # tail interreduction gives the unique reduced basis
             for idx in range(len(minimal)):
                 others = minimal[:idx] + minimal[idx + 1:]
-                minimal[idx] = self.elt(self.reduce(minimal[idx].terms, others, full=True)[0])
+                minimal[idx] = self.elt(self._reduce(dict(minimal[idx].terms), others,
+                                                     full=True)[0])
         return minimal
 
 
@@ -359,7 +493,9 @@ def _staircase_profile(leads: Sequence[Exponent], nvars: int):
     for b in bounds:
         size *= max(b, 1)
     if size > 2_000_000:
-        raise ResourceLimitError("staircase enumeration too large")
+        raise ResourceLimitError(
+            f"staircase enumeration too large: the bounding box of the pure powers "
+            f"holds {size} monomials, above the cap of 2000000")
     leads = [e for e in leads if all(x < b for x, b in zip(e, bounds))]
     count = 0
     maxdeg = -1
@@ -397,8 +533,8 @@ def _local_quotient_dimension(gens: Sequence[Dict[Exponent, Fraction]], nvars: i
     bound = max(2, min(8, cfg.jet_bound))
     while True:
         # a jet: the standard basis of I + m^bound, m^bound kept implicit
-        jet = _Engine(key, True, cfg, nvars, bound=bound).basis(gens)
-        profile = _staircase_profile([e.lm for e in jet], nvars)
+        eng = _Engine(key, True, cfg, nvars, bound=bound)
+        profile = _staircase_profile([eng.exponent(e.lm) for e in eng.basis(gens)], nvars)
         if profile is not INFINITE and profile[1] < bound:
             return profile[0]
         if bound >= cfg.jet_bound:
@@ -460,15 +596,16 @@ class Ideal:
     def _engine(self) -> _Engine:
         return _Engine(self._key, self.is_local, self.config, len(self.ctx))
 
-    def _keep_basis(self, elts: List[_Elt]) -> None:
-        self._basis_cache = [Polynomial._raw(self.ctx, {m: Fraction(c, e.lc)
-                                                        for m, c in e.terms.items()})
+    def _keep_basis(self, eng: _Engine, elts: List[_Elt]) -> None:
+        self._basis_cache = [Polynomial._raw(self.ctx, {eng.exponent(z): Fraction(c, e.lc)
+                                                        for z, c in e.terms.items()})
                              for e in elts]
 
     def basis(self) -> List[Polynomial]:
         """Reduced Groebner basis (global order) or minimal standard basis (local)."""
         if self._basis_cache is None:
-            self._keep_basis(self._engine().basis([g.terms for g in self.gens]))
+            eng = self._engine()
+            self._keep_basis(eng, eng.basis([g.terms for g in self.gens]))
         return self._basis_cache
 
     def leading_monomials(self) -> List[Exponent]:
@@ -496,9 +633,7 @@ class Ideal:
         return p.is_zero() or not self._reduce(p, full=False)[0]
 
     def _reduce(self, p: Polynomial, full: bool):
-        eng = self._engine()
-        elts = [eng.elt(_intify(b.terms)) for b in self.basis()]
-        return eng.reduce(p.terms, elts, full)
+        return self._engine().reduce(p.terms, [b.terms for b in self.basis()], full)
 
     # -- constructions ---------------------------------------------------
 
@@ -592,8 +727,9 @@ class Ideal:
             seen["bound"] = min(seen["bound"], d)
             return d <= stop_at
 
-        raw = self._engine().basis([g.terms for g in self.gens], lead_stop=hit)
+        eng = self._engine()
+        raw = eng.basis([g.terms for g in self.gens], lead_stop=hit)
         if raw is None:
             return seen["bound"]
-        self._keep_basis(raw)
+        self._keep_basis(eng, raw)
         return self.dimension()

@@ -24,7 +24,8 @@ the parameter, the image expression in the target variables plus the
 parameter. `#` starts a comment anywhere.
 
 Config overrides are single lines `seed N`, `retries N`, `jet-bound N`,
-`max-pairs N`, `max-degree N`; any other keyword is a parse error.
+`max-pairs N`, `max-degree N`; any other keyword is a parse error, and so is
+a value of 0 or less for any of them but `seed`.
 
 `print_germ_file` emits the canonical form: fixed section order, one
 canonical expression per branch line. Parsing the printed form reproduces
@@ -51,6 +52,18 @@ _CONFIG_KEYS: Tuple[Tuple[str, str], ...] = (
     ("max-degree", "max_degree"),
 )
 _KEY_TO_FIELD = dict(_CONFIG_KEYS)
+
+
+def config_value(key: str, text: str, lineno: int) -> int:
+    """The integer value of config key `key`; every key but `seed` is a
+    count or a bound and must be positive."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise ParseError(f"'{key}' needs one integer", lineno, 1) from None
+    if value <= 0 and key != "seed":
+        raise ParseError(f"'{key}' needs a positive integer", lineno, 1)
+    return value
 
 
 @dataclass(frozen=True)
@@ -155,11 +168,7 @@ def parse_germ_file(text: str) -> GermFile:
             field = _KEY_TO_FIELD[head]
             if field in overrides:
                 raise ParseError(f"duplicate '{head}' line", lineno, 1)
-            try:
-                value = int(rest)
-            except ValueError:
-                raise ParseError(f"'{head}' needs one integer", lineno, 1) from None
-            overrides[field] = (lineno, value)
+            overrides[field] = (lineno, config_value(head, rest, lineno))
         else:
             raise ParseError(f"unknown keyword {head!r}", lineno, 1)
 

@@ -72,11 +72,11 @@ class SyzygyBasis:
         rank = len(self.components)
         if len(vec) != rank or any(p.ctx != self.ctx for p in vec):
             raise GermInputError("module element of the wrong rank or context")
+        eng = _engine(self.ctx, ordering, rank, DEFAULT_CONFIG)
         if ordering not in self._bases:
-            eng = _engine(self.ctx, ordering, rank, DEFAULT_CONFIG)
-            self._bases[ordering] = eng, eng.basis([_encode(v, rank) for v in self.elements])
-        eng, elts = self._bases[ordering]
-        return not eng.reduce(_encode(vec, rank), elts, full=False)[0]
+            self._bases[ordering] = [eng.decoded(e) for e in
+                                     eng.basis([_encode(v, rank) for v in self.elements])]
+        return not eng.reduce(_encode(vec, rank), self._bases[ordering], full=False)[0]
 
 
 def syzygy_basis(polys: Sequence[Polynomial],
@@ -109,12 +109,15 @@ def syzygy_basis(polys: Sequence[Polynomial],
     rows = [_encode([p] + [one if j == i else zero for j in range(k)], rank)
             for i, p in enumerate(polys)]
     elements: List[Vector] = []
-    for elt in _engine(ctx, ordering, rank, config).basis(rows):
-        if any(t[n] == 0 for t in elt.terms):
+    eng = _engine(ctx, ordering, rank, config)
+    for elt in eng.basis(rows):
+        # the first slot dominates the order, so an element has a term there
+        # exactly when its lead is there
+        if eng.exponent(elt.lm)[n] == 0:
             continue
         split: List[Dict[Exponent, Fraction]] = [{} for _ in range(k)]
         sign = 1 if elt.lc > 0 else -1
-        for t, c in elt.terms.items():
+        for t, c in eng.decoded(elt).items():
             split[t[n] - 1][t[:n]] = Fraction(sign * c)
         elements.append(tuple(Polynomial._raw(ctx, d) for d in split))
     return SyzygyBasis(ctx, labels, tuple(polys), elements)

@@ -200,6 +200,15 @@ def test_unknown_limit_key_exits_1(capsys, tmp_path, tmp_corpus):
     assert code == 1 and "unknown limit" in err
 
 
+def test_non_positive_limit_exits_1(capsys, tmp_path, tmp_corpus):
+    limits = tmp_path / "limits.txt"
+    limits.write_text("max-degree -3\n")
+    code, out, err = run(capsys, "report", tmp_corpus("crosscap"), "--no-cache",
+                         "--limits", str(limits))
+    assert code == 1 and out == ""
+    assert "'max-degree' needs a positive integer" in err
+
+
 # -- the image-equation cache ------------------------------------------------------
 
 def test_cache_sidecar_round_trip(capsys, tmp_path, tmp_corpus):

@@ -205,6 +205,11 @@ def test_staircase_counts_and_dimensions():
     assert monomial_dimension([], 2) == 2
 
 
+def test_staircase_cap_names_its_limit():
+    with pytest.raises(ResourceLimitError, match="8000000 monomials.*2000000"):
+        staircase_count([(200, 0, 0), (0, 200, 0), (0, 0, 200)], 3)
+
+
 def test_quotient_dimension_monomial_and_unit_cases():
     assert Ideal(C2, [X2 ** 2, Y2 ** 3], DRL).quotient_dimension() == 6
     assert Ideal(C2, [X2 ** 2, Y2 ** 3], LOC).quotient_dimension() == 6
@@ -253,6 +258,22 @@ def test_coprime_lead_criterion_skips_work():
     cfg = ComputeConfig(max_degree=2)
     basis = Ideal(C2, [X2 ** 3 + Y2, Y2 ** 3 + X2], DRL, cfg).basis()
     assert len(basis) == 2
+
+
+def test_packing_fits_inputs_beyond_max_degree():
+    # the engine packs each monomial into one int; the field widths follow
+    # the inputs where they exceed max_degree
+    assert not Ideal(C2, [Y2]).contains(X2 ** 5000)
+    assert not Ideal(C2, [Y2], LOC).contains(X2 ** 5000)
+    assert Ideal(C2, [Y2]).normal_form(X2 ** 3000 + Y2) == X2 ** 3000
+    gens = [X2 ** 300 + Y2, Y2 ** 2]
+    basis = Ideal(C2, gens, config=ComputeConfig(max_degree=2)).basis()
+    assert sorted(map(str, basis)) == sorted(map(str, gens))
+    # the s-polynomial of the two leads leaves y^7, above both max_degree
+    # and the inputs' degree: the run starts over with wider fields
+    cfg = ComputeConfig(max_degree=5)
+    basis = Ideal(C2, [2 * X2 ** 2 - Y2 ** 4, X2 ** 2 * Y2 ** 3], LOC, cfg).basis()
+    assert [str(b) for b in basis] == ["-1/2*y^4 + x^2", "y^7"]
 
 
 def test_context_mismatch_rejected():

@@ -103,6 +103,10 @@ def test_image_expression_uses_target_context():
     (lambda t: t + "branch\nend\n", "empty 'branch'"),
     (lambda t: t + "retries nine\n", "'retries' needs one integer"),
     (lambda t: t + "retries 4\nretries 5\n", "duplicate 'retries'"),
+    (lambda t: t + "retries 0\n", "'retries' needs a positive integer"),
+    (lambda t: t + "jet-bound -3\n", "'jet-bound' needs a positive integer"),
+    (lambda t: t + "max-pairs 0\n", "'max-pairs' needs a positive integer"),
+    (lambda t: t + "max-degree -3\n", "'max-degree' needs a positive integer"),
     (lambda t: t + "weights y1=1\nweights y2=1\n", "duplicate 'weights'"),
     (lambda t: t + "weights y1\n", "bad weight entry"),
     (lambda t: t + "weights q=1\n", "unknown variable 'q'"),

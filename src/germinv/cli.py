@@ -185,13 +185,13 @@ def _cmd_image(G: ImageEquation, args) -> int:
         rows: List[Tuple[str, object]] = [("provenance", G.provenance),
                                           ("g", G.g)]
         rows += [(f"factor_{i}", f) for i, f in enumerate(G.factors, 1)]
-        _emit_machine("germinv.image.v1", rows, G.warnings)
+        _emit_machine("germinv.image.v1", rows)
     else:
         rows = [("provenance", G.provenance), ("G", str(G.g))]
         if len(G.factors) > 1:
             rows += [(f"factor {i}", str(f))
                      for i, f in enumerate(G.factors, 1)]
-        _emit_human(rows, G.warnings)
+        _emit_human(rows)
     return 0
 
 
@@ -202,13 +202,13 @@ def _cmd_ft(G: ImageEquation, args) -> int:
     if args.format == "machine":
         rows: List[Tuple[str, object]] = [("ft_codim", codim), ("ft_dim", fdim)]
         rows += [(f"gen_{i}", p) for i, p in enumerate(gens, 1)]
-        _emit_machine("germinv.ft.v1", rows, G.warnings)
+        _emit_machine("germinv.ft.v1", rows)
     else:
         rows = [("ft codimension", str(codim)),
                 ("ft quotient dimension", _fmt(fdim)),
                 ("generators", str(len(gens)))]
         rows += [(f"  [{i}]", str(p)) for i, p in enumerate(gens, 1)]
-        _emit_human(rows, G.warnings)
+        _emit_human(rows)
     return 0
 
 
@@ -219,29 +219,29 @@ def _cmd_mu_image(G: ImageEquation, args) -> int:
         _emit_machine("germinv.mu-image.v1",
                       [("mu_image", mu.multiplicity),
                        ("samuel_profile", mu.profile),
-                       ("stability", stability)], G.warnings)
+                       ("stability", stability)])
     else:
         _emit_human([("image Milnor number", str(mu.multiplicity)),
                      ("Samuel profile", ", ".join(map(str, mu.profile))),
-                     ("stability", stability)], G.warnings)
+                     ("stability", stability)])
     return 0
 
 
 def _cmd_mu_br(G: ImageEquation, args) -> int:
     mu = bruce_roberts_number(G)
     if args.format == "machine":
-        _emit_machine("germinv.mu-br.v1", [("mu_br", mu)], G.warnings)
+        _emit_machine("germinv.mu-br.v1", [("mu_br", mu)])
     else:
-        _emit_human([("Bruce-Roberts number", str(mu))], G.warnings)
+        _emit_human([("Bruce-Roberts number", str(mu))])
     return 0
 
 
 def _cmd_ae(G: ImageEquation, args) -> int:
     ae = ae_codimension(G)
     if args.format == "machine":
-        _emit_machine("germinv.ae-codim.v1", [("ae_codim", ae)], G.warnings)
+        _emit_machine("germinv.ae-codim.v1", [("ae_codim", ae)])
     else:
-        _emit_human([("Ae-codimension", str(ae))], G.warnings)
+        _emit_human([("Ae-codimension", str(ae))])
     return 0
 
 
@@ -253,11 +253,11 @@ def _cmd_lc_check(G: ImageEquation, args) -> int:
     if args.format == "machine":
         _emit_machine("germinv.lc-check.v1",
                       [("lc_substitution", ok), ("lc_dim", dim),
-                       ("lc_dim_expected", expected)], G.warnings)
+                       ("lc_dim_expected", expected)])
     else:
         _emit_human([("cotangent substitution", "ok" if ok else "MISMATCH"),
                      ("characteristic dimension", str(dim)),
-                     ("expected", str(expected))], G.warnings)
+                     ("expected", str(expected))])
     return 0 if ok and dim == expected else 3
 
 
@@ -333,7 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--no-cache", action="store_true",
                            help="ignore and do not write the image-equation cache")
         p.add_argument("--seed", type=int, default=None,
-                       help="seed for sampled slice values and guards")
+                       help="seed for sampled slice values")
         p.add_argument("--limits", default=None,
                        help="file of limit overrides (same keys as germ files)")
         p.add_argument("--format", choices=("human", "machine"),

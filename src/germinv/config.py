@@ -15,7 +15,6 @@ class ComputeConfig:
     # basis computations
     max_pairs: int = 200_000      # s-pairs per basis run; steps per reduction
     max_degree: int = 120         # total degree any intermediate term may reach
-    jet_bound: int = 96           # largest truncation order for local dimensions
     # slice oracle
     seed: int = 0
     s0_retries: int = 5           # degenerate slices tolerated before giving up

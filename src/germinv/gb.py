@@ -1,47 +1,41 @@
-"""Standard bases over Q: one reduction engine for ideals, modules and jets.
+"""Standard bases over Q: one reduction engine for ideals and modules.
 
 The engine is `_Engine`: one element type, one s-polynomial, one reducer and
-one pair loop. A run fixes a term order and three pieces of data:
-
-- whether the order is local (1 the largest monomial) or global;
-- an optional truncation order (jets): every term of total degree at or
-  above it is dropped, which is reduction by the implicit generators of
-  m^bound;
-- a module rank. Ideal terms are exponent tuples. A term of a free module
-  of rank r over n variables is the ring exponent followed by the two
-  position coordinates (c, r - c) of its component c < r, so componentwise
-  divisibility already requires equal components; degrees (maximal degree,
-  ecart, sugar, truncation) count ring variables only.
+one pair loop, all under a global term order (1 the smallest monomial). A
+run fixes that order and a module rank. Ideal terms are exponent tuples. A
+term of a free module of rank r over n variables is the ring exponent
+followed by the two position coordinates (c, r - c) of its component c < r,
+so componentwise divisibility already requires equal components; degrees
+(maximal degree, sugar) count ring variables only.
 
 Tuples are the engine's boundary. Inside a run each monomial is one packed
 int, so a product is an addition, the order is int order and divisibility
 is one mask; `_Engine` gives the layout and how its field widths follow
 from the maximal degree, the module rank and the degrees of the inputs.
 Results are decoded once, where they leave the engine: the kept basis of an
-`Ideal`, the harvested syzygies, jet leads, the leads a `lead_stop`
-predicate sees and the remainder of `reduce`.
+`Ideal`, the harvested syzygies, the leads a `lead_stop` predicate sees and
+the remainder of `reduce`.
 
 The reducer keys each term once into a heap and pops the largest live term
-(Monagan and Pearce, CASC 2007), so no step rescans the polynomial. For a
-local order without truncation it picks reducers by Mora's ecart rule and
-may enlist intermediate remainders as new reducers, which is what makes it
-terminate without a well-order; otherwise it takes the first divisor. It
-reduces every term for global bases and normal forms, and stops at the first
-irreducible term for membership tests, Mora weak normal forms and jets.
+(Monagan and Pearce, CASC 2007), so no step rescans the polynomial, and
+takes the first basis element whose lead divides it. It reduces every term
+for bases and normal forms, and stops at the first irreducible term for
+membership tests.
 
-The pair loop selects pairs by sugar under global orders and by lowest lcm
-under local ones, and applies the chain criterion and, where sound, the
-product criterion. Global ideal bases are tail-interreduced into the unique
-reduced basis; local bases and module bases keep their tails (full tail
-reduction need not terminate in a local ring, and buys nothing for
-harvesting syzygies).
+The pair loop selects pairs by sugar and applies the chain criterion and,
+for ideals, the product criterion. Ideal bases are tail-interreduced into
+the unique reduced basis; module bases keep their tails (that buys nothing
+for harvesting syzygies).
 
-Everything downstream (elimination, saturation, the two dimension
-counts) reduces to basis computations here. Dimension
-counting never inspects coefficients: it reads the staircase of the leading
-ideal, which is the correct recipe for both the polynomial ring and the
-local ring at the origin. Local quotient dimensions go through truncated
-standard bases (jets), which certify their own exactness.
+Questions about the ring of germs at the origin go through Lazard's method
+(Greuel and Pfister, A Singular Introduction to Commutative Algebra, 1.7):
+the generators are homogenized by a new variable h, their global basis is
+computed under "total degree, then the local order", and h is set to 1,
+which leaves a standard basis for the local order. Everything downstream
+(elimination, saturation, the dimension counts, local colengths) reduces to
+basis computations here. Dimension counting never inspects coefficients: it
+reads the staircase of the leading ideal, which is the correct recipe for
+both the polynomial ring and the local ring at the origin.
 """
 
 from __future__ import annotations
@@ -55,7 +49,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .config import ComputeConfig, DEFAULT_CONFIG
 from .errors import GermInputError, ResourceLimitError
-from .orderings import OrderingSpec, key_function
+from .orderings import OrderingSpec, key_function, lazard_key
 from .poly import Exponent, Polynomial, VariableContext
 
 
@@ -130,24 +124,22 @@ class _Elt:
     `terms` maps packed monomials (see `_Engine`) to primitive integer
     coefficients; operating over Z with explicit content handling keeps the
     hot loops free of per-operation gcd normalization. `lm` is the packed
-    leading monomial, `maxdeg` the largest ring degree of a term and `ecart`
-    its excess over the degree of the lead.
+    leading monomial and `maxdeg` the largest ring degree of a term.
     """
 
-    __slots__ = ("terms", "lm", "lc", "maxdeg", "ecart", "sugar")
+    __slots__ = ("terms", "lm", "lc", "maxdeg", "sugar")
 
     def __init__(self, terms: Dict[int, int], dmask: int):
         self.terms = terms
         self.lm = max(terms)
         self.lc = terms[self.lm]
         self.maxdeg = max(z & dmask for z in terms)
-        self.ecart = self.maxdeg - (self.lm & dmask)
         self.sugar = self.maxdeg
 
 
 class _Engine:
-    """One standard-basis run: an order, the limits, and the data of the
-    module docstring (local order, truncation bound, module rank).
+    """One standard-basis run: a global order, the limits and a module rank
+    (see the module docstring).
 
     Inside a run every monomial e is one int Z(e). From the top down it
     holds the order key, each entry offset to be nonnegative, then the
@@ -160,31 +152,27 @@ class _Engine:
     exponents (see `_affine`); no second copy of any order exists.
 
     Field widths follow from `cap`, the largest ring degree an element term
-    may have: the maximal degree, or the inputs' degree where that is larger,
-    or the truncation bound. Fields hold degree 2 * cap, which covers lcms,
-    s-polynomial terms (their lcm is at most the maximal degree) and
-    products (the degree guard, or truncation, bounds them). A new element
-    above the cap restarts the run with a larger one. Tuples appear only at
-    the boundary: inputs are packed by `basis` and `reduce`, and callers
-    decode with `exponent` and `decoded`.
+    may have: the maximal degree, or the inputs' degree where that is larger.
+    Fields hold degree 2 * cap, which covers lcms, s-polynomial terms (their
+    lcm is at most the maximal degree) and products (the degree guard bounds
+    them). A new element above the cap, which only an order that does not
+    compare degrees first lets through, restarts the run with a larger one.
+    Tuples appear only at the boundary: inputs are packed by `basis` and
+    `reduce`, and callers decode with `exponent` and `decoded`.
     """
 
-    def __init__(self, key, local: bool, cfg: ComputeConfig, nvars: int,
-                 bound: Optional[int] = None, rank: int = 0):
+    def __init__(self, key, cfg: ComputeConfig, nvars: int, rank: int = 0):
         self.key = key
-        self.local = local
         self.cfg = cfg
         self.nvars = nvars
         self.rank = rank
-        self.bound = bound
-        self.mora = local and bound is None
-        self.stage = "jet" if bound is not None else "module" if rank else "ideal"
+        self.stage = "module" if rank else "ideal"
         # a module term ends in the position pair (c, r - c) of its component c
         self._origins = [(0,) * nvars + ((c, rank - c) if rank else ())
                          for c in range(max(rank, 1))]
         self._key_base, self._key_steps = _affine(key, self._origins, nvars)
         self.cap = -1
-        self._fit(bound if bound is not None else max(cfg.max_degree, 0))
+        self._fit(max(cfg.max_degree, 0))
 
     def _fit(self, degree: int) -> None:
         """Lay out the fields for element terms of ring degree up to `degree`."""
@@ -244,10 +232,8 @@ class _Engine:
         Returns (r, scale): r is exponent-keyed with primitive integer
         coefficients and equals scale times the remainder over Q, scale a
         positive rational; r is zero exactly when that remainder is. With
-        `full` (global orders) the remainder is the reduced normal form;
-        otherwise reduction stops at the first term no lead divides. Under
-        Mora's rule the remainder is a weak normal form, determined only up
-        to a unit of the local ring.
+        `full` the remainder is the reduced normal form; otherwise reduction
+        stops at the first term no lead divides.
         """
         h = _intify(f)
         if not h:
@@ -268,8 +254,7 @@ class _Engine:
         if not h:
             return h, Fraction(1)
         num, den = 1, 1
-        cfg, bound, dmask, guard, mora = self.cfg, self.bound, self.dmask, self.guard, self.mora
-        pool = list(elts) if mora else elts
+        cfg, dmask, guard = self.cfg, self.dmask, self.guard
         heap = [-z for z in h]
         heapq.heapify(heap)
         steps = 0
@@ -278,36 +263,23 @@ class _Engine:
             c = h.get(e)
             if c is None:
                 continue                # stale: the term cancelled after it was keyed
-            red = None
-            if mora:
-                for g in pool:
-                    if not (e - g.lm) & guard and (red is None or g.ecart < red.ecart):
-                        red = g
+            for red in elts:
+                if not (e - red.lm) & guard:
+                    break
             else:
-                for g in elts:
-                    if not (e - g.lm) & guard:
-                        red = g
-                        break
-            if red is None:
                 if full:
                     continue  # settled: coefficient may still change, monomial won't return
                 break
-            if mora and red.ecart and red.ecart > max(z & dmask for z in h) - (e & dmask):
-                pool.append(self.elt(_primitive(dict(h))[0]))
             m = e - red.lm
             steps += 1
-            # truncation bounds the degrees, and every step lowers the lead
-            # within the finite set of monomials below it: only other runs
-            # need the guards
-            if bound is None:
-                if steps > cfg.max_pairs:
-                    raise ResourceLimitError(
-                        f"{self.stage} reduction exceeded the pair budget "
-                        f"(max_pairs={cfg.max_pairs} steps)")
-                if (m & dmask) + red.maxdeg > cfg.max_degree:
-                    raise ResourceLimitError(
-                        f"{self.stage} reduction exceeded the degree bound "
-                        f"max_degree={cfg.max_degree}")
+            if steps > cfg.max_pairs:
+                raise ResourceLimitError(
+                    f"{self.stage} reduction exceeded the pair budget "
+                    f"(max_pairs={cfg.max_pairs} steps)")
+            if (m & dmask) + red.maxdeg > cfg.max_degree:
+                raise ResourceLimitError(
+                    f"{self.stage} reduction exceeded the degree bound "
+                    f"max_degree={cfg.max_degree}")
             g0 = gcd(c, red.lc)
             scale = red.lc // g0
             if scale < 0:
@@ -323,8 +295,6 @@ class _Engine:
                 if gz == lm:
                     continue
                 tz = gz + m
-                if bound is not None and tz & dmask >= bound:
-                    continue
                 prev = h.get(tz)
                 if prev is None:
                     h[tz] = -factor * gc
@@ -363,28 +333,21 @@ class _Engine:
                 out[tz] = s
             else:
                 del out[tz]
-        if self.bound is not None:
-            dmask, bound = self.dmask, self.bound
-            out = {z: c for z, c in out.items() if z & dmask < bound}
         return _primitive(out)[0] if out else out
 
     def basis(self, gens: Sequence[Dict[Exponent, Fraction]],
               lead_stop=None) -> Optional[List[_Elt]]:
-        """Minimal standard basis of the exponent-keyed `gens`, leads in
+        """Minimal Groebner basis of the exponent-keyed `gens`, leads in
         descending order, as packed elements.
 
-        Global ideal bases come back tail-interreduced (the reduced basis).
+        Ideal bases come back tail-interreduced (the reduced basis).
         With `lead_stop` set, the predicate sees the accumulated lead
         exponents after every new element; once it returns true the loop
         aborts and None comes back — no partial basis escapes, the caller
         already saw the leads.
         """
-        n, bound = self.nvars, self.bound
-        if bound is not None:
-            gens = [{e: c for e, c in g.items() if sum(e[:n]) < bound} for g in gens]
         gens = [_intify(g) for g in gens if g]
-        if bound is None:
-            self._fit(self._degree(gens))
+        self._fit(self._degree(gens))
         while True:
             try:
                 return self._basis(gens, lead_stop)
@@ -392,7 +355,7 @@ class _Engine:
                 self._fit(max(grown.args[0], 2 * self.cap))
 
     def _basis(self, gens: Sequence[Dict[Exponent, int]], lead_stop) -> Optional[List[_Elt]]:
-        cfg, n, bound, dmask, guard = self.cfg, self.nvars, self.bound, self.dmask, self.guard
+        cfg, n, dmask, guard = self.cfg, self.nvars, self.dmask, self.guard
         pack = self.pack
         elts = [self.elt({pack(e): c for e, c in g.items()}) for g in gens]
         leads = [self.exponent(e.lm) for e in elts]
@@ -409,35 +372,29 @@ class _Engine:
                     continue          # leads in different components never pair
                 lcm = pack(tuple(map(max, ax, bx)))
                 d = lcm & dmask
-                if bound is not None and d >= bound:
-                    continue          # the s-polynomial lies in m^bound
                 sugar = max(a.sugar + d - (a.lm & dmask), b.sugar + d - db)
-                # normal strategy: lowest lcm first, by sugar under a global order
-                prio = -lcm if self.local else (sugar, lcm)
-                heapq.heappush(heap, (prio, i, j, sugar))
+                # normal strategy by sugar: lowest sugar, then lowest lcm
+                heapq.heappush(heap, (sugar, lcm, i, j))
 
         for j in range(len(elts)):
             add_pairs(j)
 
         handled = 0
         while heap:
-            prio, i, j, sugar = heapq.heappop(heap)
+            sugar, lcm, i, j = heapq.heappop(heap)
             done.add((i, j))
             handled += 1
             if handled > cfg.max_pairs:
                 raise ResourceLimitError(
                     f"{self.stage} basis exceeded the pair budget max_pairs={cfg.max_pairs}")
             f, g = elts[i], elts[j]
-            lcm = -prio if self.local else prio[1]
             # Product criterion: coprime leads leave an s-polynomial that
             # reduces to zero, because lm(g)f - lm(f)g = tail(f)g - tail(g)f.
-            # Under a local order the two sides can cancel when a lead divides
-            # a tail term, so one element must have ecart 0. The identity
-            # multiplies two elements, which vectors cannot do: the criterion
-            # is unsound for modules and never applies there. Leads are
-            # coprime exactly when the lcm's degree is the sum of theirs.
-            if not self.rank and (not self.local or not f.ecart or not g.ecart) and \
-                    lcm & dmask == (f.lm & dmask) + (g.lm & dmask):
+            # The identity multiplies two elements, which vectors cannot do:
+            # the criterion is unsound for modules and never applies there.
+            # Leads are coprime exactly when the lcm's degree is the sum of
+            # theirs.
+            if not self.rank and lcm & dmask == (f.lm & dmask) + (g.lm & dmask):
                 continue
             # chain criterion: a third lead dividing the lcm, both its pairs settled
             skip = False
@@ -448,7 +405,7 @@ class _Engine:
                     break
             if skip:
                 continue
-            h = self._reduce(self.spoly(f, g, lcm), elts, full=not self.local)[0]
+            h = self._reduce(self.spoly(f, g, lcm), elts, full=True)[0]
             if not h:
                 continue
             new = self.elt(h)
@@ -466,7 +423,7 @@ class _Engine:
                    if not any(k != i and not (e.lm - o.lm) & guard and (o.lm != e.lm or k < i)
                               for k, o in enumerate(elts))]
         minimal.sort(key=lambda e: e.lm, reverse=True)
-        if not self.local and not self.rank:
+        if not self.rank:
             # tail interreduction gives the unique reduced basis
             for idx in range(len(minimal)):
                 others = minimal[:idx] + minimal[idx + 1:]
@@ -475,14 +432,14 @@ class _Engine:
         return minimal
 
 
-def _staircase_profile(leads: Sequence[Exponent], nvars: int):
-    """(count, largest total degree) over the staircase, or INFINITE.
+def staircase_count(leads: Sequence[Exponent], nvars: int):
+    """Number of monomials outside the monomial ideal, or INFINITE.
 
     Finite exactly when every variable shows a pure power among the leads;
     the count then runs over the bounding box of those powers.
     """
     if any(sum(e) == 0 for e in leads):
-        return 0, -1
+        return 0
     bounds: List[int] = []
     for i in range(nvars):
         pure = [e[i] for e in leads if sum(e) == e[i]]
@@ -497,54 +454,8 @@ def _staircase_profile(leads: Sequence[Exponent], nvars: int):
             f"staircase enumeration too large: the bounding box of the pure powers "
             f"holds {size} monomials, above the cap of 2000000")
     leads = [e for e in leads if all(x < b for x, b in zip(e, bounds))]
-    count = 0
-    maxdeg = -1
-    for mono in itertools.product(*(range(b) for b in bounds)):
-        if not any(_divides(e, mono) for e in leads):
-            count += 1
-            d = sum(mono)
-            if d > maxdeg:
-                maxdeg = d
-    return count, maxdeg
-
-
-def staircase_count(leads: Sequence[Exponent], nvars: int):
-    """Number of monomials outside the monomial ideal, or INFINITE."""
-    profile = _staircase_profile(leads, nvars)
-    if profile is INFINITE:
-        return INFINITE
-    return profile[0]
-
-
-def _local_quotient_dimension(gens: Sequence[Dict[Exponent, Fraction]], nvars: int,
-                              cfg: ComputeConfig):
-    """dim of the local quotient at the origin by truncation-order growth.
-
-    A truncated basis at order N determines the true local lead ideal below
-    degree N, so once the truncated staircase is finite and tops out strictly
-    below N the count is exact — no further growth can change it. Failure to
-    certify below the configured jet bound is reported as a resource limit:
-    it means the quotient has positive local dimension or a staircase taller
-    than the bound, and the two cannot be told apart by truncation.
-    """
-    if not gens:
-        return INFINITE
-    key = key_function(OrderingSpec.local(), nvars)
-    bound = max(2, min(8, cfg.jet_bound))
-    while True:
-        # a jet: the standard basis of I + m^bound, m^bound kept implicit
-        eng = _Engine(key, True, cfg, nvars, bound=bound)
-        profile = _staircase_profile([eng.exponent(e.lm) for e in eng.basis(gens)], nvars)
-        if profile is not INFINITE and profile[1] < bound:
-            return profile[0]
-        if bound >= cfg.jet_bound:
-            raise ResourceLimitError(
-                f"local quotient dimension did not stabilize below jet_bound={cfg.jet_bound}; "
-                "the quotient may have positive local dimension")
-        if profile is INFINITE:
-            bound = min(bound * 2, cfg.jet_bound)
-        else:
-            bound = min(max(bound * 2, profile[1] + 2), cfg.jet_bound)
+    return sum(1 for mono in itertools.product(*(range(b) for b in bounds))
+               if not any(_divides(e, mono) for e in leads))
 
 
 def monomial_dimension(leads: Sequence[Exponent], nvars: int):
@@ -566,7 +477,9 @@ class Ideal:
 
     The order decides the meaning of every derived quantity: with a global
     order the handle speaks about the polynomial ring, with a local one about
-    the ring of germs at the origin.
+    the ring of germs at the origin. A local handle answers the questions
+    its leads answer (colength, dimension, unit); membership, normal forms,
+    elimination and the dimension bound need a global order.
     """
 
     def __init__(self, ctx: VariableContext, gens: Iterable[Polynomial],
@@ -594,19 +507,59 @@ class Ideal:
         return not self.ordering.is_global
 
     def _engine(self) -> _Engine:
-        return _Engine(self._key, self.is_local, self.config, len(self.ctx))
+        return _Engine(self._key, self.config, len(self.ctx))
+
+    def _require_global(self, what: str) -> None:
+        if self.is_local:
+            raise GermInputError(f"{what} requires a global order")
 
     def _keep_basis(self, eng: _Engine, elts: List[_Elt]) -> None:
-        self._basis_cache = [Polynomial._raw(self.ctx, {eng.exponent(z): Fraction(c, e.lc)
+        n = len(self.ctx)     # a Lazard engine's last variable is h, set to 1
+        self._basis_cache = [Polynomial._raw(self.ctx, {eng.exponent(z)[:n]: Fraction(c, e.lc)
                                                         for z, c in e.terms.items()})
                              for e in elts]
 
     def basis(self) -> List[Polynomial]:
-        """Reduced Groebner basis (global order) or minimal standard basis (local)."""
+        """Reduced Groebner basis (global order) or minimal standard basis
+        (local order, see `_lazard`), leads in descending order."""
         if self._basis_cache is None:
-            eng = self._engine()
-            self._keep_basis(eng, eng.basis([g.terms for g in self.gens]))
+            if self.is_local:
+                self._lazard()
+            else:
+                eng = self._engine()
+                self._keep_basis(eng, eng.basis([g.terms for g in self.gens]))
         return self._basis_cache
+
+    def _lazard(self) -> None:
+        """Keep the minimal standard basis under the local order, by
+        Lazard's method.
+
+        The ideal is the unit ideal of the local ring exactly when a
+        generator does not vanish at the origin; its basis is then 1.
+        Otherwise each generator is homogenized by a new last variable h,
+        and the global basis of those is computed under `lazard_key`. Its
+        elements are homogeneous, so each lead is the local lead of its
+        terms and survives h = 1; with h = 1 they are a standard basis of
+        the local ideal (Greuel and Pfister, 1.7), minimalized here by those
+        leads. The order compares degrees first: `max_degree` bounds the
+        homogenized degree.
+        """
+        if any(g.constant_term() for g in self.gens):
+            self._basis_cache = [Polynomial.constant(self.ctx, 1)]
+            return
+        n = len(self.ctx)
+        eng = _Engine(lazard_key(self.ordering, n), self.config, n + 1)
+        homog = []
+        for g in self.gens:
+            d = max(sum(e) for e in g.terms)
+            homog.append({e + (d - sum(e),): c for e, c in g.terms.items()})
+        elts = eng.basis(homog)
+        leads = [eng.exponent(e.lm)[:n] for e in elts]
+        minimal = [(self._key(a), e) for i, (a, e) in enumerate(zip(leads, elts))
+                   if not any(k != i and _divides(b, a) and (b != a or k < i)
+                              for k, b in enumerate(leads))]
+        minimal.sort(key=lambda ke: ke[0], reverse=True)
+        self._keep_basis(eng, [e for _, e in minimal])
 
     def leading_monomials(self) -> List[Exponent]:
         return [max(p.terms, key=self._key) for p in self.basis()]
@@ -615,24 +568,20 @@ class Ideal:
         return any(sum(e) == 0 for e in self.leading_monomials())
 
     def normal_form(self, p: Polynomial) -> Polynomial:
-        """Reduced normal form (global) or Mora weak normal form (local).
-
-        The global form is the canonical linear representative of p modulo
-        the ideal. The local form is a weak normal form: zero exactly on
-        ideal members, otherwise a primitive-integer representative that is
-        only determined up to a unit of the local ring.
-        """
+        """Reduced normal form: the canonical linear representative of p
+        modulo the ideal. Global orders only."""
         if p.ctx != self.ctx:
             raise GermInputError("normal form argument over the wrong context")
-        red, scale = self._reduce(p, full=not self.is_local)
-        if self.is_local:
-            scale = 1     # a weak normal form is only defined up to a unit anyway
+        red, scale = self._reduce(p, full=True)
         return Polynomial._raw(self.ctx, {e: Fraction(c) / scale for e, c in red.items()})
 
     def contains(self, p: Polynomial) -> bool:
-        return p.is_zero() or not self._reduce(p, full=False)[0]
+        """Membership in the ideal of the polynomial ring. Global orders
+        only: locally, compare colengths instead."""
+        return not self._reduce(p, full=False)[0]
 
     def _reduce(self, p: Polynomial, full: bool):
+        self._require_global("reduction")
         return self._engine().reduce(p.terms, [b.terms for b in self.basis()], full)
 
     # -- constructions ---------------------------------------------------
@@ -646,8 +595,7 @@ class Ideal:
 
     def elimination(self, names: Iterable[str]) -> "Ideal":
         """Intersect with the subring omitting `names` (block order; global only)."""
-        if not self.ordering.is_global:
-            raise GermInputError("elimination requires a global order")
+        self._require_global("elimination")
         names = list(names)
         front = tuple(self.ctx.index(n) for n in names)
         spec = OrderingSpec.elimination(front, len(self.ctx))
@@ -681,24 +629,18 @@ class Ideal:
     # -- dimensions ------------------------------------------------------
 
     def quotient_dimension(self):
-        """Vector-space dimension of the quotient over the handle's ring.
+        """Vector-space dimension of the quotient over the handle's ring:
+        the polynomial ring for a global order, the ring of germs at the
+        origin for a local one.
 
-        Global order: staircase of the reduced basis, INFINITE when some
-        variable has no pure power in the leading ideal. Local order: the
-        dimension of the quotient of germs at the origin, computed through
-        truncated standard bases (see _local_quotient_dimension) rather than
-        through a full Mora basis — the two agree, but truncation keeps large
-        inputs affordable. Truncation starts at order 8 and doubles until
-        the count is certified or the jet bound is reached.
+        Exact either way: it counts the staircase of the basis leads, and is
+        INFINITE when some variable has no pure power among them.
         """
-        if self.ordering.is_global:
-            return staircase_count(self.leading_monomials(), len(self.ctx))
-        return _local_quotient_dimension([g.terms for g in self.gens],
-                                         len(self.ctx), self.config)
+        return staircase_count(self.leading_monomials(), len(self.ctx))
 
     def dimension(self):
-        """Krull dimension of the quotient read off the leading ideal; EMPTY
-        for the unit ideal."""
+        """Krull dimension of the quotient read off the leading ideal (at
+        the origin, for a local order); EMPTY for the unit ideal."""
         return monomial_dimension(self.leading_monomials(), len(self.ctx))
 
     def dimension_bound(self, stop_at: int):
@@ -709,11 +651,9 @@ class Ideal:
         ideal, so that dimension only shrinks as elements accumulate and is
         an upper bound throughout. Once it reaches `stop_at` the loop aborts
         and the bound is returned; if the loop finishes first the result is
-        exact (and the basis is kept). Requires a global order — local leads
-        stabilize too, but nothing certifies when.
+        exact (and the basis is kept). Requires a global order.
         """
-        if not self.ordering.is_global:
-            raise GermInputError("dimension bound requires a global order")
+        self._require_global("dimension bound")
         if self._basis_cache is not None:
             return self.dimension()
         n = len(self.ctx)

@@ -23,9 +23,9 @@ parameter variables. Branch expressions live in the source variables plus
 the parameter, the image expression in the target variables plus the
 parameter. `#` starts a comment anywhere.
 
-Config overrides are single lines `seed N`, `retries N`, `jet-bound N`,
-`max-pairs N`, `max-degree N`; any other keyword is a parse error, and so is
-a value of 0 or less for any of them but `seed`.
+Config overrides are single lines `seed N`, `retries N`, `max-pairs N`,
+`max-degree N`; any other keyword is a parse error, and so is a value of 0
+or less for any of them but `seed`.
 
 `print_germ_file` emits the canonical form: fixed section order, one
 canonical expression per branch line. Parsing the printed form reproduces
@@ -47,7 +47,6 @@ from .poly import Polynomial, VariableContext
 _CONFIG_KEYS: Tuple[Tuple[str, str], ...] = (
     ("seed", "seed"),
     ("retries", "s0_retries"),
-    ("jet-bound", "jet_bound"),
     ("max-pairs", "max_pairs"),
     ("max-degree", "max_degree"),
 )

@@ -20,10 +20,9 @@ from that single equation:
 * pairing the same annihilating fields with cotangent coordinates cuts out
   the logarithmic characteristic locus (`lc_ideal`).
 
-All verdicts are exact: dimensions come from certified truncations or
-completed bases, never from numerics or a stopping heuristic, and the two
-routes to the image Milnor number are computed independently and compared,
-not reconciled.
+All verdicts are exact: dimensions come from completed bases, never from
+numerics or a stopping heuristic, and the two routes to the image Milnor
+number are computed independently and compared, not reconciled.
 """
 
 from __future__ import annotations
@@ -104,7 +103,6 @@ class ImageEquation:
     g: Polynomial
     provenance: str                      # "eliminated" | "user-supplied"
     factors: Tuple[Polynomial, ...]      # one per branch
-    warnings: Tuple[str, ...]
     config: ComputeConfig = DEFAULT_CONFIG
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -129,62 +127,6 @@ def _branch_image(branch: Sequence[Polynomial], spec: MapGermSpec,
     return basis[0]
 
 
-def _univariate_squarefree(p: Dict[int, Fraction]) -> bool:
-    """gcd(p, p') constant, for a univariate coefficient dict."""
-    def degree(f):
-        return max(f) if f else -1
-
-    def rem(a, b):
-        a = dict(a)
-        db, lb = degree(b), b[max(b)]
-        while a and degree(a) >= db:
-            da, la = degree(a), a[max(a)]
-            for e, c in b.items():
-                t = e + da - db
-                s = a.get(t, Fraction(0)) - la / lb * c
-                if s:
-                    a[t] = s
-                else:
-                    a.pop(t, None)
-        return a
-
-    dp = {e - 1: c * e for e, c in p.items() if e}
-    a, b = p, dp
-    while b:
-        a, b = b, rem(a, b)
-    return degree(a) <= 0
-
-
-def _line_guard(g: Polynomial, seed: int) -> Optional[str]:
-    """Probabilistic reducedness check: restrict g to random lines through 0.
-
-    The origin itself is expected to be a multiple root (the germ is
-    singular there), so the vanishing order at t = 0 is stripped before the
-    squarefree test. Any line passing the test certifies nothing beyond
-    plausibility; only repeated failures are reported, as a warning.
-    """
-    rng = random.Random(seed)
-    n = len(g.ctx)
-    for _ in range(3):
-        direction = [rng.randint(1, 5) for _ in range(n)]
-        uni: Dict[int, Fraction] = {}
-        for exp, c in g.terms.items():
-            d = sum(exp)
-            w = c
-            for e, v in zip(exp, direction):
-                w *= Fraction(v) ** e
-            uni[d] = uni.get(d, Fraction(0)) + w
-        uni = {e: c for e, c in uni.items() if c}
-        if not uni:
-            continue   # line inside the hypersurface; try another
-        low = min(uni)
-        uni = {e - low: c for e, c in uni.items()}
-        if _univariate_squarefree(uni):
-            return None
-    return ("image equation may be non-reduced: restrictions to sampled lines "
-            "through the origin have repeated factors")
-
-
 def image_equation(spec: MapGermSpec, config: ComputeConfig = DEFAULT_CONFIG,
                    cached_factors: Optional[Sequence[Polynomial]] = None
                    ) -> ImageEquation:
@@ -193,14 +135,21 @@ def image_equation(spec: MapGermSpec, config: ComputeConfig = DEFAULT_CONFIG,
     Each branch is eliminated separately; a multigerm image is the union of
     the branch images, so the generators are multiplied. Distinct branches
     must not share a component (the product would not be reduced) — checked
-    by divisibility. A user-supplied equation skips elimination but not the
-    composition check. `cached_factors` (one per branch, from a trusted
-    cache) also skips only the elimination step: every validation below
-    still runs against them.
+    by divisibility. An eliminated equation is reduced by construction: the
+    graph ideal is prime, so its contraction is prime and the generator
+    irreducible. A user-supplied equation skips elimination but not the
+    composition check, and must be reduced, which holds exactly when its
+    singular locus {g = dg = 0} has codimension at least 2. `cached_factors`
+    (one per branch, from a trusted cache) also skips only the elimination
+    step: every validation below still runs against them.
     """
-    warnings: List[str] = []
     if spec.image_g is not None:
         g = spec.image_g
+        sing = Ideal(g.ctx, [g] + [g.partial(n) for n in g.ctx.names], DEGREVLEX,
+                     config).dimension()
+        if sing is not EMPTY and sing > len(g.ctx) - 2:
+            raise GermInputError("supplied image equation is not reduced: it is "
+                                 "singular along a hypersurface (a repeated factor)")
         factors: Tuple[Polynomial, ...] = (g,)
         provenance = "user-supplied"
     else:
@@ -230,11 +179,7 @@ def image_equation(spec: MapGermSpec, config: ComputeConfig = DEFAULT_CONFIG,
         bindings = dict(zip(spec.target, branch))
         if not g.substitute(bindings, target=sctx).is_zero():
             raise GermInputError(f"image equation does not vanish on branch {i}")
-
-    note = _line_guard(g, config.seed)
-    if note:
-        warnings.append(note)
-    return ImageEquation(spec, g, provenance, factors, tuple(warnings), config)
+    return ImageEquation(spec, g, provenance, factors, config)
 
 
 # -- shared derived objects --------------------------------------------------
@@ -381,14 +326,10 @@ def milnor_number(h: Polynomial, config: ComputeConfig = DEFAULT_CONFIG):
     """Local dimension of the Jacobian quotient at the origin; INFINITE for
     non-isolated singularities.
 
-    The finite case is certified by jet truncation. When truncation gives
-    out, the cause is decided exactly: the Krull dimension of the local
-    quotient is read off the leads of a Mora standard basis, which is exact
-    under a local degree order (Greuel-Pfister, A Singular Introduction to
-    Commutative Algebra, the chapter on dimension). The singularity is
-    non-isolated precisely when that dimension is positive. A
-    finite-but-huge answer beyond the jet bound stays a resource error,
-    prefixed with the stage, rather than becoming a wrong INFINITE.
+    Both answers are exact: the colength is the staircase of the leads of a
+    local standard basis, and it is infinite precisely when the local
+    quotient has positive dimension, that is, when the singularity is not
+    isolated.
     """
     if h.is_zero():
         raise GermInputError("Milnor number of the zero polynomial")
@@ -396,13 +337,7 @@ def milnor_number(h: Polynomial, config: ComputeConfig = DEFAULT_CONFIG):
         raise GermInputError("Milnor number needs a germ vanishing at the origin")
     ctx = h.ctx
     jac = [p for p in (h.partial(n) for n in ctx.names) if not p.is_zero()]
-    local = Ideal(ctx, jac, LOCAL, config)
-    try:
-        return local.quotient_dimension()
-    except ResourceLimitError as exc:
-        if local.dimension() > 0:
-            return INFINITE
-        raise ResourceLimitError(f"Milnor number: {exc}") from exc
+    return Ideal(ctx, jac, LOCAL, config).quotient_dimension()
 
 
 @dataclass(frozen=True)
@@ -660,7 +595,7 @@ def full_report(spec: MapGermSpec, config: ComputeConfig = DEFAULT_CONFIG,
     warnings, never silent preferences. `s0` pins the slice sample point;
     `image` reuses an already-built (possibly cache-backed) equation."""
     G = image if image is not None else image_equation(spec, config)
-    warnings = list(G.warnings)
+    warnings: List[str] = []
     disagreement = False
 
     mu = image_milnor_number(G)

@@ -3,8 +3,9 @@
 Every supported order is translated into a key function mapping an exponent
 tuple to a tuple of ints, so that order comparison is plain tuple comparison
 and leading terms come from max(). Local (anti-degree) orders make 1 the
-largest monomial; the standard-basis engine reduces by Mora's rule or by
-truncation under those. Module orders are built on these keys in `syzygy`.
+largest monomial; the standard-basis engine, which needs a well-order, runs
+them through Lazard's homogenization under `lazard_key`. Module orders are
+built on these keys in `syzygy`.
 """
 
 from __future__ import annotations
@@ -82,3 +83,10 @@ def key_function(spec: OrderingSpec, nvars: int) -> Callable[[Tuple[int, ...]], 
         return key
     raise GermInputError(f"unknown ordering kind {spec.kind!r}")
 
+
+def lazard_key(spec: OrderingSpec, nvars: int) -> Callable[[Tuple[int, ...]], tuple]:
+    """Key on exponents (x_1..x_n, h) of the homogenized ring: total degree
+    first, then `spec` on the x-part. A global order for any `spec`; on a
+    homogeneous polynomial its lead is the `spec` lead of the x-parts."""
+    key = key_function(spec, nvars)
+    return lambda e: (sum(e),) + key(e[:nvars])

@@ -6,10 +6,10 @@ ring exponent followed by (c, r - c) for component c of a free module of
 rank r. The syzygy computation is the classical free-module construction:
 present each input g_i as a row (g_i, e_i) in R x R^k, run a basis under a
 module order whose first slot dominates, and harvest the rows whose first
-slot vanished. Among the unit-tracking slots the order is term-over-position
-(any order works there, and this one yields markedly smaller syzygies than
-stratifying by component). The engine never applies the product criterion
-to module elements; see its pair loop.
+slot vanished. The ring order is degrevlex; among the unit-tracking slots
+the order is term-over-position (any order works there, and this one yields
+markedly smaller syzygies than stratifying by component). The engine never
+applies the product criterion to module elements; see its pair loop.
 
 Vector fields live here too: a field is its coefficient tuple against the
 coordinate partials, and the fields annihilating g (respectively tangent to
@@ -32,18 +32,16 @@ from .poly import Exponent, Polynomial, VariableContext
 Vector = Tuple[Polynomial, ...]
 
 
-def _engine(ctx: VariableContext, ordering: Optional[OrderingSpec], rank: int,
-            config: ComputeConfig) -> _Engine:
+def _engine(ctx: VariableContext, rank: int, config: ComputeConfig) -> _Engine:
     """Engine for submodules of R^rank: the first slot dominates, then
-    term-over-position with lower components first."""
-    ordering = ordering or OrderingSpec.degrevlex()
+    degrevlex term-over-position with lower components first."""
     n = len(ctx)
-    ring_key = key_function(ordering, n)
+    ring_key = key_function(OrderingSpec.degrevlex(), n)
 
     def key(t: Exponent):
         return ((1 if t[n] == 0 else 0),) + ring_key(t[:n]) + (-t[n],)
 
-    return _Engine(key, not ordering.is_global, config, n, rank=rank)
+    return _Engine(key, config, n, rank=rank)
 
 
 def _encode(vec: Sequence[Polynomial], rank: int) -> Dict[Exponent, Fraction]:
@@ -63,31 +61,28 @@ class SyzygyBasis:
     components: Tuple[str, ...]
     original: Tuple[Polynomial, ...]
     elements: List[Vector]
-    _bases: dict = field(default_factory=dict, repr=False, compare=False)
+    _basis: Optional[list] = field(default=None, repr=False, compare=False)
 
-    def contains(self, vec: Vector, ordering: Optional[OrderingSpec] = None) -> bool:
-        """Whether vec lies in the module the elements generate: over the
-        polynomial ring for a global `ordering` (degrevlex by default), over
-        the local ring at the origin for a local one."""
+    def contains(self, vec: Vector) -> bool:
+        """Whether vec lies in the module the elements generate over the
+        polynomial ring."""
         rank = len(self.components)
         if len(vec) != rank or any(p.ctx != self.ctx for p in vec):
             raise GermInputError("module element of the wrong rank or context")
-        eng = _engine(self.ctx, ordering, rank, DEFAULT_CONFIG)
-        if ordering not in self._bases:
-            self._bases[ordering] = [eng.decoded(e) for e in
-                                     eng.basis([_encode(v, rank) for v in self.elements])]
-        return not eng.reduce(_encode(vec, rank), self._bases[ordering], full=False)[0]
+        eng = _engine(self.ctx, rank, DEFAULT_CONFIG)
+        if self._basis is None:
+            self._basis = [eng.decoded(e) for e in
+                           eng.basis([_encode(v, rank) for v in self.elements])]
+        return not eng.reduce(_encode(vec, rank), self._basis, full=False)[0]
 
 
 def syzygy_basis(polys: Sequence[Polynomial],
-                 ordering: Optional[OrderingSpec] = None,
                  labels: Optional[Sequence[str]] = None,
                  config: ComputeConfig = DEFAULT_CONFIG) -> SyzygyBasis:
     """Generating set of {(a_1..a_k) : sum a_i p_i = 0}.
 
     Computed over the polynomial ring; a generating set over the local ring
-    too, localization being flat. Pass a local `ordering` to run the engine
-    under Mora's rule instead. Harvested vectors have primitive integer
+    too, localization being flat. Harvested vectors have primitive integer
     coefficients and a positive leading coefficient.
     """
     polys = list(polys)
@@ -109,7 +104,7 @@ def syzygy_basis(polys: Sequence[Polynomial],
     rows = [_encode([p] + [one if j == i else zero for j in range(k)], rank)
             for i, p in enumerate(polys)]
     elements: List[Vector] = []
-    eng = _engine(ctx, ordering, rank, config)
+    eng = _engine(ctx, rank, config)
     for elt in eng.basis(rows):
         # the first slot dominates the order, so an element has a term there
         # exactly when its lead is there

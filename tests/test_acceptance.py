@@ -159,7 +159,7 @@ def test_substrate_engines():
                                      1 / g.terms[lg])
             assert ideal.normal_form(mf * f - mg * g).is_zero()
 
-    # local (Mora) route: units in the tail must not inflate the quotient
+    # local (Lazard) route: units in the tail must not inflate the quotient
     local = Ideal(ctx, [x ** 2 + x ** 3, y], LOC)
     assert local.quotient_dimension() == 2
 

@@ -194,10 +194,11 @@ def test_pair_budget_exits_2(capsys, tmp_path, tmp_corpus):
 
 def test_unknown_limit_key_exits_1(capsys, tmp_path, tmp_corpus):
     limits = tmp_path / "limits.txt"
-    limits.write_text("pairs 1\n")
-    code, _, err = run(capsys, "report", tmp_corpus("s1"),
-                       "--limits", str(limits))
-    assert code == 1 and "unknown limit" in err
+    for key in ("pairs", "jet-bound"):
+        limits.write_text(f"{key} 1\n")
+        code, _, err = run(capsys, "report", tmp_corpus("s1"),
+                           "--limits", str(limits))
+        assert code == 1 and f"unknown limit '{key}'" in err
 
 
 def test_non_positive_limit_exits_1(capsys, tmp_path, tmp_corpus):

@@ -7,6 +7,7 @@ from germinv import (
     ComputeConfig, EMPTY, GermInputError, INFINITE, Ideal, OrderingSpec,
     Polynomial, ResourceLimitError, VariableContext,
 )
+from germinv.exprparse import parse_polynomial
 from germinv.gb import monomial_dimension, staircase_count
 from germinv.orderings import key_function
 
@@ -109,25 +110,40 @@ def test_membership_explicit_combinations():
     assert not ideal.contains(Polynomial.constant(C2, 1))
 
 
-# -- local (Mora) behavior -------------------------------------------------------
+# -- local (Lazard) behavior ------------------------------------------------------
+# A local handle answers through its leads only, so a member is recognized by
+# leaving the colength unchanged when it is added.
 
 def test_local_unit_absorption_dimension():
-    # x^2 + x^3 = x^2(1 + x) and 1 + x is a unit at the origin
+    # x^2 + x^3 = x^2(1 + x) and 1 + x is a unit at the origin, so x^2 is a
+    # member of the local ideal
     ideal = Ideal(C2, [X2 ** 2 + X2 ** 3, Y2], LOC)
     assert ideal.quotient_dimension() == 2
-    assert ideal.contains(X2 ** 2)
+    assert Ideal(C2, ideal.gens + [X2 ** 2], LOC).quotient_dimension() == 2
 
 
 def test_local_vs_global_membership():
-    local = Ideal(C2, [X2 - X2 ** 2, Y2], LOC)
-    glob = Ideal(C2, [X2 - X2 ** 2, Y2], DRL)
-    assert local.contains(X2)        # 1 - x is invertible locally
-    assert not glob.contains(X2)     # but not in the polynomial ring
-    assert local.quotient_dimension() == 1
-    assert glob.quotient_dimension() == 2    # V = {(0,0), (1,0)}
+    gens = [X2 - X2 ** 2, Y2]
+    # 1 - x is invertible locally, so x is a local member
+    assert Ideal(C2, gens, LOC).quotient_dimension() == 1
+    assert Ideal(C2, gens + [X2], LOC).quotient_dimension() == 1
+    # but not a member in the polynomial ring: V = {(0,0), (1,0)} loses (1,0)
+    glob = Ideal(C2, gens, DRL)
+    assert not glob.contains(X2)
+    assert glob.quotient_dimension() == 2
+    assert Ideal(C2, gens + [X2], DRL).quotient_dimension() == 1
 
 
-def test_jet_route_matches_mora_staircase():
+def test_local_membership_and_normal_forms_are_refused():
+    local = Ideal(C2, [X2, Y2], LOC)
+    for call in (local.contains, local.normal_form):
+        with pytest.raises(GermInputError, match="global order"):
+            call(X2)
+
+
+def test_local_colength_matches_global_staircase():
+    # pure powers of every variable plus a term vanishing at 0: V(I) = {0},
+    # so the local quotient is the whole global one, an independent count
     rng = random.Random(37)
     cases = [(C2, [X2, Y2])] * 15 + [(C3, [X3, Y3, Z3])] * 10
     for ctx, variables in cases:
@@ -137,10 +153,21 @@ def test_jet_route_matches_mora_staircase():
         extra = extra - Polynomial.constant(ctx, extra.constant_term())
         if not extra.is_zero():
             gens.append(extra)
-        jets = Ideal(ctx, gens, LOC).quotient_dimension()
-        mora = Ideal(ctx, gens, LOC)
-        leads = [max(p.terms, key=mora._key) for p in mora.basis()]
-        assert jets == staircase_count(leads, len(ctx))
+        local = Ideal(ctx, gens, LOC).quotient_dimension()
+        assert local == Ideal(ctx, gens, DRL).quotient_dimension()
+        assert local is not INFINITE
+
+
+def test_local_unit_ideal_answers_at_once():
+    # the second generator does not vanish at the origin; a tight pair
+    # budget shows that no basis run is needed to see the unit
+    gens = [parse_polynomial(t, C2) for t in (
+        "-3*x^2*y^4 + 2*x*y^3 + 2*x^2*y + 4/3*y^2",
+        "-x^3*y^4 + 4*x^4*y^2 - x*y^4 + 5",
+        "5*x^3*y + 4*x^2*y^2 + x^3 - 2*y^3")]
+    ideal = Ideal(C2, gens, LOC, ComputeConfig(max_pairs=100))
+    assert ideal.is_unit()
+    assert ideal.quotient_dimension() == 0
 
 
 # -- elimination -----------------------------------------------------------------
@@ -214,6 +241,7 @@ def test_quotient_dimension_monomial_and_unit_cases():
     assert Ideal(C2, [X2 ** 2, Y2 ** 3], DRL).quotient_dimension() == 6
     assert Ideal(C2, [X2 ** 2, Y2 ** 3], LOC).quotient_dimension() == 6
     assert Ideal(C2, [X2], DRL).quotient_dimension() is INFINITE
+    assert Ideal(C2, [X2], LOC).quotient_dimension() is INFINITE
     unit = Ideal(C2, [Polynomial.constant(C2, 1)], DRL)
     assert unit.is_unit()
     assert unit.quotient_dimension() == 0
@@ -264,16 +292,20 @@ def test_packing_fits_inputs_beyond_max_degree():
     # the engine packs each monomial into one int; the field widths follow
     # the inputs where they exceed max_degree
     assert not Ideal(C2, [Y2]).contains(X2 ** 5000)
-    assert not Ideal(C2, [Y2], LOC).contains(X2 ** 5000)
+    assert Ideal(C2, [Y2, X2 ** 5000], LOC).quotient_dimension() == 5000
     assert Ideal(C2, [Y2]).normal_form(X2 ** 3000 + Y2) == X2 ** 3000
     gens = [X2 ** 300 + Y2, Y2 ** 2]
     basis = Ideal(C2, gens, config=ComputeConfig(max_degree=2)).basis()
     assert sorted(map(str, basis)) == sorted(map(str, gens))
-    # the s-polynomial of the two leads leaves y^7, above both max_degree
-    # and the inputs' degree: the run starts over with wider fields
-    cfg = ComputeConfig(max_degree=5)
-    basis = Ideal(C2, [2 * X2 ** 2 - Y2 ** 4, X2 ** 2 * Y2 ** 3], LOC, cfg).basis()
-    assert [str(b) for b in basis] == ["-1/2*y^4 + x^2", "y^7"]
+    # under the block order of an elimination, reducing an s-polynomial
+    # leaves a term of degree 7, above both max_degree and the inputs'
+    # degree: the run starts over with wider fields
+    ctx = VariableContext.make(source=("t",), target=("x", "y"))
+    t, x, y = (Polynomial.variable(ctx, n) for n in ("t", "x", "y"))
+    gens = [x ** 4 * y + t * x * y, -2 * x ** 4 + t * x * y]
+    for max_degree in (6, 120):
+        elim = Ideal(ctx, gens, config=ComputeConfig(max_degree=max_degree)).elimination(["t"])
+        assert [str(b) for b in elim.basis()] == ["x^4*y + 2*x^4"]
 
 
 def test_context_mismatch_rejected():

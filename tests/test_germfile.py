@@ -55,10 +55,10 @@ def test_flags_and_weights_are_carried():
 
 def test_config_overrides_flow_into_config():
     gf = parse_germ_file(MINIMAL + "seed 17\nretries 3\n"
-                         "jet-bound 40\nmax-pairs 1000\nmax-degree 50\n")
+                         "max-pairs 1000\nmax-degree 50\n")
     cfg = gf.config()
     assert (cfg.seed, cfg.s0_retries) == (17, 3)
-    assert (cfg.jet_bound, cfg.max_pairs, cfg.max_degree) == (40, 1000, 50)
+    assert (cfg.max_pairs, cfg.max_degree) == (1000, 50)
     assert gf.config() == gf.config()   # stable, no hidden state
 
 
@@ -104,7 +104,7 @@ def test_image_expression_uses_target_context():
     (lambda t: t + "retries nine\n", "'retries' needs one integer"),
     (lambda t: t + "retries 4\nretries 5\n", "duplicate 'retries'"),
     (lambda t: t + "retries 0\n", "'retries' needs a positive integer"),
-    (lambda t: t + "jet-bound -3\n", "'jet-bound' needs a positive integer"),
+    (lambda t: t + "jet-bound 40\n", "unknown keyword 'jet-bound'"),
     (lambda t: t + "max-pairs 0\n", "'max-pairs' needs a positive integer"),
     (lambda t: t + "max-degree -3\n", "'max-degree' needs a positive integer"),
     (lambda t: t + "weights y1=1\nweights y2=1\n", "duplicate 'weights'"),

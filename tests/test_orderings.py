@@ -6,7 +6,7 @@ import pytest
 from germinv import syzygy
 from germinv.config import DEFAULT_CONFIG
 from germinv.gb import _Engine
-from germinv.orderings import OrderingSpec, key_function
+from germinv.orderings import OrderingSpec, key_function, lazard_key
 from germinv.poly import VariableContext
 
 DRL = OrderingSpec.degrevlex()
@@ -42,15 +42,17 @@ def test_elimination_front_block_dominates():
 def test_keys_are_total_and_multiplicative():
     # each order against its reference key, and the engine's packing of it
     # against the same key: int order is key order, a product is an
-    # addition, and the guard mask tests divisibility
+    # addition, and the guard mask tests divisibility. The Lazard key runs
+    # over the three variables and the homogenizing one.
     ctx = VariableContext.make(source=("x", "y", "z"))
-    engines = [_Engine(key_function(spec, 3), not spec.is_global, DEFAULT_CONFIG, 3)
+    engines = [_Engine(key_function(spec, 3), DEFAULT_CONFIG, 3)
                for spec in (DRL, LOC, OrderingSpec.elimination((0, 1), 3))]
-    engines.append(syzygy._engine(ctx, None, 3, DEFAULT_CONFIG))
+    engines.append(_Engine(lazard_key(LOC, 3), DEFAULT_CONFIG, 4))
+    engines.append(syzygy._engine(ctx, 3, DEFAULT_CONFIG))
     for eng in engines:
         rng = random.Random(3)
-        key = eng.key
-        pts = sample_exponents(rng, 3, 25)
+        key, n = eng.key, eng.nvars
+        pts = sample_exponents(rng, n, 25)
         if eng.rank:
             comps = [rng.randrange(eng.rank) for _ in pts]
             pts = [e + (c, eng.rank - c) for e, c in zip(pts, comps)]
@@ -59,21 +61,21 @@ def test_keys_are_total_and_multiplicative():
                 continue
             assert (key(a) > key(b)) != (key(b) > key(a))
             # monomial orders respect multiplication
-            c = tuple(rng.randint(0, 3) for _ in range(3))
-            ac = tuple(i + j for i, j in zip(a, c)) + a[3:]
-            bc = tuple(i + j for i, j in zip(b, c)) + b[3:]
+            c = tuple(rng.randint(0, 3) for _ in range(n))
+            ac = tuple(i + j for i, j in zip(a, c)) + a[n:]
+            bc = tuple(i + j for i, j in zip(b, c)) + b[n:]
             assert (key(a) > key(b)) == (key(ac) > key(bc))
             za, zb = eng.pack(a), eng.pack(b)
             assert eng.exponent(za) == a
             assert (za > zb) == (key(a) > key(b))
-            assert eng.pack(ac) == za + eng.pack(c + a[3:]) - eng.pack((0, 0, 0) + a[3:])
+            assert eng.pack(ac) == za + eng.pack(c + a[n:]) - eng.pack((0,) * n + a[n:])
             assert (not (zb - za) & eng.guard) == all(x <= y for x, y in zip(a, b))
             assert not (eng.pack(ac) - za) & eng.guard
 
 
 def test_packing_rejects_a_key_that_is_not_affine():
     with pytest.raises(ValueError, match="not affine"):
-        _Engine(lambda e: (max(e),) + tuple(e), False, DEFAULT_CONFIG, 3)
+        _Engine(lambda e: (max(e),) + tuple(e), DEFAULT_CONFIG, 3)
 
 
 def test_is_global_flag():

@@ -6,11 +6,11 @@ report), and prints it in one of two formats: `human` (aligned table) or
 for a fixed seed). Exit codes: 0 success, 1 bad input, 2 resource limit
 exceeded, 3 the routes that must agree did not.
 
-The expensive step shared by every command is the image equation; its
-branch factors are cached in a sidecar `<file>.gcache` keyed by a content
-hash of the declarations and branch block, so repeated invocations on an
-unchanged file skip elimination. The cache never stores invariants — those
-are recomputed every time, disagreements included.
+Every command starts from the image equation. Its branch factors are
+written to a sidecar `<file>.gcache` keyed by a content hash of the
+declarations and branch block; a later run still eliminates every branch and
+must find the same factors, or it stops with exit code 1. The sidecar never
+stores invariants — those are recomputed every time, disagreements included.
 """
 
 from __future__ import annotations

@@ -594,12 +594,15 @@ class Ideal:
         return Ideal(self.ctx, self.gens, ordering, self.config)
 
     def elimination(self, names: Iterable[str]) -> "Ideal":
-        """Intersect with the subring omitting `names` (block order; global only)."""
+        """Intersect with the subring omitting `names` (global only).
+
+        Read off the basis under the block order that eliminates `names`; a
+        handle already under that order answers from its own cached basis.
+        """
         self._require_global("elimination")
         names = list(names)
         front = tuple(self.ctx.index(n) for n in names)
-        spec = OrderingSpec.elimination(front, len(self.ctx))
-        work = Ideal(self.ctx, self.gens, spec, self.config)
+        work = self.with_ordering(OrderingSpec.elimination(front, len(self.ctx)))
         front_set = set(front)
         keep_idx = [i for i in range(len(self.ctx)) if i not in front_set]
         new_ctx = self.ctx.drop(names)

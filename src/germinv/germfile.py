@@ -16,7 +16,7 @@ One germ per file; a corpus is a directory of files. The format:
 Sections may appear in any order. `source`/`target`/`parameter` declare the
 variables; each `branch` .. `end` block lists one expression per target
 coordinate (several blocks make a multigerm); an optional `image` line
-supplies the image equation directly (skipping elimination); bare
+supplies the image equation (used instead of the eliminated one); bare
 `stabilisation` / `stable-unfolding` lines assert the corresponding flags;
 `weights name=w ...` asserts quasi-homogeneous weights for the target and
 parameter variables. Branch expressions live in the source variables plus

@@ -111,15 +111,28 @@ class ImageEquation:
         return self.g.ctx
 
 
-def _branch_image(branch: Sequence[Polynomial], spec: MapGermSpec,
-                  cfg: ComputeConfig) -> Polynomial:
-    """Principal generator of the branch's image, by eliminating the source."""
+def _graph(branch: Sequence[Polynomial], spec: MapGermSpec,
+           cfg: ComputeConfig) -> Ideal:
+    """The branch's graph ideal (y - f(x, s)), under the order that
+    eliminates the source.
+
+    One handle answers every image question, from one basis: its
+    elimination is the branch's image factor (Cox, Little and O'Shea,
+    Ideals, Varieties, and Algorithms, 3.3), and since Q[x, y, s]/(y - f)
+    is Q[x, s], a polynomial g in y and s lies in it exactly when
+    g(f(x, s), s) = 0, that is when g vanishes on the branch.
+    """
     ctx = VariableContext.make(source=spec.source, target=spec.target,
                                parameter=(spec.parameter,))
     gens = [Polynomial.variable(ctx, y) - p.rename(ctx)
             for y, p in zip(spec.target, branch)]
-    elim = Ideal(ctx, gens, DEGREVLEX, cfg).elimination(spec.source)
-    basis = elim.basis()
+    order = OrderingSpec.elimination(tuple(range(len(spec.source))), len(ctx))
+    return Ideal(ctx, gens, order, cfg)
+
+
+def _branch_image(graph: Ideal, spec: MapGermSpec) -> Polynomial:
+    """Principal generator of the branch's image: the graph's elimination."""
+    basis = graph.elimination(spec.source).basis()
     if len(basis) != 1:
         raise GermInputError(
             "branch image is not a hypersurface (elimination ideal not principal); "
@@ -132,17 +145,19 @@ def image_equation(spec: MapGermSpec, config: ComputeConfig = DEFAULT_CONFIG,
                    ) -> ImageEquation:
     """Equation of the image of the unfolding in target-parameter space.
 
-    Each branch is eliminated separately; a multigerm image is the union of
-    the branch images, so the generators are multiplied. Distinct branches
-    must not share a component (the product would not be reduced) — checked
-    by divisibility. An eliminated equation is reduced by construction: the
-    graph ideal is prime, so its contraction is prime and the generator
-    irreducible. A user-supplied equation skips elimination but not the
-    composition check, and must be reduced, which holds exactly when its
-    singular locus {g = dg = 0} has codimension at least 2. `cached_factors`
-    (one per branch, from a trusted cache) also skips only the elimination
-    step: every validation below still runs against them.
+    Each branch is eliminated from its graph (`_graph`); a multigerm image
+    is the union of the branch images, so the generators are multiplied.
+    An eliminated factor is reduced by construction: the graph ideal is
+    prime, so its contraction is prime and its monic generator irreducible.
+    Two branches therefore share an image component exactly when their
+    factors are equal, and the product would then not be reduced.
+    `cached_factors` (one per branch, read from a `.gcache` sidecar) must
+    equal the eliminated factors. A user-supplied equation must be reduced,
+    which holds exactly when its singular locus {g = dg = 0} has codimension
+    at least 2. Either way the equation must lie in every branch's graph
+    ideal, that is vanish on every branch.
     """
+    graphs = [_graph(b, spec, config) for b in spec.branches]
     if spec.image_g is not None:
         g = spec.image_g
         sing = Ideal(g.ctx, [g] + [g.partial(n) for n in g.ctx.names], DEGREVLEX,
@@ -153,16 +168,14 @@ def image_equation(spec: MapGermSpec, config: ComputeConfig = DEFAULT_CONFIG,
         factors: Tuple[Polynomial, ...] = (g,)
         provenance = "user-supplied"
     else:
-        if cached_factors is not None:
-            if len(cached_factors) != len(spec.branches):
-                raise GermInputError("cached factor count does not match branches")
-            fs = list(cached_factors)
-        else:
-            fs = [_branch_image(b, spec, config) for b in spec.branches]
+        fs = [_branch_image(graph, spec) for graph in graphs]
+        if cached_factors is not None and list(cached_factors) != fs:
+            raise GermInputError(
+                "the image factors in the .gcache sidecar differ from the "
+                "eliminated ones; delete the sidecar")
         for i in range(len(fs)):
             for j in range(i + 1, len(fs)):
-                if Ideal(fs[j].ctx, [fs[j]], DEGREVLEX, config).contains(fs[i]) or \
-                        Ideal(fs[i].ctx, [fs[i]], DEGREVLEX, config).contains(fs[j]):
+                if fs[i] == fs[j]:
                     raise GermInputError(
                         f"branches {i} and {j} share an image component; "
                         "the image equation would not be reduced")
@@ -174,10 +187,8 @@ def image_equation(spec: MapGermSpec, config: ComputeConfig = DEFAULT_CONFIG,
 
     if g.constant_term():
         raise GermInputError("image equation does not vanish at the origin")
-    sctx = spec.source_ctx()
-    for i, branch in enumerate(spec.branches):
-        bindings = dict(zip(spec.target, branch))
-        if not g.substitute(bindings, target=sctx).is_zero():
+    for i, graph in enumerate(graphs):
+        if not graph.contains(g.rename(graph.ctx)):
             raise GermInputError(f"image equation does not vanish on branch {i}")
     return ImageEquation(spec, g, provenance, factors, config)
 
@@ -353,17 +364,11 @@ def _off_slice_count(G: ImageEquation, value: Fraction):
     """Total Milnor number of g_{s:=value}'s critical points off its zero set,
     over the whole affine target space: the global dimension of the
     coordinate ring modulo the Jacobian ideal saturated by the slice."""
-    sname = G.spec.parameter
-    ctx_y = G.ctx.drop([sname])
-    sidx = G.ctx.index(sname)
-    keep = [i for i in range(len(G.ctx)) if i != sidx]
-    gs = G.g.substitute({sname: value})
-    gsl = Polynomial(ctx_y, {tuple(e[i] for i in keep): c
-                             for e, c in gs.terms.items()})
-    jac = [p for p in (gsl.partial(n) for n in ctx_y.names) if not p.is_zero()]
+    gsl = G.g.specialize({G.spec.parameter: value})
+    jac = [p for p in (gsl.partial(n) for n in gsl.ctx.names) if not p.is_zero()]
     if not jac:
         return INFINITE
-    sat = Ideal(ctx_y, jac, DEGREVLEX, G.config).saturation(gsl)
+    sat = Ideal(gsl.ctx, jac, DEGREVLEX, G.config).saturation(gsl)
     return sat.quotient_dimension()
 
 
@@ -485,15 +490,14 @@ class LCIdeal:
 
         Checked against the field basis itself (zero slots included), not the
         FT ideal handle, whose generator list is normalized."""
-        bindings: Dict[str, int] = {n: 0 for n in self.cotangent[:-1]}
-        bindings[self.cotangent[-1]] = 1
-        ctx = self.ideal.ctx
+        values: Dict[str, int] = {n: 0 for n in self.cotangent[:-1]}
+        values[self.cotangent[-1]] = 1
         kern = _kernel(self.base)
         slots = [v[len(self.base.ctx) - 1] for v in kern.elements]
         if len(slots) != len(self.gens):
             return False
         for xi, b in zip(self.gens, slots):
-            if xi.substitute(bindings) != b.rename(ctx):
+            if xi.specialize(values) != b:
                 return False
         return True
 
@@ -558,15 +562,14 @@ def euler_degree(G: ImageEquation) -> int:
 
 def euler_ideal_identity(G: ImageEquation) -> bool:
     """Under valid weights the tangent-field quotient ideal collapses:
-    it equals FT + (parameter). Certified by mutual normal-form containment
-    of the generators. Both ideals are weighted homogeneous here, so the
-    affine containments and the germ-level ones agree."""
+    it equals FT + (parameter). Certified by equal reduced degrevlex bases,
+    which are unique (and monic), so equal ideals give equal lists. Both
+    ideals are weighted homogeneous here, so the affine equality and the
+    germ-level one agree."""
     euler_degree(G)
     s = Polynomial.variable(G.ctx, G.spec.parameter)
-    a = _br_ideal(G)
-    b = Ideal(G.ctx, ft_ideal(G).basis() + [s], DEGREVLEX, G.config)
-    return (all(a.contains(p) for p in b.gens)
-            and all(b.contains(q) for q in a.basis()))
+    ft_s = Ideal(G.ctx, ft_ideal(G).basis() + [s], DEGREVLEX, G.config)
+    return _br_ideal(G).basis() == ft_s.basis()
 
 
 # -- report ------------------------------------------------------------------

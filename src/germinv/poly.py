@@ -241,7 +241,7 @@ class Polynomial:
             return NotImplemented
         return self.ctx == other.ctx and self.terms == other.terms
 
-    # -- calculus and substitution ---------------------------------------
+    # -- calculus and specialization -------------------------------------
 
     def partial(self, name: str) -> "Polynomial":
         """Partial derivative with respect to a context variable."""
@@ -254,43 +254,22 @@ class Polynomial:
                 out[d] = out.get(d, _ZERO) + c * e
         return Polynomial._raw(self.ctx, {e: c for e, c in out.items() if c})
 
-    def substitute(self, bindings: Mapping[str, Union["Polynomial", Scalar]],
-                   target: Optional[VariableContext] = None) -> "Polynomial":
-        """Replace variables by polynomials over `target` (default: same context).
+    def specialize(self, values: Mapping[str, Scalar]) -> "Polynomial":
+        """Set the named variables to rational values.
 
-        Unbound variables must exist in the target context and pass through
-        unchanged. Bindings given as scalars are promoted to constants.
+        The result lives over this context without them (`ctx.drop`); an
+        unknown name is a GermInputError.
         """
-        target = target or self.ctx
-        images: list = []
-        for name in self.ctx.names:
-            if name in bindings:
-                v = bindings[name]
-                if not isinstance(v, Polynomial):
-                    v = Polynomial.constant(target, v)
-                elif v.ctx != target:
-                    raise GermInputError("substitution value over the wrong context")
-                images.append(v)
-            else:
-                images.append(Polynomial.variable(target, name))
-        powers: Dict[int, Dict[int, Polynomial]] = {}
-        result = Polynomial.zero(target)
+        fixed = [(self.ctx.index(n), Fraction(v)) for n, v in values.items()]
+        gone = {i for i, _ in fixed}
+        keep = [i for i in range(len(self.ctx)) if i not in gone]
+        out: Dict[Exponent, Fraction] = {}
         for exp, c in self.terms.items():
-            term = Polynomial.constant(target, c)
-            for i, e in enumerate(exp):
-                if not e:
-                    continue
-                memo = powers.setdefault(i, {1: images[i]})
-                if e not in memo:
-                    k = max(kk for kk in memo if kk <= e)
-                    p = memo[k]
-                    while k < e:
-                        p = p * images[i]
-                        k += 1
-                        memo[k] = p
-                term = term * memo[e]
-            result = result + term
-        return result
+            for i, v in fixed:
+                c *= v ** exp[i]
+            e = tuple(exp[i] for i in keep)
+            out[e] = out.get(e, _ZERO) + c
+        return Polynomial._raw(self.ctx.drop(values), {e: c for e, c in out.items() if c})
 
     def rename(self, target: VariableContext,
                mapping: Optional[Mapping[str, str]] = None) -> "Polynomial":

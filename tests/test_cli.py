@@ -235,6 +235,19 @@ def test_stale_cache_is_recomputed(capsys, tmp_path, tmp_corpus):
     assert sidecar.read_text() == good    # rewritten with the right key
 
 
+def test_tampered_sidecar_exits_1(capsys, tmp_path, tmp_corpus):
+    # y1 times the right factor still vanishes on the branch, but it is not
+    # the image equation: every invariant read off it would be wrong
+    path = tmp_corpus("s1")
+    sidecar = tmp_path / "s1.germ.gcache"
+    run(capsys, "image", path, "--format", "machine")
+    magic, key, factor = sidecar.read_text().splitlines()
+    sidecar.write_text(f"{magic}\n{key}\nfactor=y1*({factor[len('factor='):]})\n")
+    code, out, err = run(capsys, "report", path, "--format", "machine")
+    assert code == 1 and out == ""
+    assert ".gcache sidecar" in err
+
+
 def test_no_cache_leaves_no_sidecar(capsys, tmp_path, tmp_corpus):
     path = tmp_corpus("crosscap")
     run(capsys, "mu-br", path, "--no-cache", "--format", "machine")

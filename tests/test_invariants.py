@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -59,6 +60,14 @@ def test_user_supplied_image_is_checked_against_branches():
     spec = spec_of(("x", "y^2", "x*y"), image_g=wrong)
     with pytest.raises(GermInputError, match="vanish on branch"):
         image_equation(spec)
+
+
+def test_user_supplied_image_is_checked_on_every_branch():
+    # y3 = 0 is the image of the first plane only; the second lies in y2 = 0
+    spec = load("twoplane").spec
+    g = parse_polynomial("y3", spec.target_ctx())
+    with pytest.raises(GermInputError, match="does not vanish on branch 1"):
+        image_equation(dataclasses.replace(spec, image_g=g))
 
 
 def test_user_supplied_square_is_not_reduced():

@@ -126,31 +126,36 @@ def test_partial_leibniz_randomized():
             assert (a * b).partial(v) == a.partial(v) * b + a * b.partial(v)
 
 
-# -- substitution and transport ------------------------------------------------
+# -- specialization and transport ----------------------------------------------
 
-def test_substitute_scalars_and_polys():
+def test_specialize_values_and_dropped_context():
     p = X ** 2 + Y * S
-    assert p.substitute({"x": 0}) == Y * S
-    assert p.substitute({"x": Y, "s": 1}) == Y ** 2 + Y
-    assert p.substitute({"x": Fraction(1, 2)}).constant_term() == Fraction(1, 4)
+    q = p.specialize({"x": 0})
+    assert q.ctx == VariableContext.make(source=("y",), parameter=("s",))
+    assert q == Polynomial.variable(q.ctx, "y") * Polynomial.variable(q.ctx, "s")
+    r = p.specialize({"x": 3, "s": 1})
+    assert r.ctx.names == ("y",)
+    assert r == Polynomial.variable(r.ctx, "y") + 9
+    assert p.specialize({"x": 2, "y": 1, "s": -4}) == 0
+    assert p.specialize({"x": 2, "y": 1, "s": -4}).ctx.names == ()
 
 
-def test_substitute_cross_context():
-    tctx = VariableContext.make(target=("y", "s"))   # x unbound would not exist
-    p = X + Y
-    q = p.substitute({"x": Polynomial.variable(tctx, "y")}, target=tctx)
-    assert q == 2 * Polynomial.variable(tctx, "y")
+def test_specialize_fractions_and_unknown_names():
+    p = X ** 2 + Y * S
+    half = p.specialize({"x": Fraction(1, 2), "y": Fraction(-2, 3)})
+    assert half == Fraction(1, 4) - Fraction(2, 3) * Polynomial.variable(half.ctx, "s")
     with pytest.raises(GermInputError):
-        (X + S).substitute({"s": 0}, target=VariableContext.make(target=("z",)))
+        p.specialize({"z": 1})
 
 
-def test_substitute_is_a_ring_map():
+def test_specialize_is_a_ring_map_at_rational_points():
     rng = random.Random(13)
-    image = {"x": Y + 1 - 1, "y": X * S, "s": Polynomial.constant(CTX, 2)}
     for _ in range(25):
         a, b = rand_poly(rng), rand_poly(rng)
-        assert (a + b).substitute(image) == a.substitute(image) + b.substitute(image)
-        assert (a * b).substitute(image) == a.substitute(image) * b.substitute(image)
+        names = rng.sample(CTX.names, rng.randint(1, len(CTX)))
+        v = {n: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for n in names}
+        assert (a + b).specialize(v) == a.specialize(v) + b.specialize(v)
+        assert (a * b).specialize(v) == a.specialize(v) * b.specialize(v)
 
 
 def test_rename_embeds_upward():

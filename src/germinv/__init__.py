@@ -13,7 +13,7 @@ from .config import ComputeConfig, DEFAULT_CONFIG
 from .errors import GermInputError, ParseError, ResourceLimitError
 from .poly import VariableContext, Polynomial
 from .orderings import OrderingSpec
-from .gb import Ideal, INFINITE, EMPTY
+from .gb import Ideal, local_colength, INFINITE, EMPTY
 from .syzygy import SyzygyBasis, syzygy_basis, kernel_fields, tangent_fields, \
     parameter_part
 from .invariants import (
@@ -34,6 +34,7 @@ __all__ = [
     "Polynomial",
     "OrderingSpec",
     "Ideal",
+    "local_colength",
     "INFINITE",
     "EMPTY",
     "SyzygyBasis",

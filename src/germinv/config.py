@@ -18,7 +18,6 @@ class ComputeConfig:
     # slice oracle
     seed: int = 0
     s0_retries: int = 5           # degenerate slices tolerated before giving up
-    coeff_bound: int = 100        # numerator/denominator bound for sampled slice values
 
     def with_overrides(self, **kw) -> "ComputeConfig":
         return replace(self, **kw)

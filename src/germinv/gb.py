@@ -27,15 +27,17 @@ for ideals, the product criterion. Ideal bases are tail-interreduced into
 the unique reduced basis; module bases keep their tails (that buys nothing
 for harvesting syzygies).
 
-Questions about the ring of germs at the origin go through Lazard's method
-(Greuel and Pfister, A Singular Introduction to Commutative Algebra, 1.7):
-the generators are homogenized by a new variable h, their global basis is
-computed under "total degree, then the local order", and h is set to 1,
-which leaves a standard basis for the local order. Everything downstream
-(elimination, saturation, the dimension counts, local colengths) reduces to
-basis computations here. Dimension counting never inspects coefficients: it
-reads the staircase of the leading ideal, which is the correct recipe for
-both the polynomial ring and the local ring at the origin.
+An `Ideal` handle speaks about the polynomial ring. The one question asked
+of the ring of germs at the origin, a colength, is `local_colength`, by
+Lazard's method (Greuel and Pfister, A Singular Introduction to Commutative
+Algebra, 1.7): the generators are homogenized by a new variable h, their
+global basis is computed under "total degree, then the local order", and
+its leads with h = 1 are the leads of a standard basis for the local order.
+Everything downstream (elimination, saturation, the dimension counts,
+local colengths) reduces to basis computations here. Dimension counting
+never inspects coefficients: it reads the staircase of the leading ideal,
+which is the correct recipe for both the polynomial ring and the local
+ring at the origin.
 """
 
 from __future__ import annotations
@@ -472,14 +474,52 @@ def monomial_dimension(leads: Sequence[Exponent], nvars: int):
     return 0
 
 
-class Ideal:
-    """An ideal handle: generators, an order, and a lazily cached basis.
+def _sorted_gens(ctx: VariableContext, gens: Iterable[Polynomial], key) -> List[Polynomial]:
+    """The nonzero generators, checked to lie over `ctx`, sorted by their
+    terms under the order key, largest first: the pair order of a run, and
+    with it every budget message, does not depend on how they were listed."""
+    gens = [g for g in gens if not g.is_zero()]
+    for g in gens:
+        if g.ctx != ctx:
+            raise GermInputError("ideal generator over the wrong context")
+    return sorted(gens, reverse=True,
+                  key=lambda p: sorted(((key(e), c) for e, c in p.terms.items()),
+                                       reverse=True))
 
-    The order decides the meaning of every derived quantity: with a global
-    order the handle speaks about the polynomial ring, with a local one about
-    the ring of germs at the origin. A local handle answers the questions
-    its leads answer (colength, dimension, unit); membership, normal forms,
-    elimination and the dimension bound need a global order.
+
+def local_colength(ctx: VariableContext, gens: Iterable[Polynomial],
+                   config: ComputeConfig = DEFAULT_CONFIG):
+    """Colength of the ideal in the ring of germs at the origin, or INFINITE.
+
+    The ideal is the unit ideal there, colength 0, exactly when a generator
+    does not vanish at the origin. Otherwise each generator is homogenized
+    by a new last variable h, and the global basis of those is computed
+    under `lazard_key`. Its elements are homogeneous, so each lead is the
+    local lead of its terms and survives h = 1; with h = 1 they are a
+    standard basis of the local ideal (Greuel and Pfister, 1.7), whose
+    staircase is the count. Redundant leads do not change a staircase, so
+    nothing is decoded or minimalized. The order compares degrees first:
+    `max_degree` bounds the homogenized degree.
+    """
+    n = len(ctx)
+    gens = _sorted_gens(ctx, gens, key_function(OrderingSpec.local(), n))
+    if any(g.constant_term() for g in gens):
+        return 0
+    homog = []
+    for g in gens:
+        d = max(sum(e) for e in g.terms)
+        homog.append({e + (d - sum(e),): c for e, c in g.terms.items()})
+    eng = _Engine(lazard_key(OrderingSpec.local(), n), config, n + 1)
+    return staircase_count([eng.exponent(e.lm)[:n] for e in eng.basis(homog)], n)
+
+
+class Ideal:
+    """An ideal of the polynomial ring: generators, a global order, and a
+    lazily cached reduced basis.
+
+    The order is degrevlex or an elimination order; the local order is
+    refused, since a question about the ring of germs at the origin is a
+    colength, asked of `local_colength`.
     """
 
     def __init__(self, ctx: VariableContext, gens: Iterable[Polynomial],
@@ -487,79 +527,30 @@ class Ideal:
                  config: ComputeConfig = DEFAULT_CONFIG):
         self.ctx = ctx
         self.ordering = ordering or OrderingSpec.degrevlex()
+        if self.ordering == OrderingSpec.local():
+            raise GermInputError("an Ideal speaks about the polynomial ring; "
+                                 "ask local_colength for a local colength")
         self.config = config
         self._key = key_function(self.ordering, len(ctx))
-        gens = [g for g in gens if not g.is_zero()]
-        for g in gens:
-            if g.ctx != ctx:
-                raise GermInputError("ideal generator over the wrong context")
-        self.gens: List[Polynomial] = sorted(gens, key=self._gen_sort_key, reverse=True)
+        self.gens: List[Polynomial] = _sorted_gens(ctx, gens, self._key)
         self._basis_cache: Optional[List[Polynomial]] = None
 
-    def _gen_sort_key(self, p: Polynomial):
-        items = sorted(((self._key(e), c) for e, c in p.terms.items()), reverse=True)
-        return tuple(items)
-
     # -- basis -----------------------------------------------------------
-
-    @property
-    def is_local(self) -> bool:
-        return not self.ordering.is_global
 
     def _engine(self) -> _Engine:
         return _Engine(self._key, self.config, len(self.ctx))
 
-    def _require_global(self, what: str) -> None:
-        if self.is_local:
-            raise GermInputError(f"{what} requires a global order")
-
     def _keep_basis(self, eng: _Engine, elts: List[_Elt]) -> None:
-        n = len(self.ctx)     # a Lazard engine's last variable is h, set to 1
-        self._basis_cache = [Polynomial._raw(self.ctx, {eng.exponent(z)[:n]: Fraction(c, e.lc)
+        self._basis_cache = [Polynomial._raw(self.ctx, {eng.exponent(z): Fraction(c, e.lc)
                                                         for z, c in e.terms.items()})
                              for e in elts]
 
     def basis(self) -> List[Polynomial]:
-        """Reduced Groebner basis (global order) or minimal standard basis
-        (local order, see `_lazard`), leads in descending order."""
+        """Reduced Groebner basis, leads in descending order."""
         if self._basis_cache is None:
-            if self.is_local:
-                self._lazard()
-            else:
-                eng = self._engine()
-                self._keep_basis(eng, eng.basis([g.terms for g in self.gens]))
+            eng = self._engine()
+            self._keep_basis(eng, eng.basis([g.terms for g in self.gens]))
         return self._basis_cache
-
-    def _lazard(self) -> None:
-        """Keep the minimal standard basis under the local order, by
-        Lazard's method.
-
-        The ideal is the unit ideal of the local ring exactly when a
-        generator does not vanish at the origin; its basis is then 1.
-        Otherwise each generator is homogenized by a new last variable h,
-        and the global basis of those is computed under `lazard_key`. Its
-        elements are homogeneous, so each lead is the local lead of its
-        terms and survives h = 1; with h = 1 they are a standard basis of
-        the local ideal (Greuel and Pfister, 1.7), minimalized here by those
-        leads. The order compares degrees first: `max_degree` bounds the
-        homogenized degree.
-        """
-        if any(g.constant_term() for g in self.gens):
-            self._basis_cache = [Polynomial.constant(self.ctx, 1)]
-            return
-        n = len(self.ctx)
-        eng = _Engine(lazard_key(self.ordering, n), self.config, n + 1)
-        homog = []
-        for g in self.gens:
-            d = max(sum(e) for e in g.terms)
-            homog.append({e + (d - sum(e),): c for e, c in g.terms.items()})
-        elts = eng.basis(homog)
-        leads = [eng.exponent(e.lm)[:n] for e in elts]
-        minimal = [(self._key(a), e) for i, (a, e) in enumerate(zip(leads, elts))
-                   if not any(k != i and _divides(b, a) and (b != a or k < i)
-                              for k, b in enumerate(leads))]
-        minimal.sort(key=lambda ke: ke[0], reverse=True)
-        self._keep_basis(eng, [e for _, e in minimal])
 
     def leading_monomials(self) -> List[Exponent]:
         return [max(p.terms, key=self._key) for p in self.basis()]
@@ -569,19 +560,18 @@ class Ideal:
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         """Reduced normal form: the canonical linear representative of p
-        modulo the ideal. Global orders only."""
+        modulo the ideal."""
         if p.ctx != self.ctx:
             raise GermInputError("normal form argument over the wrong context")
         red, scale = self._reduce(p, full=True)
         return Polynomial._raw(self.ctx, {e: Fraction(c) / scale for e, c in red.items()})
 
     def contains(self, p: Polynomial) -> bool:
-        """Membership in the ideal of the polynomial ring. Global orders
-        only: locally, compare colengths instead."""
+        """Membership in the ideal of the polynomial ring; for the local
+        ring, compare colengths instead."""
         return not self._reduce(p, full=False)[0]
 
     def _reduce(self, p: Polynomial, full: bool):
-        self._require_global("reduction")
         return self._engine().reduce(p.terms, [b.terms for b in self.basis()], full)
 
     # -- constructions ---------------------------------------------------
@@ -594,12 +584,11 @@ class Ideal:
         return Ideal(self.ctx, self.gens, ordering, self.config)
 
     def elimination(self, names: Iterable[str]) -> "Ideal":
-        """Intersect with the subring omitting `names` (global only).
+        """Intersect with the subring omitting `names`.
 
-        Read off the basis under the block order that eliminates `names`; a
+        Read off the basis under the order that eliminates `names`; a
         handle already under that order answers from its own cached basis.
         """
-        self._require_global("elimination")
         names = list(names)
         front = tuple(self.ctx.index(n) for n in names)
         work = self.with_ordering(OrderingSpec.elimination(front, len(self.ctx)))
@@ -632,18 +621,17 @@ class Ideal:
     # -- dimensions ------------------------------------------------------
 
     def quotient_dimension(self):
-        """Vector-space dimension of the quotient over the handle's ring:
-        the polynomial ring for a global order, the ring of germs at the
-        origin for a local one.
+        """Vector-space dimension of the quotient of the polynomial ring
+        (`local_colength` counts at the origin).
 
-        Exact either way: it counts the staircase of the basis leads, and is
-        INFINITE when some variable has no pure power among them.
+        Exact: it counts the staircase of the basis leads, and is INFINITE
+        when some variable has no pure power among them.
         """
         return staircase_count(self.leading_monomials(), len(self.ctx))
 
     def dimension(self):
-        """Krull dimension of the quotient read off the leading ideal (at
-        the origin, for a local order); EMPTY for the unit ideal."""
+        """Krull dimension of the quotient of the polynomial ring, read off
+        the leading ideal; EMPTY for the unit ideal."""
         return monomial_dimension(self.leading_monomials(), len(self.ctx))
 
     def dimension_bound(self, stop_at: int):
@@ -654,9 +642,8 @@ class Ideal:
         ideal, so that dimension only shrinks as elements accumulate and is
         an upper bound throughout. Once it reaches `stop_at` the loop aborts
         and the bound is returned; if the loop finishes first the result is
-        exact (and the basis is kept). Requires a global order.
+        exact (and the basis is kept).
         """
-        self._require_global("dimension bound")
         if self._basis_cache is not None:
             return self.dimension()
         n = len(self.ctx)

@@ -34,13 +34,12 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .config import ComputeConfig, DEFAULT_CONFIG
 from .errors import GermInputError, ResourceLimitError
-from .gb import EMPTY, INFINITE, Ideal
+from .gb import EMPTY, INFINITE, Ideal, local_colength
 from .orderings import OrderingSpec
 from .poly import Polynomial, VariableContext
 from .syzygy import SyzygyBasis, kernel_fields, parameter_part, tangent_fields
 
 DEGREVLEX = OrderingSpec.degrevlex()
-LOCAL = OrderingSpec.local()
 
 
 # -- input specification -----------------------------------------------------
@@ -201,25 +200,20 @@ def _kernel(G: ImageEquation) -> SyzygyBasis:
     return G._cache["kernel"]
 
 
-def _tangent(G: ImageEquation) -> SyzygyBasis:
-    if "tangent" not in G._cache:
-        G._cache["tangent"] = tangent_fields(G.g, G.config)
-    return G._cache["tangent"]
-
-
 def _br_ideal(G: ImageEquation) -> Ideal:
     """Bruce-Roberts ideal: parameter components of the fields tangent to
     the image, as a global handle (see `ft_ideal`)."""
     if "br" not in G._cache:
-        G._cache["br"] = parameter_part(_tangent(G), G.config)
+        G._cache["br"] = parameter_part(tangent_fields(G.g, G.config), G.config)
     return G._cache["br"]
 
 
-def _local_dim(ideal: Ideal, what: str) -> int:
-    """Colength of a local-order handle. Only a proven INFINITE is bad input; an
-    exhausted limit stays a resource error, prefixed with the stage."""
+def _local_dim(ctx: VariableContext, gens: Sequence[Polynomial],
+               config: ComputeConfig, what: str) -> int:
+    """`local_colength` of the generators. Only a proven INFINITE is bad input;
+    an exhausted limit stays a resource error, prefixed with the stage."""
     try:
-        d = ideal.quotient_dimension()
+        d = local_colength(ctx, gens, config)
     except ResourceLimitError as exc:
         raise ResourceLimitError(f"{what}: {exc}") from exc
     if d is INFINITE:
@@ -250,8 +244,8 @@ def ft_codim(G: ImageEquation) -> int:
     """dim of the local quotient by FT + (parameter); 0 exactly when stable."""
     if "ft_codim" not in G._cache:
         s = Polynomial.variable(G.ctx, G.spec.parameter)
-        ft = Ideal(G.ctx, ft_ideal(G).basis() + [s], LOCAL, G.config)
-        G._cache["ft_codim"] = _local_dim(ft, "ft codimension")
+        G._cache["ft_codim"] = _local_dim(G.ctx, ft_ideal(G).basis() + [s], G.config,
+                                          "ft codimension")
     return G._cache["ft_codim"]
 
 
@@ -276,9 +270,11 @@ def samuel_multiplicity(I: Ideal, t: str) -> SamuelResult:
     """Multiplicity e of the ideal (t) on the local quotient A = O/I, with
     the profile d_k = dim A/t^k A.
 
-    Works on the degrevlex handle of I (I itself when it is one, so a
-    cached basis is reused) under I's config. Every colength and the
-    saturation start from its reduced basis.
+    I is a handle of the polynomial ring; only its generators matter, and
+    they are read from its degrevlex handle (I itself when it is one, so a
+    cached basis is reused) under I's config. Every colength is a
+    `local_colength` of that reduced basis, or of the saturation of it,
+    plus a power of t.
 
     Needs A to be at most a curve (leading-term dimension <= 1). The t-torsion
     H = (I : t^inf)/I then has finite length and t is a nonzerodivisor on
@@ -301,12 +297,12 @@ def samuel_multiplicity(I: Ideal, t: str) -> SamuelResult:
     tvar = Polynomial.variable(ctx, t)
 
     def d(k: int) -> int:
-        return _local_dim(Ideal(ctx, base + [tvar ** k], LOCAL, config),
+        return _local_dim(ctx, base + [tvar ** k], config,
                           f"multiplicity profile step k={k}")
 
     profile = [d(1)]
     sat = Ideal(ctx, base, DEGREVLEX, config).saturation(tvar)
-    e = _local_dim(Ideal(ctx, sat.gens + [tvar], LOCAL, config),
+    e = _local_dim(ctx, sat.gens + [tvar], config,
                    "multiplicity of the saturated quotient")
     if profile[0] == e:
         return SamuelResult(e, (e, 2 * e, 3 * e))
@@ -337,18 +333,19 @@ def milnor_number(h: Polynomial, config: ComputeConfig = DEFAULT_CONFIG):
     """Local dimension of the Jacobian quotient at the origin; INFINITE for
     non-isolated singularities.
 
-    Both answers are exact: the colength is the staircase of the leads of a
-    local standard basis, and it is infinite precisely when the local
-    quotient has positive dimension, that is, when the singularity is not
-    isolated.
+    One `local_colength` of the partials. Both answers are exact: the
+    colength is the staircase of the leads of a local standard basis, and
+    it is infinite precisely when the local quotient has positive
+    dimension, that is, when the singularity is not isolated.
     """
     if h.is_zero():
         raise GermInputError("Milnor number of the zero polynomial")
     if h.constant_term():
         raise GermInputError("Milnor number needs a germ vanishing at the origin")
-    ctx = h.ctx
-    jac = [p for p in (h.partial(n) for n in ctx.names) if not p.is_zero()]
-    return Ideal(ctx, jac, LOCAL, config).quotient_dimension()
+    return local_colength(h.ctx, [h.partial(n) for n in h.ctx.names], config)
+
+
+SLICE_COEFF_BOUND = 100   # numerator/denominator bound for sampled slice values
 
 
 @dataclass(frozen=True)
@@ -426,8 +423,8 @@ def slice_milnor_total(G: ImageEquation, s0: Optional[Fraction] = None,
     rejected: List[Fraction] = []
     seen: List[Tuple[Fraction, int]] = []    # valid but so far unconfirmed
     for _ in range(cfg.s0_retries):
-        a = rng.randint(1, cfg.coeff_bound)
-        b = rng.randint(1, cfg.coeff_bound)
+        a = rng.randint(1, SLICE_COEFF_BOUND)
+        b = rng.randint(1, SLICE_COEFF_BOUND)
         val = Fraction(min(a, b), max(a, b))
         d = _off_slice_count(G, val)
         if d is INFINITE or d < base:
@@ -451,8 +448,8 @@ def bruce_roberts_number(G: ImageEquation) -> int:
     """Local dimension of the quotient by the parameter components of the
     fields tangent to the image (not merely annihilating its equation)."""
     if "mu_br" not in G._cache:
-        br = Ideal(G.ctx, _br_ideal(G).basis(), LOCAL, G.config)
-        G._cache["mu_br"] = _local_dim(br, "tangent-field quotient")
+        G._cache["mu_br"] = _local_dim(G.ctx, _br_ideal(G).basis(), G.config,
+                                       "tangent-field quotient")
     return G._cache["mu_br"]
 
 
@@ -463,8 +460,7 @@ def ae_codimension(G: ImageEquation) -> int:
     if not G.spec.is_stable_unfolding:
         raise GermInputError("ae codimension needs is_stable_unfolding asserted")
     s = Polynomial.variable(G.ctx, G.spec.parameter)
-    ae = Ideal(G.ctx, _br_ideal(G).basis() + [s], LOCAL, G.config)
-    return _local_dim(ae, "ae codimension")
+    return _local_dim(G.ctx, _br_ideal(G).basis() + [s], G.config, "ae codimension")
 
 
 # -- logarithmic characteristic ideal ----------------------------------------

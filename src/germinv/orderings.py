@@ -2,22 +2,27 @@
 
 Every supported order is translated into a key function mapping an exponent
 tuple to a tuple of ints, so that order comparison is plain tuple comparison
-and leading terms come from max(). Local (anti-degree) orders make 1 the
-largest monomial; the standard-basis engine, which needs a well-order, runs
-them through Lazard's homogenization under `lazard_key`. Module orders are
-built on these keys in `syzygy`.
+and leading terms come from max(). Three orders are in use: degrevlex, the
+local (anti-degree) order and the order that eliminates a front block of
+variables. The local order makes 1 the largest monomial; the standard-basis
+engine, which needs a well-order, runs it through Lazard's homogenization
+under `lazard_key`. Module orders are built on these keys in `syzygy`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 from .errors import GermInputError
 
 DEGREVLEX = "degrevlex"
 LOCAL = "local-anti-degree"
-BLOCK = "block"
+ELIMINATION = "elimination"
+
+
+def _degrevlex(e: Tuple[int, ...]) -> tuple:
+    return (sum(e),) + tuple(-x for x in reversed(e))
 
 
 @dataclass(frozen=True)
@@ -25,8 +30,7 @@ class OrderingSpec:
     """Declarative order description; see the factory constructors."""
 
     kind: str
-    # for block orders: ((sub_spec, variable_indices), ...) partitioning 0..n-1
-    blocks: Optional[Tuple[Tuple["OrderingSpec", Tuple[int, ...]], ...]] = None
+    front: Tuple[int, ...] = ()    # elimination: the eliminated variables
 
     @staticmethod
     def degrevlex() -> "OrderingSpec":
@@ -37,50 +41,27 @@ class OrderingSpec:
         return OrderingSpec(LOCAL)
 
     @staticmethod
-    def block(blocks) -> "OrderingSpec":
-        bs = tuple((spec, tuple(idx)) for spec, idx in blocks)
-        return OrderingSpec(BLOCK, blocks=bs)
-
-    @staticmethod
-    def elimination(front: Tuple[int, ...], n: int,
-                    inner: Optional["OrderingSpec"] = None) -> "OrderingSpec":
-        """Block order eliminating the `front` variables of an n-variable ring."""
+    def elimination(front: Tuple[int, ...], n: int) -> "OrderingSpec":
+        """Degrevlex on the `front` variables of an n-variable ring, ties
+        broken by degrevlex on the rest: every monomial with a front
+        variable beats every monomial without one."""
         front = tuple(front)
-        rest = tuple(i for i in range(n) if i not in set(front))
-        if not front or not rest:
+        if not front or not set(front) < set(range(n)):
             raise GermInputError("elimination order needs a proper variable split")
-        return OrderingSpec.block([(OrderingSpec.degrevlex(), front),
-                                   (inner or OrderingSpec.degrevlex(), rest)])
-
-    @property
-    def is_global(self) -> bool:
-        """True when 1 is the smallest monomial (well-ordering, plain division)."""
-        if self.kind == BLOCK:
-            return all(spec.is_global for spec, _ in self.blocks)
-        return self.kind != LOCAL
+        return OrderingSpec(ELIMINATION, front)
 
 
 def key_function(spec: OrderingSpec, nvars: int) -> Callable[[Tuple[int, ...]], tuple]:
     """Key function on exponent tuples; larger key = larger monomial."""
     if spec.kind == DEGREVLEX:
-        return lambda e: (sum(e),) + tuple(-x for x in reversed(e))
+        return _degrevlex
     if spec.kind == LOCAL:
         return lambda e: (-sum(e),) + tuple(-x for x in reversed(e))
-    if spec.kind == BLOCK:
-        if spec.blocks is None:
-            raise GermInputError("block order without blocks")
-        seen = sorted(i for _, idx in spec.blocks for i in idx)
-        if seen != list(range(nvars)):
-            raise GermInputError("block order must partition the variables")
-        subs = [(key_function(sub, len(idx)), idx) for sub, idx in spec.blocks]
-
-        def key(e, _subs=tuple(subs)):
-            out = ()
-            for kf, idx in _subs:
-                out += kf(tuple(e[i] for i in idx))
-            return out
-
-        return key
+    if spec.kind == ELIMINATION:
+        front = spec.front
+        rest = tuple(i for i in range(nvars) if i not in front)
+        return lambda e: (_degrevlex(tuple(e[i] for i in front))
+                          + _degrevlex(tuple(e[i] for i in rest)))
     raise GermInputError(f"unknown ordering kind {spec.kind!r}")
 
 

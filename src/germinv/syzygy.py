@@ -129,21 +129,19 @@ def kernel_fields(g: Polynomial, config: ComputeConfig = DEFAULT_CONFIG) -> Syzy
 
 def tangent_fields(g: Polynomial, config: ComputeConfig = DEFAULT_CONFIG) -> SyzygyBasis:
     """Vector fields xi with dg(xi) in (g): syzygies of the partials extended
-    by g itself, with the cofactor slot dropped."""
+    by g itself, with the cofactor slot dropped.
+
+    Dropping the slot leaves the harvested fields distinct and nonzero. A
+    syzygy (a, c) of (dg, g) with a = 0 has c*g = 0, so c = 0 and it is the
+    zero element, which no basis holds; two syzygies with equal a differ by
+    (0, c1 - c2), so c1 = c2 and they are the same element."""
     if g.is_zero():
         raise GermInputError("tangent fields of the zero polynomial")
     names = g.ctx.names
     polys = [g.partial(n) for n in names] + [g]
     full = syzygy_basis(polys, labels=tuple(names) + ("_cofactor",), config=config)
-    elements = [v[:-1] for v in full.elements]
-    # dedupe truncations that became identical or zero
-    seen = []
-    for v in elements:
-        if all(p.is_zero() for p in v):
-            continue
-        if v not in seen:
-            seen.append(v)
-    return SyzygyBasis(g.ctx, tuple(names), tuple(polys[:-1]), seen)
+    return SyzygyBasis(g.ctx, tuple(names), tuple(polys[:-1]),
+                       [v[:-1] for v in full.elements])
 
 
 def parameter_part(basis: SyzygyBasis, config: ComputeConfig = DEFAULT_CONFIG) -> Ideal:

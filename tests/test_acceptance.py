@@ -17,7 +17,7 @@ from germinv import (
     EMPTY, Ideal, MapGermSpec, OrderingSpec, Polynomial, VariableContext,
     ae_codimension, bruce_roberts_number, euler_degree, euler_ideal_identity,
     ft_codim, ft_dimension, full_report, image_equation, image_milnor_number,
-    lc_ideal, milnor_number, slice_milnor_total, syzygy_basis,
+    lc_ideal, local_colength, milnor_number, slice_milnor_total, syzygy_basis,
 )
 from germinv.cli import console_main
 from germinv.exprparse import parse_polynomial
@@ -26,7 +26,6 @@ from germinv.orderings import key_function
 from conftest import corpus_path, load
 
 DRL = OrderingSpec.degrevlex()
-LOC = OrderingSpec.local()
 
 
 @pytest.fixture(scope="session")
@@ -160,8 +159,7 @@ def test_substrate_engines():
             assert ideal.normal_form(mf * f - mg * g).is_zero()
 
     # local (Lazard) route: units in the tail must not inflate the quotient
-    local = Ideal(ctx, [x ** 2 + x ** 3, y], LOC)
-    assert local.quotient_dimension() == 2
+    assert local_colength(ctx, [x ** 2 + x ** 3, y]) == 2
 
     # saturation is idempotent
     once = Ideal(ctx, [x ** 2 * y, x * y ** 2], DRL).saturation(x)

@@ -5,7 +5,7 @@ import pytest
 
 from germinv import (
     ComputeConfig, EMPTY, GermInputError, INFINITE, Ideal, OrderingSpec,
-    Polynomial, ResourceLimitError, VariableContext,
+    Polynomial, ResourceLimitError, VariableContext, local_colength,
 )
 from germinv.exprparse import parse_polynomial
 from germinv.gb import monomial_dimension, staircase_count
@@ -111,22 +111,22 @@ def test_membership_explicit_combinations():
 
 
 # -- local (Lazard) behavior ------------------------------------------------------
-# A local handle answers through its leads only, so a member is recognized by
+# The local ring is asked for colengths only, so a member is recognized by
 # leaving the colength unchanged when it is added.
 
 def test_local_unit_absorption_dimension():
     # x^2 + x^3 = x^2(1 + x) and 1 + x is a unit at the origin, so x^2 is a
     # member of the local ideal
-    ideal = Ideal(C2, [X2 ** 2 + X2 ** 3, Y2], LOC)
-    assert ideal.quotient_dimension() == 2
-    assert Ideal(C2, ideal.gens + [X2 ** 2], LOC).quotient_dimension() == 2
+    gens = [X2 ** 2 + X2 ** 3, Y2]
+    assert local_colength(C2, gens) == 2
+    assert local_colength(C2, gens + [X2 ** 2]) == 2
 
 
 def test_local_vs_global_membership():
     gens = [X2 - X2 ** 2, Y2]
     # 1 - x is invertible locally, so x is a local member
-    assert Ideal(C2, gens, LOC).quotient_dimension() == 1
-    assert Ideal(C2, gens + [X2], LOC).quotient_dimension() == 1
+    assert local_colength(C2, gens) == 1
+    assert local_colength(C2, gens + [X2]) == 1
     # but not a member in the polynomial ring: V = {(0,0), (1,0)} loses (1,0)
     glob = Ideal(C2, gens, DRL)
     assert not glob.contains(X2)
@@ -135,10 +135,9 @@ def test_local_vs_global_membership():
 
 
 def test_local_membership_and_normal_forms_are_refused():
-    local = Ideal(C2, [X2, Y2], LOC)
-    for call in (local.contains, local.normal_form):
-        with pytest.raises(GermInputError, match="global order"):
-            call(X2)
+    # a handle speaks about the polynomial ring only; there is no local one
+    with pytest.raises(GermInputError, match="local_colength"):
+        Ideal(C2, [X2, Y2], LOC)
 
 
 def test_local_colength_matches_global_staircase():
@@ -153,7 +152,7 @@ def test_local_colength_matches_global_staircase():
         extra = extra - Polynomial.constant(ctx, extra.constant_term())
         if not extra.is_zero():
             gens.append(extra)
-        local = Ideal(ctx, gens, LOC).quotient_dimension()
+        local = local_colength(ctx, gens)
         assert local == Ideal(ctx, gens, DRL).quotient_dimension()
         assert local is not INFINITE
 
@@ -165,9 +164,7 @@ def test_local_unit_ideal_answers_at_once():
         "-3*x^2*y^4 + 2*x*y^3 + 2*x^2*y + 4/3*y^2",
         "-x^3*y^4 + 4*x^4*y^2 - x*y^4 + 5",
         "5*x^3*y + 4*x^2*y^2 + x^3 - 2*y^3")]
-    ideal = Ideal(C2, gens, LOC, ComputeConfig(max_pairs=100))
-    assert ideal.is_unit()
-    assert ideal.quotient_dimension() == 0
+    assert local_colength(C2, gens, ComputeConfig(max_pairs=100)) == 0
 
 
 # -- elimination -----------------------------------------------------------------
@@ -241,9 +238,9 @@ def test_staircase_cap_names_its_limit():
 
 def test_quotient_dimension_monomial_and_unit_cases():
     assert Ideal(C2, [X2 ** 2, Y2 ** 3], DRL).quotient_dimension() == 6
-    assert Ideal(C2, [X2 ** 2, Y2 ** 3], LOC).quotient_dimension() == 6
+    assert local_colength(C2, [X2 ** 2, Y2 ** 3]) == 6
     assert Ideal(C2, [X2], DRL).quotient_dimension() is INFINITE
-    assert Ideal(C2, [X2], LOC).quotient_dimension() is INFINITE
+    assert local_colength(C2, [X2]) is INFINITE
     unit = Ideal(C2, [Polynomial.constant(C2, 1)], DRL)
     assert unit.is_unit()
     assert unit.quotient_dimension() == 0
@@ -294,7 +291,7 @@ def test_packing_fits_inputs_beyond_max_degree():
     # the engine packs each monomial into one int; the field widths follow
     # the inputs where they exceed max_degree
     assert not Ideal(C2, [Y2]).contains(X2 ** 5000)
-    assert Ideal(C2, [Y2, X2 ** 5000], LOC).quotient_dimension() == 5000
+    assert local_colength(C2, [Y2, X2 ** 5000]) == 5000
     assert Ideal(C2, [Y2]).normal_form(X2 ** 3000 + Y2) == X2 ** 3000
     gens = [X2 ** 300 + Y2, Y2 ** 2]
     basis = Ideal(C2, gens, config=ComputeConfig(max_degree=2)).basis()

@@ -5,6 +5,7 @@ import pytest
 
 from germinv import syzygy
 from germinv.config import DEFAULT_CONFIG
+from germinv.errors import GermInputError
 from germinv.gb import _Engine
 from germinv.orderings import OrderingSpec, key_function, lazard_key
 from germinv.poly import VariableContext
@@ -37,6 +38,9 @@ def test_elimination_front_block_dominates():
     spec = OrderingSpec.elimination((0,), 2)
     key = key_function(spec, 2)
     assert key((1, 0)) > key((0, 9))     # any x beats any power of y
+    for front in ((), (0, 1), (2,)):
+        with pytest.raises(GermInputError, match="proper variable split"):
+            OrderingSpec.elimination(front, 2)
 
 
 def test_keys_are_total_and_multiplicative():
@@ -76,8 +80,3 @@ def test_keys_are_total_and_multiplicative():
 def test_packing_rejects_a_key_that_is_not_affine():
     with pytest.raises(ValueError, match="not affine"):
         _Engine(lambda e: (max(e),) + tuple(e), DEFAULT_CONFIG, 3)
-
-
-def test_is_global_flag():
-    assert DRL.is_global
-    assert not LOC.is_global

@@ -321,8 +321,16 @@ def _cmd_milnor(args) -> int:
 
 # -- argument surface ----------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is bad input, exit code 1; argparse's own exit code 2
+    is the resource-limit code here. Subparsers reuse this class."""
+
+    def error(self, message: str):
+        raise GermInputError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="germinv",
         description="Invariants of polynomial map germs from their unfoldings")
     sub = top.add_subparsers(dest="command", required=True)

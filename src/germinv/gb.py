@@ -25,7 +25,11 @@ membership tests.
 The pair loop selects pairs by sugar and applies the chain criterion and,
 for ideals, the product criterion. Ideal bases are tail-interreduced into
 the unique reduced basis; module bases keep their tails (that buys nothing
-for harvesting syzygies).
+for harvesting syzygies). A syzygy run (`harvest`) forms pairs only between
+elements led in slot 0, the slot of the inputs, and keeps every element led
+in a tracking slot: those are the harvested syzygies, a generating set of
+the syzygy module but not a basis of it, so minimalization, which only a
+basis survives, keeps each of them (the argument is in `syzygy`).
 
 An `Ideal` handle speaks about the polynomial ring. The one question asked
 of the ring of germs at the origin, a colength, is `local_colength`, by
@@ -338,7 +342,7 @@ class _Engine:
         return _primitive(out)[0] if out else out
 
     def basis(self, gens: Sequence[Dict[Exponent, Fraction]],
-              lead_stop=None) -> Optional[List[_Elt]]:
+              lead_stop=None, harvest: bool = False) -> Optional[List[_Elt]]:
         """Minimal Groebner basis of the exponent-keyed `gens`, leads in
         descending order, as packed elements.
 
@@ -346,17 +350,21 @@ class _Engine:
         With `lead_stop` set, the predicate sees the accumulated lead
         exponents after every new element; once it returns true the loop
         aborts and None comes back — no partial basis escapes, the caller
-        already saw the leads.
+        already saw the leads. With `harvest` (a module run whose slot 0
+        dominates) only elements led in slot 0 pair, and every element led
+        elsewhere is kept: the result is a minimal basis of the slot-0 part
+        plus a generating set, not a basis, of the syzygies (see `syzygy`).
         """
         gens = [_intify(g) for g in gens if g]
         self._fit(self._degree(gens))
         while True:
             try:
-                return self._basis(gens, lead_stop)
+                return self._basis(gens, lead_stop, harvest)
             except _Overflow as grown:
                 self._fit(max(grown.args[0], 2 * self.cap))
 
-    def _basis(self, gens: Sequence[Dict[Exponent, int]], lead_stop) -> Optional[List[_Elt]]:
+    def _basis(self, gens: Sequence[Dict[Exponent, int]], lead_stop,
+               harvest: bool) -> Optional[List[_Elt]]:
         cfg, n, dmask, guard = self.cfg, self.nvars, self.dmask, self.guard
         pack = self.pack
         elts = [self.elt({pack(e): c for e, c in g.items()}) for g in gens]
@@ -367,6 +375,11 @@ class _Engine:
 
         def add_pairs(j: int):
             b, bx = elts[j], leads[j]
+            if harvest and bx[n]:
+                # A harvested syzygy pairs with nothing: pairs of two syzygies
+                # only complete a basis of the syzygy module, and a
+                # generating set is all a harvest promises.
+                return
             db = b.lm & dmask
             for i in range(j):
                 a, ax = elts[i], leads[i]
@@ -420,10 +433,12 @@ class _Engine:
             if lead_stop is not None and lead_stop(leads):
                 return None
 
-        # minimalize: drop elements whose lead is divisible by another lead
+        # minimalize: drop elements whose lead is divisible by another lead;
+        # a harvest is no basis of the syzygies, so it keeps each of them
         minimal = [e for i, e in enumerate(elts)
-                   if not any(k != i and not (e.lm - o.lm) & guard and (o.lm != e.lm or k < i)
-                              for k, o in enumerate(elts))]
+                   if (harvest and leads[i][n]) or
+                   not any(k != i and not (e.lm - o.lm) & guard and (o.lm != e.lm or k < i)
+                           for k, o in enumerate(elts))]
         minimal.sort(key=lambda e: e.lm, reverse=True)
         if not self.rank:
             # tail interreduction gives the unique reduced basis

@@ -618,6 +618,13 @@ def full_report(spec: MapGermSpec, config: ComputeConfig = DEFAULT_CONFIG,
 
     mu_br = bruce_roberts_number(G)
     ae = ae_codimension(G) if spec.is_stable_unfolding else None
+    # Mond's conjecture, Ae-codim <= mu_I, is a theorem for source dimension
+    # n <= 2 (Mond for curves, de Jong and van Straten for surfaces), so there
+    # a larger Ae-codimension means one of the two routes is wrong
+    if ae is not None and len(spec.source) <= 2 and ae > mu.multiplicity:
+        disagreement = True
+        warnings.append(f"ae codimension {ae} exceeds the image Milnor number "
+                        f"{mu.multiplicity}, against Mond's inequality for n <= 2")
 
     fdim = ft_dimension(G)
     if stability == "stable":

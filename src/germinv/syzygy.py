@@ -4,12 +4,36 @@ This module builds rows and harvests relations; the standard-basis work runs
 on the engine in `gb`, which takes module terms as flat exponent tuples: the
 ring exponent followed by (c, r - c) for component c of a free module of
 rank r. The syzygy computation is the classical free-module construction:
-present each input g_i as a row (g_i, e_i) in R x R^k, run a basis under a
-module order whose first slot dominates, and harvest the rows whose first
-slot vanished. The ring order is degrevlex; among the unit-tracking slots
-the order is term-over-position (any order works there, and this one yields
-markedly smaller syzygies than stratifying by component). The engine never
-applies the product criterion to module elements; see its pair loop.
+present each input p_i as a row r_i = (p_i, e_i) in R x R^k, run the engine
+under a module order whose first slot dominates, and harvest the rows whose
+first slot vanished. The ring order is degrevlex; among the unit-tracking
+slots the order is term-over-position (any order works there, and this one
+yields markedly smaller syzygies than stratifying by component).
+
+The run pairs only the elements G led in slot 0 and keeps every element Z
+led in a tracking slot without pairing it (the engine's `harvest`). Z is a
+generating set of the syzygy module, which is all a caller needs; a basis
+of it would cost the pairs of two syzygies, most of which reduce to zero
+(a special case of Moeller, Mora and Traverso, ISSAC 1992):
+
+- Slot 0 dominates, so reducing a slot-0-led element by G reduces its first
+  slot by the first slots of G, and G runs Buchberger's algorithm on
+  (p_1..p_k) with cofactors. Only the chain criterion skips pairs there;
+  the product criterion never applies to modules. The first slots of G are
+  therefore a Groebner basis of (p_1..p_k).
+- Every row lies in G or in Z, so a syzygy (0, a) = sum a_i r_i is a
+  combination sum b_g g + sum c_z z, and (b_g) is a syzygy of the first
+  slots of G.
+- By Schreyer's theorem such a syzygy is generated by the lifts of the
+  processed G-G pairs (Gebauer and Moeller cover the chain-skipped ones). In
+  the module each lift is the result of reducing that pair, which is 0, a
+  new G element (whose own lift term cancels it) or a harvested syzygy,
+  plus the multiples of Z the reduction subtracted. So sum b_g g, and with
+  it (0, a), lies in the span of Z.
+- Z is no basis, so no Z element may be dropped for a lead that another Z
+  lead divides; the engine's minimalize step keeps each of them.
+  `SyzygyBasis.contains` tests membership, which needs a basis: it runs the
+  engine in full on the harvest.
 
 Vector fields live here too: a field is its coefficient tuple against the
 coordinate partials, and the fields annihilating g (respectively tangent to
@@ -79,7 +103,8 @@ class SyzygyBasis:
 def syzygy_basis(polys: Sequence[Polynomial],
                  labels: Optional[Sequence[str]] = None,
                  config: ComputeConfig = DEFAULT_CONFIG) -> SyzygyBasis:
-    """Generating set of {(a_1..a_k) : sum a_i p_i = 0}.
+    """Generating set of {(a_1..a_k) : sum a_i p_i = 0}, not a basis (see
+    the module docstring).
 
     Computed over the polynomial ring; a generating set over the local ring
     too, localization being flat. Harvested vectors have primitive integer
@@ -105,7 +130,7 @@ def syzygy_basis(polys: Sequence[Polynomial],
             for i, p in enumerate(polys)]
     elements: List[Vector] = []
     eng = _engine(ctx, rank, config)
-    for elt in eng.basis(rows):
+    for elt in eng.basis(rows, harvest=True):
         # the first slot dominates the order, so an element has a term there
         # exactly when its lead is there
         if eng.exponent(elt.lm)[n] == 0:
@@ -131,10 +156,13 @@ def tangent_fields(g: Polynomial, config: ComputeConfig = DEFAULT_CONFIG) -> Syz
     """Vector fields xi with dg(xi) in (g): syzygies of the partials extended
     by g itself, with the cofactor slot dropped.
 
-    Dropping the slot leaves the harvested fields distinct and nonzero. A
+    Dropping the slot leaves the harvested fields distinct and nonzero. The
+    harvested syzygies are distinct and nonzero: the inputs are distinct
+    rows, and each syzygy the run finds is nonzero and fully reduced by
+    every earlier element, so no earlier lead divides its lead. A
     syzygy (a, c) of (dg, g) with a = 0 has c*g = 0, so c = 0 and it is the
-    zero element, which no basis holds; two syzygies with equal a differ by
-    (0, c1 - c2), so c1 = c2 and they are the same element."""
+    zero element, which the harvest never holds; two syzygies with equal a
+    differ by (0, c1 - c2), so c1 = c2 and they are the same element."""
     if g.is_zero():
         raise GermInputError("tangent fields of the zero polynomial")
     names = g.ctx.names

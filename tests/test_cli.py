@@ -162,6 +162,20 @@ def test_route_disagreement_exits_3(capsys, tmp_corpus, monkeypatch):
     assert int(d["warnings"]) >= 1 and "does not match" in out
 
 
+def test_mond_inequality_violation_exits_3(capsys, tmp_corpus, monkeypatch):
+    # Ae-codim <= mu_I is proven for n <= 2; an Ae-codimension above mu_I
+    # must be flagged as a disagreement, never printed as a finding
+    import germinv.invariants as inv
+    real = inv.ae_codimension
+    monkeypatch.setattr(inv, "ae_codimension", lambda G: real(G) + 1)
+    code, out, _ = run(capsys, "report", tmp_corpus("s1"), "--format", "machine")
+    assert code == 3
+    d = machine_dict(out)
+    assert d["route_disagreement"] == "true"
+    assert d["ae_codim"] == "2" and d["mu_image"] == "1"
+    assert "against Mond's inequality" in out
+
+
 # -- error and limit handling ------------------------------------------------------
 
 def test_nonfinite_germ_exits_1(capsys):
@@ -182,6 +196,24 @@ def test_bad_s0_exits_1(capsys, tmp_corpus):
     assert code == 1 and "--s0 must be a rational" in err
     code, _, err = run(capsys, "report", path, "--s0", "0")
     assert code == 1 and "nonzero" in err
+
+
+@pytest.mark.parametrize("flags,message", [
+    (("--bogus",), "unrecognized arguments: --bogus"),
+    (("--format", "xml"), "invalid choice: 'xml'"),
+    (("--seed", "abc"), "invalid int value: 'abc'"),
+])
+def test_usage_errors_exit_1(capsys, tmp_corpus, flags, message):
+    # argparse would exit 2, which is the resource-limit code
+    code, out, err = run(capsys, "report", *flags, tmp_corpus("s1"))
+    assert code == 1 and out == ""
+    assert err.startswith("error: germinv") and message in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as stop:
+        console_main(["report", "--help"])
+    assert stop.value.code == 0 and "--with-lc" in capsys.readouterr().out
 
 
 def test_pair_budget_exits_2(capsys, tmp_path, tmp_corpus):

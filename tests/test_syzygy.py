@@ -1,12 +1,22 @@
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from germinv import (
-    GermInputError, OrderingSpec, Polynomial, VariableContext,
-    kernel_fields, parameter_part, syzygy_basis, tangent_fields,
+    GermInputError, Ideal, OrderingSpec, Polynomial, VariableContext,
+    image_equation, kernel_fields, parameter_part, syzygy_basis, tangent_fields,
 )
+from germinv.config import DEFAULT_CONFIG
+from germinv.germfile import load_germ_file, parse_germ_file
+from germinv.syzygy import SyzygyBasis, _encode, _engine
+
+from conftest import corpus_path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import families  # noqa: E402
 
 C2 = VariableContext.make(source=("x", "y"))
 X, Y = (Polynomial.variable(C2, n) for n in ("x", "y"))
@@ -137,3 +147,70 @@ def test_syzygies_over_a_unit_multiple():
         assert dot(vec, polys).is_zero()
     assert basis.contains((-Y, X + X ** 2))           # -y*(x^2+x^3) + (x+x^2)*(x*y) = 0
     assert not basis.contains((-Y, X))
+
+
+# -- the harvest: a generating set, not a basis ----------------------------------
+
+C3 = VariableContext.make(source=("x", "y", "z"))
+
+
+def full_syzygies(polys):
+    """The syzygies in a full module basis of the rows (p_i, e_i): the
+    engine run `SyzygyBasis.contains` uses, every pair formed and the
+    result minimalized."""
+    ctx = polys[0].ctx
+    k, n = len(polys), len(ctx)
+    one, zero = Polynomial.constant(ctx, 1), Polynomial.zero(ctx)
+    rows = [_encode([p] + [one if j == i else zero for j in range(k)], k + 1)
+            for i, p in enumerate(polys)]
+    eng = _engine(ctx, k + 1, DEFAULT_CONFIG)
+    out = []
+    for elt in eng.basis(rows):
+        terms = eng.decoded(elt)
+        if any(t[n] == 0 for t in terms):
+            continue
+        split = [{} for _ in range(k)]
+        for t, c in terms.items():
+            split[t[n] - 1][t[:n]] = Fraction(c)
+        out.append(tuple(Polynomial(ctx, d) for d in split))
+    return out
+
+
+def test_harvest_generates_the_whole_module_in_any_input_order():
+    # the harvest is no basis, so its elements depend on the input order;
+    # the module they generate must not, and must be the one a full basis
+    # of the syzygies generates
+    rng = random.Random(53)
+    for trial in range(64):
+        ctx = C2 if trial % 2 else C3
+        polys = [rand_poly(rng, ctx) for _ in range(rng.randint(2, 4))]
+        perm = list(range(len(polys)))
+        rng.shuffle(perm)
+        basis = syzygy_basis(polys)
+        back = []
+        for vec in syzygy_basis([polys[i] for i in perm]).elements:
+            out = [None] * len(vec)
+            for slot, i in enumerate(perm):
+                out[i] = vec[slot]
+            back.append(tuple(out))
+        full = full_syzygies(polys)
+        for gens, others in ((back, basis.elements), (basis.elements, back),
+                             (full, basis.elements), (basis.elements, full)):
+            module = SyzygyBasis(ctx, basis.components, basis.original, gens)
+            assert all(module.contains(v) for v in others)
+
+
+FAMILY = {g.name: g.text for g in families.generate(1)
+          if g.name.split("-")[1] in ("S3", "B3", "C3")}
+
+
+@pytest.mark.parametrize("name", ["s1", "crosscap", "twoplane"] + sorted(FAMILY))
+def test_harvested_parameter_parts_match_a_full_module_basis(name):
+    gf = parse_germ_file(FAMILY[name]) if name in FAMILY else load_germ_file(corpus_path(name))
+    g = image_equation(gf.spec, gf.config()).g
+    pidx = g.ctx.parameter_index()
+    parts = [g.partial(v) for v in g.ctx.names]
+    # the tangent run's cofactor slot is last, after the parameter slot
+    for fields, polys in ((kernel_fields(g), parts), (tangent_fields(g), parts + [g])):
+        full = Ideal(g.ctx, [v[pidx] for v in full_syzygies(polys)])
+        assert parameter_part(fields).basis() == full.basis()

@@ -14,8 +14,7 @@ from .errors import GermInputError, ParseError, ResourceLimitError
 from .poly import VariableContext, Polynomial
 from .orderings import OrderingSpec
 from .gb import Ideal, local_colength, INFINITE, EMPTY
-from .syzygy import SyzygyBasis, syzygy_basis, kernel_fields, tangent_fields, \
-    parameter_part
+from .syzygy import syzygy_basis, kernel_fields, tangent_fields, parameter_part
 from .invariants import (
     MapGermSpec, ImageEquation, InvariantReport, SamuelResult, SliceResult,
     LCIdeal, image_equation, ft_ideal, ft_codim, ft_dimension,
@@ -37,7 +36,6 @@ __all__ = [
     "local_colength",
     "INFINITE",
     "EMPTY",
-    "SyzygyBasis",
     "syzygy_basis",
     "kernel_fields",
     "tangent_fields",

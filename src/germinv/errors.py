@@ -20,4 +20,14 @@ class ParseError(GermInputError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A configured computation limit was exceeded; never an approximation."""
+    """A configured computation limit was exceeded; never an approximation.
+
+    `stage` names the computation that stopped, `limit` the bound it hit (a
+    `ComputeConfig` field, or a fixed cap) and `value` that bound's value.
+    """
+
+    def __init__(self, message: str, stage: str, limit: str, value: int):
+        super().__init__(message)
+        self.stage = stage
+        self.limit = limit
+        self.value = value

@@ -13,13 +13,12 @@ int, so a product is an addition, the order is int order and divisibility
 is one mask; `_Engine` gives the layout and how its field widths follow
 from the maximal degree, the module rank and the degrees of the inputs.
 Results are decoded once, where they leave the engine: the kept basis of an
-`Ideal`, the harvested syzygies, the leads a `lead_stop` predicate sees and
-the remainder of `reduce`.
+`Ideal`, the harvested syzygies and the leads a `lead_stop` predicate sees.
 
 The reducer keys each term once into a heap and pops the largest live term
 (Monagan and Pearce, CASC 2007), so no step rescans the polynomial, and
 takes the first basis element whose lead divides it. It reduces every term
-for bases and normal forms, and stops at the first irreducible term for
+while a basis is built, and stops at the first irreducible term for
 membership tests.
 
 The pair loop selects pairs by sugar and applies the chain criterion and,
@@ -51,7 +50,7 @@ import itertools
 from fractions import Fraction
 from math import gcd
 from operator import sub
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from .config import ComputeConfig, DEFAULT_CONFIG
 from .errors import GermInputError, ResourceLimitError
@@ -71,6 +70,7 @@ class _Sentinel:
 
 INFINITE = _Sentinel("INFINITE")   # quotient has no finite vector-space dimension
 EMPTY = _Sentinel("EMPTY")         # Krull dimension of the empty variety (unit ideal)
+STAIRCASE_CAP = 2_000_000          # monomials `staircase_count` may enumerate
 
 
 def _intify(terms) -> Dict[Exponent, int]:
@@ -81,17 +81,17 @@ def _intify(terms) -> Dict[Exponent, int]:
     for c in terms.values():
         if isinstance(c, Fraction):
             den = den * c.denominator // gcd(den, c.denominator)
-    return _primitive({e: int(c * den) for e, c in terms.items()})[0]
+    return _primitive({e: int(c * den) for e, c in terms.items()})
 
 
-def _primitive(h: Dict[Exponent, int]) -> Tuple[Dict[Exponent, int], int]:
-    """(h divided by its content, the content) for a nonzero integer polynomial."""
+def _primitive(h: Dict[Exponent, int]) -> Dict[Exponent, int]:
+    """h divided by its content, for a nonzero integer polynomial."""
     g = 0
     for v in h.values():
         g = gcd(g, v)
         if g == 1:
-            return h, 1
-    return {e: v // g for e, v in h.items()}, g
+            return h
+    return {e: v // g for e, v in h.items()}
 
 
 def _divides(a: Exponent, b: Exponent) -> bool:
@@ -231,35 +231,30 @@ class _Engine:
         n = self.nvars
         return max((sum(e[:n]) for p in polys for e in p), default=0)
 
-    def reduce(self, f: Dict[Exponent, Fraction], basis: Sequence[Dict[Exponent, Fraction]],
-               full: bool) -> Tuple[Dict[Exponent, int], Fraction]:
-        """Pseudo-reduce f by the standard basis `basis`, both exponent-keyed.
-
-        Returns (r, scale): r is exponent-keyed with primitive integer
-        coefficients and equals scale times the remainder over Q, scale a
-        positive rational; r is zero exactly when that remainder is. With
-        `full` the remainder is the reduced normal form; otherwise reduction
-        stops at the first term no lead divides.
-        """
+    def reduce(self, f: Dict[Exponent, Fraction],
+               basis: Sequence[Dict[Exponent, Fraction]]) -> bool:
+        """Whether f reduces to zero by the Groebner basis `basis`, both
+        exponent-keyed: membership in what the basis generates. Reduction
+        stops at the first term no lead divides."""
         h = _intify(f)
         if not h:
-            return h, Fraction(1)
+            return True
         basis = [_intify(b) for b in basis]
         self._fit(self._degree([h] + basis))
         pack = self.pack
         elts = [self.elt({pack(e): c for e, c in b.items()}) for b in basis if b]
-        e0 = next(iter(h))
-        r, scale = self._reduce({pack(e): c for e, c in h.items()}, elts, full)
-        return ({self.exponent(z): c for z, c in r.items()},
-                scale * h[e0] / f[e0])
+        return not self._reduce({pack(e): c for e, c in h.items()}, elts, full=False)
 
-    def _reduce(self, h: Dict[int, int], elts: Sequence[_Elt],
-                full: bool) -> Tuple[Dict[int, int], Fraction]:
-        """`reduce` on a packed, primitive h, which it consumes; the scale
-        is relative to h."""
+    def _reduce(self, h: Dict[int, int], elts: Sequence[_Elt], full: bool) -> Dict[int, int]:
+        """Pseudo-reduce a packed, primitive h, which it consumes, by `elts`.
+
+        The remainder is primitive, and a positive rational multiple of the
+        one over Q. With `full` every term is reduced; otherwise reduction
+        stops at the first term no lead divides, and the remainder is zero
+        exactly when h reduces to zero.
+        """
         if not h:
-            return h, Fraction(1)
-        num, den = 1, 1
+            return h
         cfg, dmask, guard = self.cfg, self.dmask, self.guard
         heap = [-z for z in h]
         heapq.heapify(heap)
@@ -281,11 +276,13 @@ class _Engine:
             if steps > cfg.max_pairs:
                 raise ResourceLimitError(
                     f"{self.stage} reduction exceeded the pair budget "
-                    f"(max_pairs={cfg.max_pairs} steps)")
+                    f"(max_pairs={cfg.max_pairs} steps)",
+                    f"{self.stage} reduction", "max_pairs", cfg.max_pairs)
             if (m & dmask) + red.maxdeg > cfg.max_degree:
                 raise ResourceLimitError(
                     f"{self.stage} reduction exceeded the degree bound "
-                    f"max_degree={cfg.max_degree}")
+                    f"max_degree={cfg.max_degree}",
+                    f"{self.stage} reduction", "max_degree", cfg.max_degree)
             g0 = gcd(c, red.lc)
             scale = red.lc // g0
             if scale < 0:
@@ -293,7 +290,6 @@ class _Engine:
             if scale != 1:
                 for k in h:
                     h[k] *= scale
-                num *= scale
             factor = c // g0
             del h[e]
             lm = red.lm
@@ -312,20 +308,15 @@ class _Engine:
                     else:
                         del h[tz]
             if steps % 64 == 0 and h:
-                h, g = _primitive(h)
-                den *= g
-                g = gcd(num, den)
-                num, den = num // g, den // g
-        if h:
-            h, g = _primitive(h)
-            den *= g
-        return h, Fraction(num, den)
+                h = _primitive(h)
+        return _primitive(h) if h else h
 
     def spoly(self, f: _Elt, g: _Elt, lcm: int) -> Dict[int, int]:
         if lcm & self.dmask > self.cfg.max_degree:
             raise ResourceLimitError(
                 f"{self.stage} s-polynomial exceeded the degree bound "
-                f"max_degree={self.cfg.max_degree}")
+                f"max_degree={self.cfg.max_degree}",
+                f"{self.stage} s-polynomial", "max_degree", self.cfg.max_degree)
         mf = lcm - f.lm
         mg = lcm - g.lm
         g0 = gcd(f.lc, g.lc)
@@ -339,7 +330,7 @@ class _Engine:
                 out[tz] = s
             else:
                 del out[tz]
-        return _primitive(out)[0] if out else out
+        return _primitive(out) if out else out
 
     def basis(self, gens: Sequence[Dict[Exponent, Fraction]],
               lead_stop=None, harvest: bool = False) -> Optional[List[_Elt]]:
@@ -401,7 +392,8 @@ class _Engine:
             handled += 1
             if handled > cfg.max_pairs:
                 raise ResourceLimitError(
-                    f"{self.stage} basis exceeded the pair budget max_pairs={cfg.max_pairs}")
+                    f"{self.stage} basis exceeded the pair budget max_pairs={cfg.max_pairs}",
+                    f"{self.stage} basis", "max_pairs", cfg.max_pairs)
             f, g = elts[i], elts[j]
             # Product criterion: coprime leads leave an s-polynomial that
             # reduces to zero, because lm(g)f - lm(f)g = tail(f)g - tail(g)f.
@@ -420,7 +412,7 @@ class _Engine:
                     break
             if skip:
                 continue
-            h = self._reduce(self.spoly(f, g, lcm), elts, full=True)[0]
+            h = self._reduce(self.spoly(f, g, lcm), elts, full=True)
             if not h:
                 continue
             new = self.elt(h)
@@ -445,7 +437,7 @@ class _Engine:
             for idx in range(len(minimal)):
                 others = minimal[:idx] + minimal[idx + 1:]
                 minimal[idx] = self.elt(self._reduce(dict(minimal[idx].terms), others,
-                                                     full=True)[0])
+                                                     full=True))
         return minimal
 
 
@@ -466,10 +458,11 @@ def staircase_count(leads: Sequence[Exponent], nvars: int):
     size = 1
     for b in bounds:
         size *= max(b, 1)
-    if size > 2_000_000:
+    if size > STAIRCASE_CAP:
         raise ResourceLimitError(
             f"staircase enumeration too large: the bounding box of the pure powers "
-            f"holds {size} monomials, above the cap of 2000000")
+            f"holds {size} monomials, above the cap of {STAIRCASE_CAP}",
+            "staircase enumeration", "staircase_cap", STAIRCASE_CAP)
     leads = [e for e in leads if all(x < b for x, b in zip(e, bounds))]
     return sum(1 for mono in itertools.product(*(range(b) for b in bounds))
                if not any(_divides(e, mono) for e in leads))
@@ -570,24 +563,13 @@ class Ideal:
     def leading_monomials(self) -> List[Exponent]:
         return [max(p.terms, key=self._key) for p in self.basis()]
 
-    def is_unit(self) -> bool:
-        return any(sum(e) == 0 for e in self.leading_monomials())
-
-    def normal_form(self, p: Polynomial) -> Polynomial:
-        """Reduced normal form: the canonical linear representative of p
-        modulo the ideal."""
-        if p.ctx != self.ctx:
-            raise GermInputError("normal form argument over the wrong context")
-        red, scale = self._reduce(p, full=True)
-        return Polynomial._raw(self.ctx, {e: Fraction(c) / scale for e, c in red.items()})
-
     def contains(self, p: Polynomial) -> bool:
-        """Membership in the ideal of the polynomial ring; for the local
-        ring, compare colengths instead."""
-        return not self._reduce(p, full=False)[0]
-
-    def _reduce(self, p: Polynomial, full: bool):
-        return self._engine().reduce(p.terms, [b.terms for b in self.basis()], full)
+        """Membership in the ideal of the polynomial ring: p reduces to zero
+        by the reduced basis. p must lie over this ideal's context. For the
+        local ring, compare colengths instead."""
+        if p.ctx != self.ctx:
+            raise GermInputError("membership argument over the wrong context")
+        return self._engine().reduce(p.terms, [b.terms for b in self.basis()])
 
     # -- constructions ---------------------------------------------------
 

@@ -37,7 +37,7 @@ from .errors import GermInputError, ResourceLimitError
 from .gb import EMPTY, INFINITE, Ideal, local_colength
 from .orderings import OrderingSpec
 from .poly import Polynomial, VariableContext
-from .syzygy import SyzygyBasis, kernel_fields, parameter_part, tangent_fields
+from .syzygy import Vector, kernel_fields, parameter_part, tangent_fields
 
 DEGREVLEX = OrderingSpec.degrevlex()
 
@@ -194,7 +194,7 @@ def image_equation(spec: MapGermSpec, config: ComputeConfig = DEFAULT_CONFIG,
 
 # -- shared derived objects --------------------------------------------------
 
-def _kernel(G: ImageEquation) -> SyzygyBasis:
+def _kernel(G: ImageEquation) -> List[Vector]:
     if "kernel" not in G._cache:
         G._cache["kernel"] = kernel_fields(G.g, G.config)
     return G._cache["kernel"]
@@ -204,18 +204,19 @@ def _br_ideal(G: ImageEquation) -> Ideal:
     """Bruce-Roberts ideal: parameter components of the fields tangent to
     the image, as a global handle (see `ft_ideal`)."""
     if "br" not in G._cache:
-        G._cache["br"] = parameter_part(tangent_fields(G.g, G.config), G.config)
+        G._cache["br"] = parameter_part(G.ctx, tangent_fields(G.g, G.config), G.config)
     return G._cache["br"]
 
 
 def _local_dim(ctx: VariableContext, gens: Sequence[Polynomial],
                config: ComputeConfig, what: str) -> int:
     """`local_colength` of the generators. Only a proven INFINITE is bad input;
-    an exhausted limit stays a resource error, prefixed with the stage."""
+    an exhausted limit stays a resource error, its message prefixed with
+    `what` and its attributes kept."""
     try:
         d = local_colength(ctx, gens, config)
     except ResourceLimitError as exc:
-        raise ResourceLimitError(f"{what}: {exc}") from exc
+        raise ResourceLimitError(f"{what}: {exc}", exc.stage, exc.limit, exc.value) from exc
     if d is INFINITE:
         raise GermInputError(f"{what} is infinite; input violates finiteness")
     return d
@@ -236,7 +237,7 @@ def ft_ideal(G: ImageEquation) -> Ideal:
     that order.
     """
     if "ft" not in G._cache:
-        G._cache["ft"] = parameter_part(_kernel(G), G.config)
+        G._cache["ft"] = parameter_part(G.ctx, _kernel(G), G.config)
     return G._cache["ft"]
 
 
@@ -439,7 +440,8 @@ def slice_milnor_total(G: ImageEquation, s0: Optional[Fraction] = None,
     raise ResourceLimitError(
         "no two sampled slice values agreed on a count within "
         f"{cfg.s0_retries} tries (counts {[c for _, c in seen]}, "
-        f"degenerate {rejected}); raise the retry budget")
+        f"degenerate {rejected}); raise the retry budget",
+        "slice sampling", "s0_retries", cfg.s0_retries)
 
 
 # -- tangent-field invariants ------------------------------------------------
@@ -488,8 +490,8 @@ class LCIdeal:
         FT ideal handle, whose generator list is normalized."""
         values: Dict[str, int] = {n: 0 for n in self.cotangent[:-1]}
         values[self.cotangent[-1]] = 1
-        kern = _kernel(self.base)
-        slots = [v[len(self.base.ctx) - 1] for v in kern.elements]
+        pidx = self.base.ctx.parameter_index()
+        slots = [v[pidx] for v in _kernel(self.base)]
         if len(slots) != len(self.gens):
             return False
         for xi, b in zip(self.gens, slots):
@@ -519,7 +521,7 @@ def lc_ideal(G: ImageEquation) -> LCIdeal:
         ext = ctx.extend(pnames + [qname], "cotangent")
         covars = [Polynomial.variable(ext, n) for n in pnames + [qname]]
         gens = []
-        for v in _kernel(G).elements:
+        for v in _kernel(G):
             acc = Polynomial.zero(ext)
             for comp, cv in zip(v, covars):
                 acc = acc + comp.rename(ext) * cv

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, Mapping, Tuple, Union
 
 from .errors import GermInputError
 from . import orderings
@@ -67,9 +67,6 @@ class VariableContext:
             return self.names.index(name)
         except ValueError:
             raise GermInputError(f"variable {name!r} not in context") from None
-
-    def names_with_role(self, role: str) -> Tuple[str, ...]:
-        return tuple(n for n, r in zip(self.names, self.roles) if r == role)
 
     def parameter_index(self) -> int:
         try:
@@ -142,10 +139,6 @@ class Polynomial:
         exp = tuple(1 if j == i else 0 for j in range(len(ctx)))
         return cls._raw(ctx, {exp: _ONE})
 
-    @classmethod
-    def monomial(cls, ctx: VariableContext, exp: Exponent, coeff: Scalar = 1) -> "Polynomial":
-        return cls(ctx, {tuple(exp): coeff})
-
     # -- queries ---------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -154,18 +147,11 @@ class Polynomial:
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * len(self.ctx), _ZERO)
 
-    def total_degree(self) -> int:
-        """Max term degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
-
     def weighted_degrees(self, weights: Mapping[str, int]) -> Tuple[int, ...]:
         """Sorted distinct weighted term degrees (empty for zero)."""
         w = [weights.get(n, 0) for n in self.ctx.names]
         degs = {sum(wi * ei for wi, ei in zip(w, exp)) for exp in self.terms}
         return tuple(sorted(degs))
-
-    def coefficient(self, exp: Exponent) -> Fraction:
-        return self.terms.get(tuple(exp), _ZERO)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -271,11 +257,9 @@ class Polynomial:
             out[e] = out.get(e, _ZERO) + c
         return Polynomial._raw(self.ctx.drop(values), {e: c for e, c in out.items() if c})
 
-    def rename(self, target: VariableContext,
-               mapping: Optional[Mapping[str, str]] = None) -> "Polynomial":
-        """Transport to a context containing (a renaming of) this one's variables."""
-        mapping = mapping or {}
-        idx = [target.index(mapping.get(n, n)) for n in self.ctx.names]
+    def rename(self, target: VariableContext) -> "Polynomial":
+        """Transport to a context containing this one's variables."""
+        idx = [target.index(n) for n in self.ctx.names]
         m = len(target)
         out: Dict[Exponent, Fraction] = {}
         for exp, c in self.terms.items():

@@ -32,20 +32,18 @@ of it would cost the pairs of two syzygies, most of which reduce to zero
   it (0, a), lies in the span of Z.
 - Z is no basis, so no Z element may be dropped for a lead that another Z
   lead divides; the engine's minimalize step keeps each of them.
-  `SyzygyBasis.contains` tests membership, which needs a basis: it runs the
-  engine in full on the harvest.
 
 Vector fields live here too: a field is its coefficient tuple against the
-coordinate partials, and the fields annihilating g (respectively tangent to
-its zero set) are exactly the syzygies of the partials of g (respectively of
-the partials extended by g, cofactor slot discarded).
+coordinate partials, slot i multiplying the partial by `ctx.names[i]`, and
+the fields annihilating g (respectively tangent to its zero set) are exactly
+the syzygies of the partials of g (respectively of the partials extended by
+g, cofactor slot discarded). A field basis is a plain list of such tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .config import ComputeConfig, DEFAULT_CONFIG
 from .errors import GermInputError
@@ -73,38 +71,10 @@ def _encode(vec: Sequence[Polynomial], rank: int) -> Dict[Exponent, Fraction]:
             for comp, p in enumerate(vec) for e, c in p.terms.items()}
 
 
-@dataclass
-class SyzygyBasis:
-    """Generators of the relation module of a fixed polynomial tuple.
-
-    components[i] labels the i-th slot; for vector-field uses the label is the
-    coordinate whose partial the slot multiplies.
-    """
-
-    ctx: VariableContext
-    components: Tuple[str, ...]
-    original: Tuple[Polynomial, ...]
-    elements: List[Vector]
-    _basis: Optional[list] = field(default=None, repr=False, compare=False)
-
-    def contains(self, vec: Vector) -> bool:
-        """Whether vec lies in the module the elements generate over the
-        polynomial ring."""
-        rank = len(self.components)
-        if len(vec) != rank or any(p.ctx != self.ctx for p in vec):
-            raise GermInputError("module element of the wrong rank or context")
-        eng = _engine(self.ctx, rank, DEFAULT_CONFIG)
-        if self._basis is None:
-            self._basis = [eng.decoded(e) for e in
-                           eng.basis([_encode(v, rank) for v in self.elements])]
-        return not eng.reduce(_encode(vec, rank), self._basis, full=False)[0]
-
-
 def syzygy_basis(polys: Sequence[Polynomial],
-                 labels: Optional[Sequence[str]] = None,
-                 config: ComputeConfig = DEFAULT_CONFIG) -> SyzygyBasis:
+                 config: ComputeConfig = DEFAULT_CONFIG) -> List[Vector]:
     """Generating set of {(a_1..a_k) : sum a_i p_i = 0}, not a basis (see
-    the module docstring).
+    the module docstring), as a list of k-tuples.
 
     Computed over the polynomial ring; a generating set over the local ring
     too, localization being flat. Harvested vectors have primitive integer
@@ -118,11 +88,6 @@ def syzygy_basis(polys: Sequence[Polynomial],
         if p.ctx != ctx:
             raise GermInputError("syzygy inputs over mixed contexts")
     k = len(polys)
-    if labels is None:
-        labels = tuple(str(i) for i in range(k))
-    labels = tuple(labels)
-    if len(labels) != k:
-        raise GermInputError("syzygy component labels of the wrong length")
     n, rank = len(ctx), k + 1
     one = Polynomial.constant(ctx, 1)
     zero = Polynomial.zero(ctx)
@@ -140,19 +105,17 @@ def syzygy_basis(polys: Sequence[Polynomial],
         for t, c in eng.decoded(elt).items():
             split[t[n] - 1][t[:n]] = Fraction(sign * c)
         elements.append(tuple(Polynomial._raw(ctx, d) for d in split))
-    return SyzygyBasis(ctx, labels, tuple(polys), elements)
+    return elements
 
 
-def kernel_fields(g: Polynomial, config: ComputeConfig = DEFAULT_CONFIG) -> SyzygyBasis:
+def kernel_fields(g: Polynomial, config: ComputeConfig = DEFAULT_CONFIG) -> List[Vector]:
     """Vector fields xi with dg(xi) = 0: syzygies of the partials of g."""
     if g.is_zero():
         raise GermInputError("kernel fields of the zero polynomial")
-    names = g.ctx.names
-    partials = [g.partial(n) for n in names]
-    return syzygy_basis(partials, labels=names, config=config)
+    return syzygy_basis([g.partial(n) for n in g.ctx.names], config)
 
 
-def tangent_fields(g: Polynomial, config: ComputeConfig = DEFAULT_CONFIG) -> SyzygyBasis:
+def tangent_fields(g: Polynomial, config: ComputeConfig = DEFAULT_CONFIG) -> List[Vector]:
     """Vector fields xi with dg(xi) in (g): syzygies of the partials extended
     by g itself, with the cofactor slot dropped.
 
@@ -165,24 +128,13 @@ def tangent_fields(g: Polynomial, config: ComputeConfig = DEFAULT_CONFIG) -> Syz
     differ by (0, c1 - c2), so c1 = c2 and they are the same element."""
     if g.is_zero():
         raise GermInputError("tangent fields of the zero polynomial")
-    names = g.ctx.names
-    polys = [g.partial(n) for n in names] + [g]
-    full = syzygy_basis(polys, labels=tuple(names) + ("_cofactor",), config=config)
-    return SyzygyBasis(g.ctx, tuple(names), tuple(polys[:-1]),
-                       [v[:-1] for v in full.elements])
+    polys = [g.partial(n) for n in g.ctx.names] + [g]
+    return [v[:-1] for v in syzygy_basis(polys, config)]
 
 
-def parameter_part(basis: SyzygyBasis, config: ComputeConfig = DEFAULT_CONFIG) -> Ideal:
-    """Ideal of parameter-direction components of a field basis, as a global
+def parameter_part(ctx: VariableContext, fields: Sequence[Vector],
+                   config: ComputeConfig = DEFAULT_CONFIG) -> Ideal:
+    """Ideal of the parameter slots of fields over `ctx`, as a global
     (degrevlex) handle, whose reduced basis is computed once and cached."""
-    idx = None
-    pidx = basis.ctx.parameter_index()
-    pname = basis.ctx.names[pidx]
-    for i, label in enumerate(basis.components):
-        if label == pname:
-            idx = i
-            break
-    if idx is None:
-        raise GermInputError("field basis has no parameter-labeled component")
-    gens = [v[idx] for v in basis.elements]
-    return Ideal(basis.ctx, gens, OrderingSpec.degrevlex(), config)
+    idx = ctx.parameter_index()
+    return Ideal(ctx, [v[idx] for v in fields], OrderingSpec.degrevlex(), config)

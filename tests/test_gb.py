@@ -35,10 +35,8 @@ def spoly(f, g, ctx, key):
     lf = max(f.terms, key=key)
     lg = max(g.terms, key=key)
     lcm = tuple(max(a, b) for a, b in zip(lf, lg))
-    mf = Polynomial.monomial(ctx, tuple(a - b for a, b in zip(lcm, lf)),
-                             1 / f.terms[lf])
-    mg = Polynomial.monomial(ctx, tuple(a - b for a, b in zip(lcm, lg)),
-                             1 / g.terms[lg])
+    mf = Polynomial(ctx, {tuple(a - b for a, b in zip(lcm, lf)): 1 / f.terms[lf]})
+    mg = Polynomial(ctx, {tuple(a - b for a, b in zip(lcm, lg)): 1 / g.terms[lg]})
     return mf * f - mg * g
 
 
@@ -58,7 +56,7 @@ def test_buchberger_certificate_randomized():
         for i in range(len(basis)):
             for j in range(i + 1, len(basis)):
                 s = spoly(basis[i], basis[j], ctx, key)
-                assert ideal.normal_form(s).is_zero()
+                assert ideal.contains(s)
         for g in gens:
             assert ideal.contains(g)
 
@@ -86,18 +84,7 @@ def test_basis_deterministic_and_generator_order_free():
     assert a == Ideal(C2, gens, DRL).basis()
 
 
-# -- normal forms ---------------------------------------------------------------
-
-def test_normal_form_idempotent_and_linear_global():
-    rng = random.Random(29)
-    ideal = Ideal(C2, [X2 ** 2 - Y2, Y2 ** 2 - X2], DRL)
-    for _ in range(30):
-        p, q = rand_poly(rng, C2, 4), rand_poly(rng, C2, 4)
-        np_, nq = ideal.normal_form(p), ideal.normal_form(q)
-        assert ideal.normal_form(np_) == np_
-        assert ideal.normal_form(p + q) == ideal.normal_form(np_ + nq)
-        assert ideal.contains(p - np_)
-
+# -- membership -----------------------------------------------------------------
 
 def test_membership_explicit_combinations():
     rng = random.Random(31)
@@ -190,7 +177,7 @@ def test_elimination_is_sound():
     small = elim.elimination(["t"])
     assert small.basis()
     for p in small.basis():
-        for k in range(3 * p.total_degree() + 1):
+        for k in range(3 * max(map(sum, p.terms)) + 1):
             t0 = Fraction(k - 2, 3)
             assert p.specialize({"x": t0 ** 2 + t0, "y": t0 ** 3}) == 0
 
@@ -232,8 +219,10 @@ def test_staircase_counts_and_dimensions():
 
 
 def test_staircase_cap_names_its_limit():
-    with pytest.raises(ResourceLimitError, match="8000000 monomials.*2000000"):
+    with pytest.raises(ResourceLimitError, match="8000000 monomials.*2000000") as info:
         staircase_count([(200, 0, 0), (0, 200, 0), (0, 0, 200)], 3)
+    assert (info.value.stage, info.value.limit, info.value.value) == \
+        ("staircase enumeration", "staircase_cap", 2000000)
 
 
 def test_quotient_dimension_monomial_and_unit_cases():
@@ -242,7 +231,7 @@ def test_quotient_dimension_monomial_and_unit_cases():
     assert Ideal(C2, [X2], DRL).quotient_dimension() is INFINITE
     assert local_colength(C2, [X2]) is INFINITE
     unit = Ideal(C2, [Polynomial.constant(C2, 1)], DRL)
-    assert unit.is_unit()
+    assert unit.basis() == [1]
     assert unit.quotient_dimension() == 0
 
 
@@ -292,7 +281,7 @@ def test_packing_fits_inputs_beyond_max_degree():
     # the inputs where they exceed max_degree
     assert not Ideal(C2, [Y2]).contains(X2 ** 5000)
     assert local_colength(C2, [Y2, X2 ** 5000]) == 5000
-    assert Ideal(C2, [Y2]).normal_form(X2 ** 3000 + Y2) == X2 ** 3000
+    assert not Ideal(C2, [Y2]).contains(X2 ** 3000 + Y2)
     gens = [X2 ** 300 + Y2, Y2 ** 2]
     basis = Ideal(C2, gens, config=ComputeConfig(max_degree=2)).basis()
     assert sorted(map(str, basis)) == sorted(map(str, gens))
@@ -310,6 +299,11 @@ def test_packing_fits_inputs_beyond_max_degree():
 def test_context_mismatch_rejected():
     with pytest.raises(GermInputError):
         Ideal(C2, [X3], DRL)
+    # membership of a polynomial over another context is refused, not
+    # answered over the coordinates the two contexts happen to share
     ideal = Ideal(C2, [X2], DRL)
     with pytest.raises(GermInputError):
-        ideal.normal_form(X3)
+        ideal.contains(X3 * Z3)
+    UV = VariableContext.make(source=("u", "v"))
+    with pytest.raises(GermInputError):
+        ideal.contains(Polynomial.variable(UV, "u"))

@@ -1,0 +1,81 @@
+"""The basis engine against an independent implementation: sympy's.
+
+A reduced Groebner basis is unique for its term order, so the monic reduced
+degrevlex basis of every ideal here must equal, element for element,
+sympy's `groebner(..., order="grevlex", domain="QQ")` over the same
+variable order, and `Ideal.contains` must agree with sympy's reduction. The
+inputs are seeded small ideals over (x, y, z) and the FT and Bruce-Roberts
+ideals of the corpus germs s1 and crosscap, the handles the invariants read.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+import sympy
+
+from germinv import Ideal, Polynomial, VariableContext, ft_ideal
+from germinv.invariants import _br_ideal
+
+C3 = VariableContext.make(source=("x", "y", "z"))
+
+
+def rand_poly(rng, ctx, max_terms=3, max_deg=3):
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        exp = tuple(rng.randint(0, max_deg) for _ in range(len(ctx)))
+        terms[exp] = Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3))
+    return Polynomial(ctx, terms)
+
+
+def as_sympy(p: Polynomial):
+    gens = sympy.symbols(p.ctx.names)
+    return sympy.Poly.from_dict(
+        {e: sympy.Rational(c.numerator, c.denominator) for e, c in p.terms.items()},
+        *gens, domain=sympy.QQ)
+
+
+def as_terms(p: sympy.Poly):
+    return frozenset((e, Fraction(int(c.p), int(c.q))) for e, c in p.as_dict().items())
+
+
+def check(ideal: Ideal, candidates):
+    """The basis equals sympy's; membership agrees on every candidate."""
+    gens = sympy.symbols(ideal.ctx.names)
+    theirs = sympy.groebner([as_sympy(g) for g in ideal.gens], *gens,
+                            order="grevlex", domain="QQ")
+    ours = ideal.basis()
+    assert len(ours) == len(theirs.polys)
+    assert {frozenset(b.terms.items()) for b in ours} == {as_terms(p) for p in theirs.polys}
+    for p in candidates:
+        assert ideal.contains(p) == theirs.contains(as_sympy(p).as_expr()), str(p)
+
+
+def candidates(rng, ideal: Ideal, count=4):
+    """Combinations of the generators, members by construction, and the same
+    with a random polynomial added, which sympy decides."""
+    out = []
+    for _ in range(count):
+        member = Polynomial.zero(ideal.ctx)
+        for g in ideal.gens:
+            member = member + rand_poly(rng, ideal.ctx, 2, 2) * g
+        assert ideal.contains(member)
+        out += [member, member + rand_poly(rng, ideal.ctx, 2, 2)]
+    return out
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_seeded_ideals_match_sympy(seed):
+    rng = random.Random(4000 + seed)
+    gens = [rand_poly(rng, C3) for _ in range(rng.randint(2, 3))]
+    ideal = Ideal(C3, gens)
+    check(ideal, candidates(rng, ideal))
+
+
+@pytest.mark.parametrize("name", ["s1", "crosscap"])
+def test_ft_and_bruce_roberts_ideals_match_sympy(name, request):
+    G = request.getfixturevalue(f"{name}_image")
+    rng = random.Random(name)
+    for ideal in (ft_ideal(G), _br_ideal(G)):
+        s = Polynomial.variable(G.ctx, G.spec.parameter)
+        check(ideal, candidates(rng, ideal, 2) + [s, s ** 2, G.g])

@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Each subcommand loads a germ file, computes one invariant (or the full
-report), and prints it in one of two formats: `human` (aligned table) or
-`machine` (line-delimited key=value text, schema version first, byte-stable
-for a fixed seed). Exit codes: 0 success, 1 bad input, 2 resource limit
+report) as one list of (key, value) rows, and prints those rows in one of
+two formats: `machine` (line-delimited key=value text, schema version first,
+byte-stable for a fixed seed) or `human` (the same rows in the same order,
+an aligned table of labels). Exit codes: 0 success, 1 bad input, 2 resource limit
 exceeded, 3 the routes that must agree did not.
 
 Every command starts from the image equation. Its branch factors are
@@ -21,13 +22,13 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .config import ComputeConfig, DEFAULT_CONFIG
 from .errors import GermInputError, ParseError, ResourceLimitError
 from .exprparse import parse_polynomial
 from .gb import EMPTY, INFINITE
-from .germfile import GermFile, _KEY_TO_FIELD, config_value, load_germ_file
+from .germfile import GermFile, load_germ_file, load_limits
 from .invariants import (
     ImageEquation, ae_codimension, bruce_roberts_number, ft_codim,
     ft_dimension, ft_ideal, full_report, image_equation, image_milnor_number,
@@ -38,7 +39,34 @@ from .poly import Polynomial, VariableContext
 _CACHE_MAGIC = "germinv.gcache.v1"
 
 
-# -- formatting ---------------------------------------------------------------
+# -- output -------------------------------------------------------------------
+
+# machine key -> human label; a key `<head>_<i>` is labelled `<label of head> <i>`
+_LABELS = {
+    "provenance": "provenance",
+    "g": "image equation",
+    "factor": "factor",
+    "ft_codim": "ft codimension",
+    "ft_dim": "ft quotient dimension",
+    "gen": "generator",
+    "mu_image": "image Milnor number",
+    "mu_image_oracle": "slice-count oracle",
+    "oracle_s0": "oracle sample s0",
+    "samuel_profile": "Samuel profile",
+    "stability": "stability",
+    "mu_br": "Bruce-Roberts number",
+    "cm_flag": "Cohen-Macaulay",
+    "ae_codim": "Ae-codimension",
+    "lc_substitution": "cotangent substitution",
+    "lc_dim": "characteristic dimension",
+    "lc_dim_expected": "expected dimension",
+    "route_disagreement": "route disagreement",
+    "milnor": "Milnor number",
+}
+
+# what a command prints: its (machine key, value) rows, warnings, exit code
+_Output = Tuple[List[Tuple[str, object]], Sequence[str], int]
+
 
 def _fmt(value) -> str:
     if value is None:
@@ -56,50 +84,38 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit_machine(schema: str, rows: Sequence[Tuple[str, object]],
-                  warnings: Sequence[str] = ()) -> None:
-    print(f"schema={schema}")
-    for key, value in rows:
-        print(f"{key}={_fmt(value)}")
-    print(f"warnings={len(warnings)}")
-    for i, w in enumerate(warnings, 1):
-        print(f"warning_{i}={w}")
+def _label(key: str) -> str:
+    head, _, index = key.rpartition("_")
+    return f"{_LABELS[head]} {index}" if index.isdigit() else _LABELS[key]
 
 
-def _emit_human(rows: Sequence[Tuple[str, str]],
-                warnings: Sequence[str] = ()) -> None:
-    width = max((len(label) for label, _ in rows), default=0)
-    for label, value in rows:
-        print(f"{label:<{width}}  {value}")
+def _emit(fmt: str, schema: str, rows: Sequence[Tuple[str, object]],
+          warnings: Sequence[str]) -> None:
+    """`machine`: key=value lines, schema first and warnings last;
+    `human`: the same rows as an aligned table of labels."""
+    if fmt == "machine":
+        print(f"schema={schema}")
+        for key, value in rows:
+            print(f"{key}={_fmt(value)}")
+        print(f"warnings={len(warnings)}")
+        for i, w in enumerate(warnings, 1):
+            print(f"warning_{i}={w}")
+        return
+    labels = [_label(key) for key, _ in rows]
+    width = max(map(len, labels), default=0)
+    for label, (_, value) in zip(labels, rows):
+        print(f"{label:<{width}}  {_fmt(value)}")
     for w in warnings:
         print(f"warning: {w}")
 
 
 # -- config assembly ----------------------------------------------------------
 
-def _parse_limits(path: str) -> Dict[str, int]:
-    over: Dict[str, int] = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as e:
-        raise GermInputError(f"cannot read limits file {path}: {e.strerror}")
-    for lineno, raw in enumerate(lines, 1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
-        key, _, val = body.partition(" ")
-        if key not in _KEY_TO_FIELD:
-            raise ParseError(f"unknown limit {key!r}", lineno, 1)
-        over[_KEY_TO_FIELD[key]] = config_value(key, val.strip(), lineno)
-    return over
-
-
 def _resolve_config(gf: Optional[GermFile], args) -> ComputeConfig:
     """Precedence: defaults < germ-file overrides < --limits file < flags."""
     cfg = gf.config() if gf is not None else DEFAULT_CONFIG
     if getattr(args, "limits", None):
-        cfg = cfg.with_overrides(**_parse_limits(args.limits))
+        cfg = cfg.with_overrides(**load_limits(args.limits))
     if getattr(args, "seed", None) is not None:
         cfg = cfg.with_overrides(seed=args.seed)
     return cfg
@@ -125,7 +141,7 @@ def _cache_load(path: str, key: str, gf: GermFile) -> Optional[List[Polynomial]]
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError:
+    except (OSError, UnicodeDecodeError):   # unreadable: recompute and rewrite
         return None
     if len(lines) < 3 or lines[0] != _CACHE_MAGIC or lines[1] != f"key={key}":
         return None
@@ -180,143 +196,90 @@ def _load_image(gf: GermFile, germ_path: str, cfg: ComputeConfig,
 
 # -- subcommands ---------------------------------------------------------------
 
-def _cmd_image(G: ImageEquation, args) -> int:
-    if args.format == "machine":
-        rows: List[Tuple[str, object]] = [("provenance", G.provenance),
-                                          ("g", G.g)]
-        rows += [(f"factor_{i}", f) for i, f in enumerate(G.factors, 1)]
-        _emit_machine("germinv.image.v1", rows)
-    else:
-        rows = [("provenance", G.provenance), ("G", str(G.g))]
-        if len(G.factors) > 1:
-            rows += [(f"factor {i}", str(f))
-                     for i, f in enumerate(G.factors, 1)]
-        _emit_human(rows)
-    return 0
+def _cmd_image(G: ImageEquation, args) -> _Output:
+    rows: List[Tuple[str, object]] = [("provenance", G.provenance), ("g", G.g)]
+    rows += [(f"factor_{i}", f) for i, f in enumerate(G.factors, 1)]
+    return rows, (), 0
 
 
-def _cmd_ft(G: ImageEquation, args) -> int:
+def _cmd_ft(G: ImageEquation, args) -> _Output:
     gens = ft_ideal(G).basis()
-    codim = ft_codim(G)
-    fdim = ft_dimension(G)
-    if args.format == "machine":
-        rows: List[Tuple[str, object]] = [("ft_codim", codim), ("ft_dim", fdim)]
-        rows += [(f"gen_{i}", p) for i, p in enumerate(gens, 1)]
-        _emit_machine("germinv.ft.v1", rows)
-    else:
-        rows = [("ft codimension", str(codim)),
-                ("ft quotient dimension", _fmt(fdim)),
-                ("generators", str(len(gens)))]
-        rows += [(f"  [{i}]", str(p)) for i, p in enumerate(gens, 1)]
-        _emit_human(rows)
-    return 0
+    rows: List[Tuple[str, object]] = [("ft_codim", ft_codim(G)),
+                                      ("ft_dim", ft_dimension(G))]
+    rows += [(f"gen_{i}", p) for i, p in enumerate(gens, 1)]
+    return rows, (), 0
 
 
-def _cmd_mu_image(G: ImageEquation, args) -> int:
+def _cmd_mu_image(G: ImageEquation, args) -> _Output:
     mu = image_milnor_number(G)
-    stability = "stable" if mu.multiplicity == 0 else "unstable"
-    if args.format == "machine":
-        _emit_machine("germinv.mu-image.v1",
-                      [("mu_image", mu.multiplicity),
-                       ("samuel_profile", mu.profile),
-                       ("stability", stability)])
-    else:
-        _emit_human([("image Milnor number", str(mu.multiplicity)),
-                     ("Samuel profile", ", ".join(map(str, mu.profile))),
-                     ("stability", stability)])
-    return 0
+    return [("mu_image", mu.multiplicity), ("samuel_profile", mu.profile),
+            ("stability", "stable" if mu.multiplicity == 0 else "unstable")], (), 0
 
 
-def _cmd_mu_br(G: ImageEquation, args) -> int:
-    mu = bruce_roberts_number(G)
-    if args.format == "machine":
-        _emit_machine("germinv.mu-br.v1", [("mu_br", mu)])
-    else:
-        _emit_human([("Bruce-Roberts number", str(mu))])
-    return 0
+def _cmd_mu_br(G: ImageEquation, args) -> _Output:
+    return [("mu_br", bruce_roberts_number(G))], (), 0
 
 
-def _cmd_ae(G: ImageEquation, args) -> int:
-    ae = ae_codimension(G)
-    if args.format == "machine":
-        _emit_machine("germinv.ae-codim.v1", [("ae_codim", ae)])
-    else:
-        _emit_human([("Ae-codimension", str(ae))])
-    return 0
+def _cmd_ae(G: ImageEquation, args) -> _Output:
+    return [("ae_codim", ae_codimension(G))], (), 0
 
 
-def _cmd_lc_check(G: ImageEquation, args) -> int:
+def _cmd_lc_check(G: ImageEquation, args) -> _Output:
     lc = lc_ideal(G)
     ok = lc.substitution_identity()
     dim = lc.certified_dimension()
     expected = len(G.ctx) + 1
-    if args.format == "machine":
-        _emit_machine("germinv.lc-check.v1",
-                      [("lc_substitution", ok), ("lc_dim", dim),
-                       ("lc_dim_expected", expected)])
-    else:
-        _emit_human([("cotangent substitution", "ok" if ok else "MISMATCH"),
-                     ("characteristic dimension", str(dim)),
-                     ("expected", str(expected))])
-    return 0 if ok and dim == expected else 3
+    return ([("lc_substitution", ok), ("lc_dim", dim), ("lc_dim_expected", expected)],
+            (), 0 if ok and dim == expected else 3)
 
 
-def _cmd_report(gf: GermFile, G: ImageEquation, cfg: ComputeConfig, args) -> int:
+def _cmd_report(G: ImageEquation, args) -> _Output:
     s0 = None
     if args.s0 is not None:
         try:
             s0 = Fraction(args.s0)
         except (ValueError, ZeroDivisionError):
             raise GermInputError(f"--s0 must be a rational, got {args.s0!r}") from None
-    r = full_report(gf.spec, cfg, with_lc=args.with_lc, s0=s0, image=G)
-    if args.format == "machine":
-        rows: List[Tuple[str, object]] = [
-            ("mu_image", r.mu_image),
-            ("mu_image_oracle", r.mu_image_oracle),
-            ("oracle_s0", r.oracle_s0),
-            ("ft_codim", r.ft_codim),
-            ("ft_dim", r.ft_dim),
-            ("mu_br", r.mu_br),
-            ("cm_flag", r.cm_flag),
-            ("stability", r.stability),
-            ("ae_codim", r.ae_codim),
-            ("samuel_profile", r.samuel_profile),
-        ]
-        if args.with_lc:
-            rows.append(("lc_dim", r.lc_dim))
-        rows.append(("route_disagreement", r.route_disagreement))
-        _emit_machine("germinv.report.v1", rows, r.warnings)
-    else:
-        rows = [
-            ("stability", r.stability),
-            ("image Milnor number", str(r.mu_image)),
-            ("slice-count oracle", f"{r.mu_image_oracle}  (s0 = {r.oracle_s0})"),
-            ("ft codimension", str(r.ft_codim)),
-            ("Cohen-Macaulay", "yes" if r.cm_flag else "no"),
-            ("Bruce-Roberts number", str(r.mu_br)),
-            ("Ae-codimension", _fmt(r.ae_codim)),
-            ("Samuel profile", ", ".join(map(str, r.samuel_profile))),
-            ("ft quotient dimension", _fmt(r.ft_dim)),
-        ]
-        if args.with_lc:
-            rows.append(("characteristic dimension", _fmt(r.lc_dim)))
-        _emit_human(rows, r.warnings)
-    return 3 if r.route_disagreement else 0
+    r = full_report(G, with_lc=args.with_lc, s0=s0)
+    rows: List[Tuple[str, object]] = [
+        ("mu_image", r.mu_image),
+        ("mu_image_oracle", r.mu_image_oracle),
+        ("oracle_s0", r.oracle_s0),
+        ("ft_codim", r.ft_codim),
+        ("ft_dim", r.ft_dim),
+        ("mu_br", r.mu_br),
+        ("cm_flag", r.cm_flag),
+        ("stability", r.stability),
+        ("ae_codim", r.ae_codim),
+        ("samuel_profile", r.samuel_profile),
+    ]
+    if args.with_lc:
+        rows.append(("lc_dim", r.lc_dim))
+    rows.append(("route_disagreement", r.route_disagreement))
+    return rows, r.warnings, 3 if r.route_disagreement else 0
 
 
-def _cmd_milnor(args) -> int:
+def _cmd_milnor(args) -> _Output:
     names = [n.strip() for n in args.vars.split(",") if n.strip()]
     if not names:
         raise GermInputError("--vars needs a comma-separated variable list")
     ctx = VariableContext.make(source=tuple(names))
     p = parse_polynomial(args.expression, ctx)
-    cfg = _resolve_config(None, args)
-    mu = milnor_number(p, cfg)
-    if args.format == "machine":
-        _emit_machine("germinv.milnor.v1", [("milnor", mu)])
-    else:
-        _emit_human([("Milnor number", _fmt(mu))])
-    return 0
+    return [("milnor", milnor_number(p, _resolve_config(None, args)))], (), 0
+
+
+# the commands that read a germ file, each handed its image equation: name
+# -> (command, help)
+_FILE_COMMANDS = {
+    "image": (_cmd_image, "compute and print the image equation"),
+    "ft": (_cmd_ft, "transversality-failure ideal, codimension, dimension"),
+    "mu-image": (_cmd_mu_image, "image Milnor number: the parameter's multiplicity "
+                                "on the FT quotient, by saturation"),
+    "mu-br": (_cmd_mu_br, "Bruce-Roberts number of the parameter projection"),
+    "ae-codim": (_cmd_ae, "Ae-codimension (input must assert a stable unfolding)"),
+    "lc-check": (_cmd_lc_check, "characteristic-locus dimension and substitution check"),
+    "report": (_cmd_report, "all invariants, cross-checked"),
+}
 
 
 # -- argument surface ----------------------------------------------------------
@@ -347,15 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("human", "machine"),
                        default="human")
 
-    for name, help_ in (
-            ("image", "compute and print the image equation"),
-            ("ft", "transversality-failure ideal, codimension, dimension"),
-            ("mu-image", "image Milnor number: the parameter's multiplicity on "
-                         "the FT quotient, by saturation"),
-            ("mu-br", "Bruce-Roberts number of the parameter projection"),
-            ("ae-codim", "Ae-codimension (input must assert a stable unfolding)"),
-            ("lc-check", "characteristic-locus dimension and substitution check"),
-            ("report", "all invariants, cross-checked")):
+    for name, (_, help_) in _FILE_COMMANDS.items():
         p = sub.add_parser(name, help=help_)
         common(p)
         if name == "report":
@@ -376,27 +331,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run(argv: Optional[Sequence[str]]) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "milnor":
-        return _cmd_milnor(args)
-
-    gf = load_germ_file(args.file)
-    cfg = _resolve_config(gf, args)
-    G = _load_image(gf, args.file, cfg, use_cache=not args.no_cache)
-
-    if args.command == "image":
-        return _cmd_image(G, args)
-    if args.command == "ft":
-        return _cmd_ft(G, args)
-    if args.command == "mu-image":
-        return _cmd_mu_image(G, args)
-    if args.command == "mu-br":
-        return _cmd_mu_br(G, args)
-    if args.command == "ae-codim":
-        return _cmd_ae(G, args)
-    if args.command == "lc-check":
-        return _cmd_lc_check(G, args)
-    if args.command == "report":
-        return _cmd_report(gf, G, cfg, args)
-    raise AssertionError(f"unhandled command {args.command}")
+        rows, warnings, code = _cmd_milnor(args)
+    else:
+        gf = load_germ_file(args.file)
+        G = _load_image(gf, args.file, _resolve_config(gf, args),
+                        use_cache=not args.no_cache)
+        command, _ = _FILE_COMMANDS[args.command]
+        rows, warnings, code = command(G, args)
+    _emit(args.format, f"germinv.{args.command}.v1", rows, warnings)
+    return code
 
 
 def console_main(argv: Optional[Sequence[str]] = None) -> int:

@@ -160,9 +160,12 @@ class _Engine:
     Field widths follow from `cap`, the largest ring degree an element term
     may have: the maximal degree, or the inputs' degree where that is larger.
     Fields hold degree 2 * cap, which covers lcms, s-polynomial terms (their
-    lcm is at most the maximal degree) and products (the degree guard bounds
-    them). A new element above the cap, which only an order that does not
-    compare degrees first lets through, restarts the run with a larger one.
+    lcm is at most the maximal degree) and products. The degree guard lets a
+    product of the reducer reach `bound`, the larger of the maximal degree
+    and the inputs' degree, so an input above the maximal degree still
+    reduces by itself. A new element above the cap, which only an order
+    that does not compare degrees first lets through, restarts the run with
+    a larger one.
     Tuples appear only at the boundary: inputs are packed by `basis` and
     `reduce`, and callers decode with `exponent` and `decoded`.
     """
@@ -178,6 +181,7 @@ class _Engine:
                          for c in range(max(rank, 1))]
         self._key_base, self._key_steps = _affine(key, self._origins, nvars)
         self.cap = -1
+        self.bound = cfg.max_degree
         self._fit(max(cfg.max_degree, 0))
 
     def _fit(self, degree: int) -> None:
@@ -227,9 +231,12 @@ class _Engine:
     def elt(self, terms: Dict[int, int]) -> _Elt:
         return _Elt(terms, self.dmask)
 
-    def _degree(self, polys) -> int:
+    def _admit(self, polys) -> None:
+        """Fit the packing and the degree guard to a run's inputs."""
         n = self.nvars
-        return max((sum(e[:n]) for p in polys for e in p), default=0)
+        degree = max((sum(e[:n]) for p in polys for e in p), default=0)
+        self.bound = max(self.cfg.max_degree, degree)
+        self._fit(degree)
 
     def reduce(self, f: Dict[Exponent, Fraction],
                basis: Sequence[Dict[Exponent, Fraction]]) -> bool:
@@ -240,7 +247,7 @@ class _Engine:
         if not h:
             return True
         basis = [_intify(b) for b in basis]
-        self._fit(self._degree([h] + basis))
+        self._admit([h] + basis)
         pack = self.pack
         elts = [self.elt({pack(e): c for e, c in b.items()}) for b in basis if b]
         return not self._reduce({pack(e): c for e, c in h.items()}, elts, full=False)
@@ -278,7 +285,7 @@ class _Engine:
                     f"{self.stage} reduction exceeded the pair budget "
                     f"(max_pairs={cfg.max_pairs} steps)",
                     f"{self.stage} reduction", "max_pairs", cfg.max_pairs)
-            if (m & dmask) + red.maxdeg > cfg.max_degree:
+            if (m & dmask) + red.maxdeg > self.bound:
                 raise ResourceLimitError(
                     f"{self.stage} reduction exceeded the degree bound "
                     f"max_degree={cfg.max_degree}",
@@ -347,7 +354,7 @@ class _Engine:
         plus a generating set, not a basis, of the syzygies (see `syzygy`).
         """
         gens = [_intify(g) for g in gens if g]
-        self._fit(self._degree(gens))
+        self._admit(gens)
         while True:
             try:
                 return self._basis(gens, lead_stop, harvest)
@@ -581,10 +588,13 @@ class Ideal:
         return Ideal(self.ctx, self.gens, ordering, self.config)
 
     def elimination(self, names: Iterable[str]) -> "Ideal":
-        """Intersect with the subring omitting `names`.
+        """The intersection with the subring omitting `names`, under degrevlex.
 
         Read off the basis under the order that eliminates `names`; a
         handle already under that order answers from its own cached basis.
+        The kept elements are the new handle's reduced basis: on monomials
+        without the eliminated variables the elimination order is degrevlex
+        on the rest, and a reduced basis stays reduced on a subset.
         """
         names = list(names)
         front = tuple(self.ctx.index(n) for n in names)
@@ -598,7 +608,9 @@ class Ideal:
                 out.append(Polynomial._raw(
                     new_ctx,
                     {tuple(e[i] for i in keep_idx): c for e, c in p.terms.items()}))
-        return Ideal(new_ctx, out, OrderingSpec.degrevlex(), self.config)
+        elim = Ideal(new_ctx, out, OrderingSpec.degrevlex(), self.config)
+        elim._basis_cache = out
+        return elim
 
     def saturation(self, f: Polynomial) -> "Ideal":
         """Stable colon ideal (I : f^infinity), by one elimination: a fresh
@@ -613,7 +625,7 @@ class Ideal:
         z = Polynomial.variable(ext, zname)
         gens.append(Polynomial.constant(ext, 1) - z * f.rename(ext))
         elim = Ideal(ext, gens, OrderingSpec.degrevlex(), self.config).elimination([zname])
-        return Ideal(self.ctx, elim.gens, self.ordering, self.config)
+        return elim.with_ordering(self.ordering)
 
     # -- dimensions ------------------------------------------------------
 

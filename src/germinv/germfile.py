@@ -24,8 +24,9 @@ the parameter, the image expression in the target variables plus the
 parameter. `#` starts a comment anywhere.
 
 Config overrides are single lines `seed N`, `retries N`, `max-pairs N`,
-`max-degree N`; any other keyword is a parse error, and so is a value of 0
-or less for any of them but `seed`.
+`max-degree N`; any other keyword is a parse error, and so is a repeated
+key or a value of 0 or less for any of them but `seed`. A limits file
+(`load_limits`) holds config lines only, parsed by the same `config_line`.
 
 `print_germ_file` emits the canonical form: fixed section order, one
 canonical expression per branch line. Parsing the printed form reproduces
@@ -53,16 +54,33 @@ _CONFIG_KEYS: Tuple[Tuple[str, str], ...] = (
 _KEY_TO_FIELD = dict(_CONFIG_KEYS)
 
 
-def config_value(key: str, text: str, lineno: int) -> int:
-    """The integer value of config key `key`; every key but `seed` is a
-    count or a bound and must be positive."""
+def config_line(overrides: Dict[str, int], key: str, text: str, lineno: int) -> None:
+    """Record the config line `key text` in `overrides` (field -> value), for
+    a germ file and a limits file alike. A repeated key is a parse error, and
+    so is a value that is not one integer, or one of 0 or less for any key
+    but `seed`, since every other key is a count or a bound."""
+    field = _KEY_TO_FIELD[key]
+    if field in overrides:
+        raise ParseError(f"duplicate '{key}' line", lineno, 1)
     try:
         value = int(text)
     except ValueError:
         raise ParseError(f"'{key}' needs one integer", lineno, 1) from None
     if value <= 0 and key != "seed":
         raise ParseError(f"'{key}' needs a positive integer", lineno, 1)
-    return value
+    overrides[field] = value
+
+
+def _read_text(path: str, what: str = "") -> str:
+    """The file's text; a file that cannot be opened or is not UTF-8 is bad input."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as e:
+        reason = e.strerror
+    except UnicodeDecodeError:
+        reason = "not UTF-8 text"
+    raise GermInputError(f"cannot read {what}{path}: {reason}")
 
 
 @dataclass(frozen=True)
@@ -92,7 +110,7 @@ def parse_germ_file(text: str) -> GermFile:
     image_raw: Optional[Tuple[int, str]] = None
     flags = {"stabilisation": False, "stable-unfolding": False}
     weights_raw: Optional[List[Tuple[int, str]]] = None
-    overrides: Dict[str, Tuple[int, int]] = {}    # field -> (line, value)
+    overrides: Dict[str, int] = {}                # config field -> value
 
     lines = text.splitlines()
     i = 0
@@ -164,10 +182,7 @@ def parse_germ_file(text: str) -> GermFile:
                 raise ParseError("'weights' needs name=value pairs", lineno, 1)
             weights_raw = [(lineno, pair) for pair in rest.split()]
         elif head in _KEY_TO_FIELD:
-            field = _KEY_TO_FIELD[head]
-            if field in overrides:
-                raise ParseError(f"duplicate '{head}' line", lineno, 1)
-            overrides[field] = (lineno, config_value(head, rest, lineno))
+            config_line(overrides, head, rest, lineno)
         else:
             raise ParseError(f"unknown keyword {head!r}", lineno, 1)
 
@@ -236,18 +251,27 @@ def parse_germ_file(text: str) -> GermFile:
         is_stable_unfolding=flags["stable-unfolding"],
         weights=weights,
     )
-    ordered = tuple((f, overrides[f][1]) for _, f in _CONFIG_KEYS
-                    if f in overrides)
+    ordered = tuple((f, overrides[f]) for _, f in _CONFIG_KEYS if f in overrides)
     return GermFile(spec, ordered)
 
 
 def load_germ_file(path: str) -> GermFile:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise GermInputError(f"cannot read {path}: {e.strerror}") from None
-    return parse_germ_file(text)
+    return parse_germ_file(_read_text(path))
+
+
+def load_limits(path: str) -> Dict[str, int]:
+    """The config overrides of a limits file: config lines only, parsed as
+    in a germ file (config field -> value)."""
+    overrides: Dict[str, int] = {}
+    for lineno, raw in enumerate(_read_text(path, "limits file ").splitlines(), 1):
+        body = raw.split("#", 1)[0].strip()
+        if not body:
+            continue
+        key, _, val = body.partition(" ")
+        if key not in _KEY_TO_FIELD:
+            raise ParseError(f"unknown limit {key!r}", lineno, 1)
+        config_line(overrides, key, val.strip(), lineno)
+    return overrides
 
 
 def print_germ_file(gf: GermFile) -> str:

@@ -589,13 +589,12 @@ class InvariantReport:
     route_disagreement: bool = False  # two routes to the same number differed
 
 
-def full_report(spec: MapGermSpec, config: ComputeConfig = DEFAULT_CONFIG,
-                with_lc: bool = True, s0: Optional[Fraction] = None,
-                image: Optional[ImageEquation] = None) -> InvariantReport:
-    """Compute every invariant and cross-check; disagreements become
-    warnings, never silent preferences. `s0` pins the slice sample point;
-    `image` reuses an already-built (possibly cache-backed) equation."""
-    G = image if image is not None else image_equation(spec, config)
+def full_report(G: ImageEquation, with_lc: bool = True,
+                s0: Optional[Fraction] = None) -> InvariantReport:
+    """Compute every invariant of the image equation `G`, under the spec and
+    the limits it was built with, and cross-check; disagreements become
+    warnings, never silent preferences. `s0` pins the slice sample point."""
+    spec = G.spec
     warnings: List[str] = []
     disagreement = False
 

@@ -30,8 +30,7 @@ DRL = OrderingSpec.degrevlex()
 
 @pytest.fixture(scope="session")
 def exam1_report(exam1_image):
-    return full_report(exam1_image.spec, exam1_image.config, with_lc=False,
-                       image=exam1_image)
+    return full_report(exam1_image, with_lc=False)
 
 
 @pytest.fixture(scope="session")
@@ -62,7 +61,7 @@ def test_benchmark_unfolded_germ_full_report():
     gf = load("exam1")
     t0 = time.perf_counter()
     G = image_equation(gf.spec, gf.config())
-    r = full_report(gf.spec, gf.config(), with_lc=False, image=G)
+    r = full_report(G, with_lc=False)
     elapsed = time.perf_counter() - t0
     assert elapsed < 300, f"took {elapsed:.0f}s"
     assert r.mu_image == 7
@@ -107,7 +106,7 @@ def test_vanishing_multiplicity_matches_stability(all_fixtures, exam1_report):
 def test_multiplicity_bounded_by_codimension(all_fixtures, exam1_report):
     for name, G in all_fixtures.items():
         r = (exam1_report if name == "exam1" else
-             full_report(G.spec, G.config, with_lc=False, image=G))
+             full_report(G, with_lc=False))
         assert r.mu_image <= r.ft_codim, name
         assert (r.mu_image == r.ft_codim) == r.cm_flag, name
         assert r.cm_flag, name      # every corpus germ has a CM image here
@@ -120,7 +119,7 @@ def test_report_ft_codim_is_the_ft_colength(all_fixtures, exam1_report):
     # the report reads ft_codim off the multiplicity profile's d_1
     for name, G in all_fixtures.items():
         r = (exam1_report if name == "exam1" else
-             full_report(G.spec, G.config, with_lc=False, image=G))
+             full_report(G, with_lc=False))
         assert r.ft_codim == ft_codim(G), name
 
 

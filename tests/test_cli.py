@@ -1,9 +1,10 @@
 import shutil
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from germinv.cli import console_main
+from germinv.cli import _label, console_main
 
 from conftest import corpus_path
 
@@ -176,6 +177,40 @@ def test_mond_inequality_violation_exits_3(capsys, tmp_corpus, monkeypatch):
     assert "against Mond's inequality" in out
 
 
+# -- one set of rows, two formats ---------------------------------------------------
+
+def machine_rows(out):
+    lines = out.splitlines()
+    count = lines.index("warnings=0")
+    return [tuple(line.split("=", 1)) for line in lines[1:count]]
+
+
+@pytest.mark.parametrize("argv", [
+    ("image",), ("ft",), ("mu-image",), ("mu-br",), ("ae-codim",), ("lc-check",),
+    ("report", "--s0", "1/3"), ("report", "--with-lc"),
+])
+def test_human_table_has_the_machine_rows(capsys, argv):
+    path = corpus_path("s1")
+    code, machine, _ = run(capsys, *argv, path, "--no-cache", "--format", "machine")
+    assert code == 0
+    code, human, _ = run(capsys, *argv, path, "--no-cache")
+    assert code == 0
+    rows = machine_rows(machine)
+    labels = [_label(key) for key, _ in rows]
+    width = max(map(len, labels))
+    table = [(line[:width].rstrip(), line[width + 2:]) for line in human.splitlines()]
+    assert table == [(label, value) for label, (_, value) in zip(labels, rows)]
+    assert len(set(labels)) == len(labels)
+
+
+def test_milnor_human_table_has_the_machine_row(capsys):
+    argv = ("milnor", "x^2*y^2", "--vars", "x,y")
+    _, machine, _ = run(capsys, *argv, "--format", "machine")
+    _, human, _ = run(capsys, *argv)
+    assert machine_rows(machine) == [("milnor", "infinite")]
+    assert human == "Milnor number  infinite\n"
+
+
 # -- error and limit handling ------------------------------------------------------
 
 def test_nonfinite_germ_exits_1(capsys):
@@ -242,6 +277,34 @@ def test_non_positive_limit_exits_1(capsys, tmp_path, tmp_corpus):
     assert "'max-degree' needs a positive integer" in err
 
 
+def test_duplicate_limit_key_exits_1(capsys, tmp_path, tmp_corpus):
+    # a limits file is parsed by the germ file's config-line code: a repeated
+    # key is refused in both, never silently overridden by the last line
+    lines = "max-pairs 1\nmax-pairs 200000\n"
+    limits = tmp_path / "limits.txt"
+    limits.write_text(lines)
+    code, out, err = run(capsys, "report", tmp_corpus("s1"), "--no-cache",
+                         "--limits", str(limits))
+    assert code == 1 and out == ""
+    assert err == "error: line 2, column 1: duplicate 'max-pairs' line\n"
+    germ = tmp_path / "twice.germ"
+    germ.write_text(Path(corpus_path("s1")).read_text() + lines)   # 13 lines, then these
+    code, _, err = run(capsys, "report", str(germ), "--no-cache")
+    assert code == 1
+    assert err == "error: line 15, column 1: duplicate 'max-pairs' line\n"
+
+
+@pytest.mark.parametrize("flag", ["file", "--limits"])
+def test_non_utf8_input_exits_1(capsys, tmp_path, tmp_corpus, flag):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"max-pairs 7\n\xff\n")
+    argv = [str(bad)] if flag == "file" else [tmp_corpus("s1"), "--limits", str(bad)]
+    code, out, err = run(capsys, "report", "--no-cache", *argv)
+    assert code == 1 and out == ""
+    what = "" if flag == "file" else "limits file "
+    assert err == f"error: cannot read {what}{bad}: not UTF-8 text\n"
+
+
 # -- the image-equation cache ------------------------------------------------------
 
 def test_cache_sidecar_round_trip(capsys, tmp_path, tmp_corpus):
@@ -265,6 +328,17 @@ def test_stale_cache_is_recomputed(capsys, tmp_path, tmp_corpus):
     code, out, _ = run(capsys, "ft", path, "--format", "machine")
     assert code == 0 and machine_dict(out)["ft_codim"] == "1"
     assert sidecar.read_text() == good    # rewritten with the right key
+
+
+def test_undecodable_sidecar_is_recomputed(capsys, tmp_path, tmp_corpus):
+    path = tmp_corpus("s1")
+    sidecar = tmp_path / "s1.germ.gcache"
+    run(capsys, "image", path, "--format", "machine")
+    good = sidecar.read_text()
+    sidecar.write_bytes(b"\xff\xfe" + good.encode())
+    code, out, _ = run(capsys, "ft", path, "--format", "machine")
+    assert code == 0 and machine_dict(out)["ft_codim"] == "1"
+    assert sidecar.read_text() == good    # rewritten
 
 
 def test_tampered_sidecar_exits_1(capsys, tmp_path, tmp_corpus):

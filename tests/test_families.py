@@ -37,7 +37,7 @@ def report_of(variables, branches, weights, stable_unfolding):
     gf = parse_germ_file(families.germ_text(variables, branches, weights,
                                             stable_unfolding))
     G = image_equation(gf.spec, gf.config())
-    r = full_report(gf.spec, gf.config(), with_lc=False, image=G)
+    r = full_report(G, with_lc=False)
     assert not r.route_disagreement
     assert r.warnings == ()
     return G, r

@@ -7,6 +7,7 @@ from germinv import (
     ComputeConfig, EMPTY, GermInputError, INFINITE, Ideal, OrderingSpec,
     Polynomial, ResourceLimitError, VariableContext, local_colength,
 )
+from germinv import gb
 from germinv.exprparse import parse_polynomial
 from germinv.gb import monomial_dimension, staircase_count
 from germinv.orderings import key_function
@@ -184,6 +185,27 @@ def test_elimination_is_sound():
 
 # -- ideal operations -------------------------------------------------------------
 
+def test_elimination_keeps_its_reduced_basis(monkeypatch):
+    # on monomials free of the eliminated variables the elimination order is
+    # degrevlex on the rest, so the kept elements are the reduced degrevlex
+    # basis of the contraction, and reading it runs no engine
+    rng = random.Random(5)
+    handles = [Ideal(C2, [X2 ** 2 * Y2 ** 3], DRL).saturation(X2),
+               Ideal(C2, [Y2 ** 2, Y2 * X2 ** 64], DRL).saturation(X2)]
+    for _ in range(12):
+        gens = [rand_poly(rng, C3) for _ in range(3)]
+        handles.append(Ideal(C3, gens, DRL).elimination(["x"]))
+    runs = []
+    real = gb._Engine.basis
+    monkeypatch.setattr(gb._Engine, "basis",
+                        lambda self, *a, **k: runs.append(1) or real(self, *a, **k))
+    kept = [h.basis() for h in handles]
+    assert runs == []
+    for h, basis in zip(handles, kept):
+        assert Ideal(h.ctx, h.gens, DRL).basis() == basis
+    assert len(runs) == len(handles)
+
+
 def test_saturation_strips_a_variable_factor():
     sat = Ideal(C2, [X2 ** 2 * Y2 ** 3], DRL).saturation(X2)
     assert sat.basis() == [Y2 ** 3]
@@ -294,6 +316,22 @@ def test_packing_fits_inputs_beyond_max_degree():
     for max_degree in (6, 120):
         elim = Ideal(ctx, gens, config=ComputeConfig(max_degree=max_degree)).elimination(["t"])
         assert [str(b) for b in elim.basis()] == ["x^4*y + 2*x^4"]
+
+
+def test_membership_of_an_input_above_max_degree():
+    # a product in the reducer may reach the inputs' degree where that is
+    # above max_degree, so a generator of degree 200 is a member
+    g = X2 ** 200 + Y2
+    assert Ideal(C2, [g]).contains(g)
+    assert not Ideal(C2, [g]).contains(g + X2)
+    # past both bounds the guard still stops: under the order eliminating x,
+    # x^130 reduces by x - y^3 through the product x^129*y^3 of degree 132
+    elim = Ideal(C2, [X2 - Y2 ** 3], OrderingSpec.elimination((0,), 2))
+    with pytest.raises(ResourceLimitError) as info:
+        elim.contains(X2 ** 130)
+    exc = info.value
+    assert str(exc) == "ideal reduction exceeded the degree bound max_degree=120"
+    assert (exc.stage, exc.limit, exc.value) == ("ideal reduction", "max_degree", 120)
 
 
 def test_context_mismatch_rejected():

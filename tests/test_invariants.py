@@ -154,8 +154,7 @@ def test_s1_characteristic_ideal(s1_image):
 
 
 def test_s1_full_report(s1_image):
-    r = full_report(s1_image.spec, s1_image.config, with_lc=True,
-                    image=s1_image)
+    r = full_report(s1_image, with_lc=True)
     assert r.mu_image == 1 == r.mu_image_oracle
     assert r.ft_codim == 1 and r.mu_br == 1 and r.ae_codim == 1
     assert r.cm_flag and r.stability == "unstable"
@@ -224,7 +223,8 @@ def test_resource_limit_names_its_stage_limit_and_value():
     assert (exc.stage, exc.limit, exc.value) == ("ideal basis", "max_pairs", 1)
     gf = load("s1")
     with pytest.raises(ResourceLimitError) as info:
-        full_report(gf.spec, gf.config().with_overrides(max_pairs=1), with_lc=False)
+        full_report(image_equation(gf.spec, gf.config().with_overrides(max_pairs=1)),
+                    with_lc=False)
     exc = info.value
     assert str(exc) == "ideal basis exceeded the pair budget max_pairs=1"
     assert (exc.stage, exc.limit, exc.value) == ("ideal basis", "max_pairs", 1)

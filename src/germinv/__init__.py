@@ -14,7 +14,9 @@ from .errors import GermInputError, ParseError, ResourceLimitError
 from .poly import VariableContext, Polynomial
 from .orderings import OrderingSpec
 from .gb import Ideal, local_colength, INFINITE, EMPTY
-from .syzygy import syzygy_basis, kernel_fields, tangent_fields, parameter_part
+from .syzygy import (
+    syzygy_basis, kernel_fields, tangent_fields, parameter_part, ideal_quotient,
+)
 from .invariants import (
     MapGermSpec, ImageEquation, InvariantReport, SamuelResult, SliceResult,
     LCIdeal, image_equation, ft_ideal, ft_codim, ft_dimension,
@@ -40,6 +42,7 @@ __all__ = [
     "kernel_fields",
     "tangent_fields",
     "parameter_part",
+    "ideal_quotient",
     "MapGermSpec",
     "ImageEquation",
     "InvariantReport",

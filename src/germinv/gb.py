@@ -160,12 +160,12 @@ class _Engine:
     Field widths follow from `cap`, the largest ring degree an element term
     may have: the maximal degree, or the inputs' degree where that is larger.
     Fields hold degree 2 * cap, which covers lcms, s-polynomial terms (their
-    lcm is at most the maximal degree) and products. The degree guard lets a
-    product of the reducer reach `bound`, the larger of the maximal degree
+    lcm is at most `bound`) and products. The degree guards let an lcm and
+    a product of the reducer reach `bound`, the larger of the maximal degree
     and the inputs' degree, so an input above the maximal degree still
-    reduces by itself. A new element above the cap, which only an order
-    that does not compare degrees first lets through, restarts the run with
-    a larger one.
+    reduces by itself and pairs with the others. A new element above the
+    cap, which only an order that does not compare degrees first lets
+    through, restarts the run with a larger one.
     Tuples appear only at the boundary: inputs are packed by `basis` and
     `reduce`, and callers decode with `exponent` and `decoded`.
     """
@@ -319,7 +319,7 @@ class _Engine:
         return _primitive(h) if h else h
 
     def spoly(self, f: _Elt, g: _Elt, lcm: int) -> Dict[int, int]:
-        if lcm & self.dmask > self.cfg.max_degree:
+        if lcm & self.dmask > self.bound:
             raise ResourceLimitError(
                 f"{self.stage} s-polynomial exceeded the degree bound "
                 f"max_degree={self.cfg.max_degree}",

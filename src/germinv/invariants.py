@@ -8,15 +8,19 @@ from that single equation:
 * the parameter components of the vector fields annihilating g generate the
   ideal measuring where the projection to the parameter axis fails to be
   transverse to the fibers (`ft_ideal`), one global handle whose reduced
-  basis is computed once and read by every count of that ideal;
+  basis is computed once and read by every count of that ideal. A field
+  sum a_i dg/dy_i + a_s dg/ds annihilates g exactly when a_s dg/ds lies in
+  (dg/dy), so that ideal is the quotient (dg/dy) : dg/ds, computed by one
+  syzygy run that tracks a single slot (`syzygy.ideal_quotient`);
 * the multiplicity of that ideal along the parameter counts the vanishing
   cycles of a nearby fiber (`image_milnor_number`); it is the colength of
   the ideal saturated by the parameter, plus the parameter, and an
   independent count of slice critical points (`slice_milnor_total`)
   cross-checks it;
 * the fields merely tangent to {g = 0} give, through a second such handle,
-  the finer Bruce-Roberts count (`bruce_roberts_number`) and, for stable
-  unfoldings, the codimension of the germ's orbit (`ae_codimension`);
+  the quotient (dg/dy, g) : dg/ds, the finer Bruce-Roberts count
+  (`bruce_roberts_number`) and, for stable unfoldings, the codimension of
+  the germ's orbit (`ae_codimension`);
 * pairing the same annihilating fields with cotangent coordinates cuts out
   the logarithmic characteristic locus (`lc_ideal`).
 
@@ -28,6 +32,7 @@ number are computed independently and compared, not reconciled.
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -37,7 +42,7 @@ from .errors import GermInputError, ResourceLimitError
 from .gb import EMPTY, INFINITE, Ideal, local_colength
 from .orderings import OrderingSpec
 from .poly import Polynomial, VariableContext
-from .syzygy import Vector, kernel_fields, parameter_part, tangent_fields
+from .syzygy import Vector, ideal_quotient, kernel_fields, parameter_part
 
 DEGREVLEX = OrderingSpec.degrevlex()
 
@@ -202,21 +207,44 @@ def _kernel(G: ImageEquation) -> List[Vector]:
 
 def _br_ideal(G: ImageEquation) -> Ideal:
     """Bruce-Roberts ideal: parameter components of the fields tangent to
-    the image, as a global handle (see `ft_ideal`)."""
+    the image, as a global handle (see `ft_ideal`).
+
+    A field with parameter slot a is tangent when a*dg/ds lies in
+    (dg/dy, g), its other slots and the cofactor of g supplying the rest, so
+    the ideal is the quotient (dg/dy, g) : dg/ds.
+    """
     if "br" not in G._cache:
-        G._cache["br"] = parameter_part(G.ctx, tangent_fields(G.g, G.config), G.config)
+        G._cache["br"] = _slot_quotient(G, [G.g], "tangent-field ideal")
     return G._cache["br"]
+
+
+@contextmanager
+def _stage(what: str):
+    """An exhausted limit stays a resource error, its message prefixed with
+    `what` and its attributes kept."""
+    try:
+        yield
+    except ResourceLimitError as exc:
+        raise ResourceLimitError(f"{what}: {exc}", exc.stage, exc.limit, exc.value) from exc
+
+
+def _slot_quotient(G: ImageEquation, extra: List[Polynomial], what: str) -> Ideal:
+    """(dg/dy, extra) : dg/ds over the target coordinates y, its reduced
+    basis computed at once, so a budget error of either run names `what`."""
+    s = G.spec.parameter
+    dy = [G.g.partial(n) for n in G.ctx.names if n != s]
+    with _stage(what):
+        quotient = ideal_quotient(dy + extra, G.g.partial(s), G.config)
+        quotient.basis()
+    return quotient
 
 
 def _local_dim(ctx: VariableContext, gens: Sequence[Polynomial],
                config: ComputeConfig, what: str) -> int:
     """`local_colength` of the generators. Only a proven INFINITE is bad input;
-    an exhausted limit stays a resource error, its message prefixed with
-    `what` and its attributes kept."""
-    try:
+    an exhausted limit is named by `_stage`."""
+    with _stage(what):
         d = local_colength(ctx, gens, config)
-    except ResourceLimitError as exc:
-        raise ResourceLimitError(f"{what}: {exc}", exc.stage, exc.limit, exc.value) from exc
     if d is INFINITE:
         raise GermInputError(f"{what} is infinite; input violates finiteness")
     return d
@@ -229,15 +257,16 @@ def ft_ideal(G: ImageEquation) -> Ideal:
 
     These fields span the directions along which the image is trivial; their
     parameter slots cut out the locus where the parameter projection is not
-    a submersion off the discriminant. Returned as one global (degrevlex)
-    handle per equation, whose reduced basis is computed once; every count
-    here reads that basis. The handle normalizes its generator list (zero
-    slots dropped, rest sorted); the cotangent pairing in `lc_ideal`
-    re-derives the slots from the field basis, so nothing here depends on
-    that order.
+    a submersion off the discriminant. A polynomial a is such a slot exactly
+    when a*dg/ds = -sum b_i dg/dy_i for some b, that is when a lies in the
+    ideal quotient (dg/dy_1, ..., dg/dy_(n+1)) : dg/ds; that quotient is
+    computed directly, with no field basis. Returned as one global
+    (degrevlex) handle per equation, whose reduced basis is computed once;
+    every count here reads that basis, and `LCIdeal.substitution_identity`
+    checks it against the parameter slots of the kernel fields.
     """
     if "ft" not in G._cache:
-        G._cache["ft"] = parameter_part(G.ctx, _kernel(G), G.config)
+        G._cache["ft"] = _slot_quotient(G, [], "ft ideal")
     return G._cache["ft"]
 
 
@@ -473,8 +502,8 @@ class LCIdeal:
 
     One generator per field: the field's target components multiply the p's,
     its parameter component multiplies q. Setting p := 0, q := 1 therefore
-    recovers the parameter slots of the fields — the FT generators — kept as
-    an executable invariant.
+    recovers the parameter slots of the fields, which generate the FT ideal;
+    both facts are kept as an executable invariant.
     """
 
     ideal: Ideal
@@ -484,20 +513,24 @@ class LCIdeal:
     base: ImageEquation
 
     def substitution_identity(self) -> bool:
-        """p := 0, q := 1 maps each generator onto its field's parameter slot.
+        """p := 0, q := 1 maps each generator onto its field's parameter
+        slot, and those slots generate the FT ideal.
 
-        Checked against the field basis itself (zero slots included), not the
-        FT ideal handle, whose generator list is normalized."""
+        The first half is checked against the field basis itself (zero slots
+        included). The second compares two routes: the reduced basis of the
+        slots against that of the quotient `ft_ideal` computes, which share
+        no syzygy run."""
         values: Dict[str, int] = {n: 0 for n in self.cotangent[:-1]}
         values[self.cotangent[-1]] = 1
-        pidx = self.base.ctx.parameter_index()
-        slots = [v[pidx] for v in _kernel(self.base)]
-        if len(slots) != len(self.gens):
+        G = self.base
+        kern = _kernel(G)
+        pidx = G.ctx.parameter_index()
+        if len(kern) != len(self.gens):
             return False
-        for xi, b in zip(self.gens, slots):
-            if xi.specialize(values) != b:
+        for xi, v in zip(self.gens, kern):
+            if xi.specialize(values) != v[pidx]:
                 return False
-        return True
+        return parameter_part(G.ctx, kern, G.config).basis() == ft_ideal(G).basis()
 
     def certified_dimension(self) -> int:
         """Dimension of the characteristic locus, certified from two sides.

@@ -33,11 +33,19 @@ of it would cost the pairs of two syzygies, most of which reduce to zero
 - Z is no basis, so no Z element may be dropped for a lead that another Z
   lead divides; the engine's minimalize step keeps each of them.
 
+Nothing above counts the tracking slots or asks that every input have one,
+so the argument holds as well when only some inputs are tracked. With the
+rows (f, 1) and (p_i, 0), the module they generate meets slot 0 = 0 in the
+vectors (0, a) with a*f in (p_1..p_k), and the harvest generates that ideal
+quotient (`ideal_quotient`) at the price of one tracking slot instead of k.
+
 Vector fields live here too: a field is its coefficient tuple against the
 coordinate partials, slot i multiplying the partial by `ctx.names[i]`, and
 the fields annihilating g (respectively tangent to its zero set) are exactly
 the syzygies of the partials of g (respectively of the partials extended by
 g, cofactor slot discarded). A field basis is a plain list of such tuples.
+The ideal of one slot of those fields needs no field basis: it is the
+quotient of the other partials (and g) by that slot's partial.
 """
 
 from __future__ import annotations
@@ -71,6 +79,26 @@ def _encode(vec: Sequence[Polynomial], rank: int) -> Dict[Exponent, Fraction]:
             for comp, p in enumerate(vec) for e, c in p.terms.items()}
 
 
+def _harvest(ctx: VariableContext, rows: Sequence[Sequence[Polynomial]],
+             config: ComputeConfig) -> List[Vector]:
+    """Tracking slots of the syzygies harvested from `rows`, each row an
+    input in slot 0 followed by its tracking slots."""
+    n, rank = len(ctx), len(rows[0])
+    eng = _engine(ctx, rank, config)
+    elements: List[Vector] = []
+    for elt in eng.basis([_encode(r, rank) for r in rows], harvest=True):
+        # the first slot dominates the order, so an element has a term there
+        # exactly when its lead is there
+        if eng.exponent(elt.lm)[n] == 0:
+            continue
+        split: List[Dict[Exponent, Fraction]] = [{} for _ in range(rank - 1)]
+        sign = 1 if elt.lc > 0 else -1
+        for t, c in eng.decoded(elt).items():
+            split[t[n] - 1][t[:n]] = Fraction(sign * c)
+        elements.append(tuple(Polynomial._raw(ctx, d) for d in split))
+    return elements
+
+
 def syzygy_basis(polys: Sequence[Polynomial],
                  config: ComputeConfig = DEFAULT_CONFIG) -> List[Vector]:
     """Generating set of {(a_1..a_k) : sum a_i p_i = 0}, not a basis (see
@@ -88,24 +116,32 @@ def syzygy_basis(polys: Sequence[Polynomial],
         if p.ctx != ctx:
             raise GermInputError("syzygy inputs over mixed contexts")
     k = len(polys)
-    n, rank = len(ctx), k + 1
     one = Polynomial.constant(ctx, 1)
     zero = Polynomial.zero(ctx)
-    rows = [_encode([p] + [one if j == i else zero for j in range(k)], rank)
-            for i, p in enumerate(polys)]
-    elements: List[Vector] = []
-    eng = _engine(ctx, rank, config)
-    for elt in eng.basis(rows, harvest=True):
-        # the first slot dominates the order, so an element has a term there
-        # exactly when its lead is there
-        if eng.exponent(elt.lm)[n] == 0:
-            continue
-        split: List[Dict[Exponent, Fraction]] = [{} for _ in range(k)]
-        sign = 1 if elt.lc > 0 else -1
-        for t, c in eng.decoded(elt).items():
-            split[t[n] - 1][t[:n]] = Fraction(sign * c)
-        elements.append(tuple(Polynomial._raw(ctx, d) for d in split))
-    return elements
+    rows = [[p] + [one if j == i else zero for j in range(k)] for i, p in enumerate(polys)]
+    return _harvest(ctx, rows, config)
+
+
+def ideal_quotient(gens: Sequence[Polynomial], f: Polynomial,
+                   config: ComputeConfig = DEFAULT_CONFIG) -> Ideal:
+    """The ideal quotient (gens) : f = {a : a*f in (gens)}, as a global
+    (degrevlex) handle whose reduced basis is computed once and cached.
+
+    One harvest that tracks f alone: the rows (f, 1) and (p, 0) for each
+    nonzero generator p. A syzygy (0, a) of them is a*f + sum b_p p = 0, so
+    the harvested slots generate exactly the quotient (Greuel and Pfister,
+    A Singular Introduction to Commutative Algebra, 1.8.8). Zero generators
+    are skipped; f = 0 gives the unit ideal.
+    """
+    ctx = f.ctx
+    gens = [p for p in gens if not p.is_zero()]
+    for p in gens:
+        if p.ctx != ctx:
+            raise GermInputError("ideal quotient inputs over mixed contexts")
+    one, zero = Polynomial.constant(ctx, 1), Polynomial.zero(ctx)
+    rows = [[f, one]] + [[p, zero] for p in gens]
+    return Ideal(ctx, [v[0] for v in _harvest(ctx, rows, config)],
+                 OrderingSpec.degrevlex(), config)
 
 
 def kernel_fields(g: Polynomial, config: ComputeConfig = DEFAULT_CONFIG) -> List[Vector]:

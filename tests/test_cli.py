@@ -163,6 +163,33 @@ def test_route_disagreement_exits_3(capsys, tmp_corpus, monkeypatch):
     assert int(d["warnings"]) >= 1 and "does not match" in out
 
 
+def test_wrong_ft_quotient_exits_3(capsys, tmp_corpus, monkeypatch):
+    # the lc check holds the quotient route to the FT ideal against the
+    # parameter slots of the kernel fields. Scaling s by 2 in both quotients
+    # leaves every count alone, so only that check can see it
+    import germinv.invariants as inv
+    real = inv.ideal_quotient
+
+    def scaled_quotient(gens, f, config):
+        q = real(gens, f, config)
+        pidx = q.ctx.parameter_index()
+        scaled = [inv.Polynomial(q.ctx, {e: c * 2 ** e[pidx] for e, c in p.terms.items()})
+                  for p in q.basis()]
+        return inv.Ideal(q.ctx, scaled, q.ordering, q.config)
+
+    monkeypatch.setattr(inv, "ideal_quotient", scaled_quotient)
+    code, out, _ = run(capsys, "report", tmp_corpus("s1"), "--format", "machine",
+                       "--with-lc", "--s0", "1/3")
+    assert code == 3
+    d = machine_dict(out)
+    assert d["route_disagreement"] == "true"
+    assert d["mu_image"] == d["mu_image_oracle"] == d["ae_codim"] == "1"
+    assert d["warnings"] == "1"
+    assert d["warning_1"] == "cotangent substitution did not recover the FT generators"
+    code, out, _ = run(capsys, "lc-check", tmp_corpus("s1"), "--format", "machine")
+    assert machine_dict(out)["lc_substitution"] == "false"
+
+
 def test_mond_inequality_violation_exits_3(capsys, tmp_corpus, monkeypatch):
     # Ae-codim <= mu_I is proven for n <= 2; an Ae-codimension above mu_I
     # must be flagged as a disagreement, never printed as a finding

@@ -334,6 +334,21 @@ def test_membership_of_an_input_above_max_degree():
     assert (exc.stage, exc.limit, exc.value) == ("ideal reduction", "max_degree", 120)
 
 
+def test_pairs_of_an_input_above_max_degree():
+    # an lcm may reach the inputs' degree where that is above max_degree:
+    # the leads x^3 and x^2 pair at degree 3 under max_degree=2
+    gens = [X2 ** 3 + Y2, X2 ** 2 + 1]
+    expected = Ideal(C2, gens).basis()
+    assert [str(b) for b in expected] == ["y^2 + 1", "x - y"]
+    assert Ideal(C2, gens, config=ComputeConfig(max_degree=2)).basis() == expected
+    # past both bounds the guard still stops: the lcm x^200*y has degree 201
+    with pytest.raises(ResourceLimitError) as info:
+        Ideal(C2, [X2 ** 200 + Y2, X2 ** 2 * Y2]).basis()
+    exc = info.value
+    assert str(exc) == "ideal s-polynomial exceeded the degree bound max_degree=120"
+    assert (exc.stage, exc.limit, exc.value) == ("ideal s-polynomial", "max_degree", 120)
+
+
 def test_context_mismatch_rejected():
     with pytest.raises(GermInputError):
         Ideal(C2, [X3], DRL)

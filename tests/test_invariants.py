@@ -230,6 +230,21 @@ def test_resource_limit_names_its_stage_limit_and_value():
     assert (exc.stage, exc.limit, exc.value) == ("ideal basis", "max_pairs", 1)
 
 
+def test_quotient_budget_errors_name_their_ideal():
+    # FT and BR are each one quotient run; an exhausted budget says which
+    gf = load("s1")
+    G = image_equation(gf.spec, gf.config())
+    for call, what in ((ft_ideal, "ft ideal"),
+                       (bruce_roberts_number, "tangent-field ideal")):
+        tight = dataclasses.replace(G, config=ComputeConfig(max_pairs=1), _cache={})
+        with pytest.raises(ResourceLimitError) as info:
+            call(tight)
+        exc = info.value
+        assert str(exc) == (f"{what}: module reduction exceeded the pair budget "
+                            "(max_pairs=1 steps)")
+        assert (exc.stage, exc.limit, exc.value) == ("module reduction", "max_pairs", 1)
+
+
 # -- milnor oracle ------------------------------------------------------------------
 
 C2 = VariableContext.make(source=("x", "y"))

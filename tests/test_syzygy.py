@@ -7,7 +7,8 @@ import pytest
 
 from germinv import (
     GermInputError, Ideal, OrderingSpec, Polynomial, VariableContext,
-    image_equation, kernel_fields, parameter_part, syzygy_basis, tangent_fields,
+    ideal_quotient, image_equation, kernel_fields, parameter_part, syzygy_basis,
+    tangent_fields,
 )
 from germinv.config import DEFAULT_CONFIG
 from germinv.germfile import load_germ_file, parse_germ_file
@@ -207,16 +208,63 @@ def test_harvest_generates_the_whole_module_in_any_input_order():
 
 
 FAMILY = {g.name: g.text for g in families.generate(1)
-          if g.name.split("-")[1] in ("S3", "B3", "C3")}
+          if g.name.split("-")[1] in ("S3", "B3", "C3", "A_odd3")}
+FIELD_GERMS = ["s1", "crosscap", "twoplane"] + sorted(n for n in FAMILY if "A_odd3" not in n)
 
 
-@pytest.mark.parametrize("name", ["s1", "crosscap", "twoplane"] + sorted(FAMILY))
-def test_harvested_parameter_parts_match_a_full_module_basis(name):
+def image_of(name):
     gf = parse_germ_file(FAMILY[name]) if name in FAMILY else load_germ_file(corpus_path(name))
-    g = image_equation(gf.spec, gf.config()).g
+    return image_equation(gf.spec, gf.config()).g
+
+
+def full_parameter_parts(g):
+    """The FT and BR ideals from the parameter slots of full module bases
+    of the kernel and the tangent syzygies."""
     pidx = g.ctx.parameter_index()
     parts = [g.partial(v) for v in g.ctx.names]
     # the tangent run's cofactor slot is last, after the parameter slot
-    for fields, polys in ((kernel_fields(g), parts), (tangent_fields(g), parts + [g])):
-        full = Ideal(g.ctx, [v[pidx] for v in full_syzygies(polys)])
-        assert parameter_part(g.ctx, fields).basis() == full.basis()
+    return [Ideal(g.ctx, [v[pidx] for v in full_syzygies(polys)])
+            for polys in (parts, parts + [g])]
+
+
+@pytest.mark.parametrize("name", FIELD_GERMS)
+def test_harvested_parameter_parts_match_a_full_module_basis(name):
+    g = image_of(name)
+    fields = (kernel_fields(g), tangent_fields(g))
+    for fs, full in zip(fields, full_parameter_parts(g)):
+        assert parameter_part(g.ctx, fs).basis() == full.basis()
+
+
+# -- ideal quotients -------------------------------------------------------------
+
+def test_ideal_quotients_by_hand():
+    assert ideal_quotient([X ** 2, X * Y], X).basis() == Ideal(C2, [X, Y]).basis()
+    assert ideal_quotient([X * Y], X).basis() == [Y]
+    gens = [X ** 3 - Y ** 2, X * Y + Y]
+    assert ideal_quotient(gens, Polynomial.constant(C2, 1)).basis() == Ideal(C2, gens).basis()
+    assert ideal_quotient(gens, Polynomial.zero(C2)).basis() == [1]
+    assert ideal_quotient([], X).basis() == []
+    # zero generators are skipped
+    zero = Polynomial.zero(C2)
+    assert ideal_quotient([zero, X * Y, zero], X).basis() == [Y]
+    q = ideal_quotient([X * Y], X)
+    assert q.ordering == OrderingSpec.degrevlex() and q.ctx == C2
+
+
+def test_ideal_quotient_refuses_mixed_contexts():
+    C3X = Polynomial.variable(C3, "x")
+    with pytest.raises(GermInputError):
+        ideal_quotient([X * Y, C3X], X)
+    with pytest.raises(GermInputError):
+        ideal_quotient([X * Y], C3X)
+
+
+@pytest.mark.parametrize("name", FIELD_GERMS + sorted(n for n in FAMILY if "A_odd3" in n))
+def test_ideal_quotients_match_a_full_module_basis(name):
+    # (dg/dy) : dg/ds and (dg/dy, g) : dg/ds are the FT and BR ideals
+    g = image_of(name)
+    s = g.ctx.names[g.ctx.parameter_index()]
+    dy = [g.partial(v) for v in g.ctx.names if v != s]
+    ft, br = full_parameter_parts(g)
+    assert ideal_quotient(dy, g.partial(s)).basis() == ft.basis()
+    assert ideal_quotient(dy + [g], g.partial(s)).basis() == br.basis()

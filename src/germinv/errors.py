@@ -1,7 +1,9 @@
 """Error taxonomy shared across the package.
 
 Input problems and resource exhaustion are kept apart because the command
-line maps them to different exit codes (1 and 2).
+line maps them to different exit codes (1 and 2). Both survive a pickle
+round trip, message and attributes kept, so a forked worker can send them
+back to the process that reports them.
 """
 
 
@@ -18,6 +20,10 @@ class ParseError(GermInputError):
         self.line = line
         self.column = column
 
+    def __reduce__(self):
+        # `args` holds only the formatted message; rebuild from the parts
+        return type(self), (self.reason, self.line, self.column)
+
 
 class ResourceLimitError(RuntimeError):
     """A configured computation limit was exceeded; never an approximation.
@@ -31,3 +37,6 @@ class ResourceLimitError(RuntimeError):
         self.stage = stage
         self.limit = limit
         self.value = value
+
+    def __reduce__(self):
+        return type(self), (str(self), self.stage, self.limit, self.value)

@@ -31,7 +31,11 @@ number are computed independently and compared, not reconciled.
 
 from __future__ import annotations
 
+import gc
+import os
+import pickle
 import random
+import signal
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -100,7 +104,9 @@ class ImageEquation:
     """The reduced equation of the image hypersurface, with provenance.
 
     Derived objects (field bases, cleaned generating sets) are cached here;
-    every operation taking an ImageEquation shares them.
+    every operation taking an ImageEquation shares them. A copy made with
+    `dataclasses.replace` starts with an empty cache, so a tighter config
+    is obeyed rather than answered from the original's results.
     """
 
     spec: MapGermSpec
@@ -108,7 +114,7 @@ class ImageEquation:
     provenance: str                      # "eliminated" | "user-supplied"
     factors: Tuple[Polynomial, ...]      # one per branch
     config: ComputeConfig = DEFAULT_CONFIG
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def ctx(self) -> VariableContext:
@@ -622,16 +628,102 @@ class InvariantReport:
     route_disagreement: bool = False  # two routes to the same number differed
 
 
+@contextmanager
+def _worker(thunk):
+    """Run `thunk` in a forked child while the body runs; the body's `join()`
+    returns the thunk's result or raises its error.
+
+    The child pickles its outcome into a pipe and ends with `os._exit`, so
+    it runs no exit handler and flushes no inherited stream. A child that
+    ends without an outcome (killed by a signal, out of memory) is a
+    `ResourceLimitError` of stage "report worker". If the body raises, the
+    child is killed and reaped first. Where there is no `os.fork`, or no
+    process to spare, `join` runs the thunk itself.
+    """
+    pid = None
+    if hasattr(os, "fork"):
+        r, w = os.pipe()
+        gc.freeze()    # the child's collections then leave the parent's objects alone
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(r)
+            os.close(w)
+        if pid != 0:
+            gc.unfreeze()
+    if pid is None:
+        yield thunk
+        return
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            try:
+                outcome = (True, thunk())
+            except BaseException as exc:
+                outcome = (False, exc)
+            with os.fdopen(w, "wb") as fh:
+                fh.write(pickle.dumps(outcome))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    reader = os.fdopen(r, "rb")
+    reaped = False
+
+    def join():
+        nonlocal reaped
+        data = reader.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        reaped = True
+        if code:
+            limit, value = ("signal", -code) if code < 0 else ("exit status", code)
+            names = {s.value: s.name for s in signal.Signals}
+            how = (f"killed by {names.get(value, f'signal {value}')}" if code < 0
+                   else f"exit status {code}")
+            raise ResourceLimitError(f"report worker ended without a result ({how})",
+                                     "report worker", limit, value)
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+
+    try:
+        yield join
+    finally:
+        reader.close()
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def full_report(G: ImageEquation, with_lc: bool = True,
                 s0: Optional[Fraction] = None) -> InvariantReport:
     """Compute every invariant of the image equation `G`, under the spec and
     the limits it was built with, and cross-check; disagreements become
-    warnings, never silent preferences. `s0` pins the slice sample point."""
+    warnings, never silent preferences. `s0` pins the slice sample point.
+
+    The slice oracle and the Bruce-Roberts basis, which share nothing with
+    the FT route, run in one forked worker (`_worker`) while this process
+    computes the image Milnor number; the worker sends the basis back as
+    exponent -> coefficient dicts, and it fills `G`'s cache, where every
+    later count reads it. Errors come out in the order of a sequential run: the Milnor
+    number's, then the oracle's, then the Bruce-Roberts basis's.
+    """
     spec = G.spec
     warnings: List[str] = []
     disagreement = False
 
-    mu = image_milnor_number(G)
+    with _worker(lambda: (slice_milnor_total(G, s0=s0),
+                          [p.terms for p in _br_ideal(G).basis()])) as join:
+        mu = image_milnor_number(G)
+        oracle, br_terms = join()
+
+    br_basis = [Polynomial._raw(G.ctx, t) for t in br_terms]
+    br = Ideal(G.ctx, br_basis, DEGREVLEX, G.config)
+    br._basis_cache = br_basis      # reduced bases are unique: the one G would find
+    G._cache.setdefault("br", br)
+
     codim = mu.profile[0]
     stability = "stable" if mu.multiplicity == 0 else "unstable"
     if (codim == 0) != (mu.multiplicity == 0):
@@ -643,7 +735,6 @@ def full_report(G: ImageEquation, with_lc: bool = True,
                         f"{codim}; the quotient should be at worst a curve")
     cm_flag = mu.multiplicity == codim
 
-    oracle = slice_milnor_total(G, s0=s0)
     if oracle.total != mu.multiplicity:
         disagreement = True
         warnings.append(

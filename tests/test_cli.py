@@ -286,6 +286,18 @@ def test_pair_budget_exits_2(capsys, tmp_path, tmp_corpus):
     assert code == 2 and "pair budget" in err
 
 
+def test_a_worker_budget_error_exits_2(capsys, tmp_path, tmp_corpus):
+    # exam1's Bruce-Roberts basis, computed in the report's forked worker,
+    # exhausts the budget; its error crosses the pipe whole
+    limits = tmp_path / "limits.txt"
+    limits.write_text("max-pairs 1000\n")
+    code, out, err = run(capsys, "report", tmp_corpus("exam1"), "--no-cache",
+                         "--format", "machine", "--limits", str(limits))
+    assert (code, out) == (2, "")
+    assert err == ("resource limit: tangent-field ideal: ideal basis exceeded "
+                   "the pair budget max_pairs=1000\n")
+
+
 def test_unknown_limit_key_exits_1(capsys, tmp_path, tmp_corpus):
     limits = tmp_path / "limits.txt"
     for key in ("pairs", "jet-bound"):

@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import pickle
+import signal
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +15,8 @@ from germinv import (
     full_report, image_equation, image_milnor_number, lc_ideal, milnor_number,
     samuel_multiplicity, slice_milnor_total,
 )
+import germinv.invariants as inv
+from germinv.errors import ParseError
 from germinv.exprparse import parse_polynomial
 
 from conftest import load
@@ -236,13 +242,97 @@ def test_quotient_budget_errors_name_their_ideal():
     G = image_equation(gf.spec, gf.config())
     for call, what in ((ft_ideal, "ft ideal"),
                        (bruce_roberts_number, "tangent-field ideal")):
-        tight = dataclasses.replace(G, config=ComputeConfig(max_pairs=1), _cache={})
+        tight = dataclasses.replace(G, config=ComputeConfig(max_pairs=1))
         with pytest.raises(ResourceLimitError) as info:
             call(tight)
         exc = info.value
         assert str(exc) == (f"{what}: module reduction exceeded the pair budget "
                             "(max_pairs=1 steps)")
         assert (exc.stage, exc.limit, exc.value) == ("module reduction", "max_pairs", 1)
+
+
+def test_a_replaced_config_starts_from_an_empty_cache():
+    # a copy under a tighter config must obey it, not answer from G's cache
+    gf = load("s1")
+    G = image_equation(gf.spec, gf.config())
+    assert ft_ideal(G).basis()
+    tight = dataclasses.replace(G, config=ComputeConfig(max_pairs=1))
+    with pytest.raises(ResourceLimitError, match="max_pairs=1"):
+        ft_ideal(tight)
+
+
+# -- the report's forked worker ------------------------------------------------------
+
+@pytest.mark.parametrize("exc", [
+    ResourceLimitError("ft ideal: budget", "module reduction", "max_pairs", 7),
+    ParseError("unexpected ')'", 3, 14),
+    GermInputError("plain input error"),
+])
+def test_errors_survive_a_pickle_round_trip(exc):
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc) and str(back) == str(exc)
+    assert vars(back) == vars(exc)
+
+
+def test_worker_errors_come_out_in_sequential_order(monkeypatch):
+    # an oracle error crosses the pipe whole, and an error of the parent's
+    # Milnor number, first in a sequential run, wins over it
+    gf = load("s1")
+
+    def no_oracle(G, s0=None, seed=None):
+        raise ResourceLimitError("oracle gave up", "slice sampling", "s0_retries", 3)
+
+    monkeypatch.setattr(inv, "slice_milnor_total", no_oracle)
+    with pytest.raises(ResourceLimitError) as info:
+        full_report(image_equation(gf.spec, gf.config()), with_lc=False)
+    exc = info.value
+    assert (str(exc), exc.stage, exc.limit, exc.value) == (
+        "oracle gave up", "slice sampling", "s0_retries", 3)
+
+    def no_mu(G):
+        raise GermInputError("mu gave up")
+
+    monkeypatch.setattr(inv, "image_milnor_number", no_mu)
+    with pytest.raises(GermInputError, match="mu gave up"):
+        full_report(image_equation(gf.spec, gf.config()), with_lc=False)
+
+
+@pytest.mark.parametrize("error", [GermInputError, KeyboardInterrupt])
+def test_an_error_in_the_parent_kills_and_reaps_the_worker(error):
+    r, w = os.pipe()
+
+    def sleeper():
+        os.write(w, str(os.getpid()).encode())
+        time.sleep(60)
+
+    try:
+        with pytest.raises(error):
+            with inv._worker(sleeper):
+                pid = int(os.read(r, 32))
+                raise error("parent stage failed")
+    finally:
+        os.close(r)
+        os.close(w)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)
+
+
+def test_a_dead_worker_is_a_resource_error():
+    with pytest.raises(ResourceLimitError) as info:
+        with inv._worker(lambda: os.kill(os.getpid(), signal.SIGKILL)) as join:
+            join()
+    exc = info.value
+    assert str(exc) == "report worker ended without a result (killed by SIGKILL)"
+    assert (exc.stage, exc.limit, exc.value) == ("report worker", "signal", 9)
+
+
+def test_without_fork_the_report_is_the_same(monkeypatch):
+    gf = load("s1")
+    forked = full_report(image_equation(gf.spec, gf.config()), with_lc=True)
+    monkeypatch.delattr(os, "fork")
+    G = image_equation(gf.spec, gf.config())
+    assert full_report(G, with_lc=True) == forked
+    assert "br" in G._cache
 
 
 # -- milnor oracle ------------------------------------------------------------------

@@ -36,11 +36,11 @@ Lazard's method (Greuel and Pfister, A Singular Introduction to Commutative
 Algebra, 1.7): the generators are homogenized by a new variable h, their
 global basis is computed under "total degree, then the local order", and
 its leads with h = 1 are the leads of a standard basis for the local order.
-Everything downstream (elimination, saturation, the dimension counts,
-local colengths) reduces to basis computations here. Dimension counting
-never inspects coefficients: it reads the staircase of the leading ideal,
-which is the correct recipe for both the polynomial ring and the local
-ring at the origin.
+Everything downstream (elimination, the dimension counts, local colengths,
+and saturation, the iterated quotient of `syzygy`) runs on this engine.
+Dimension counting never inspects coefficients: it reads the staircase of
+the leading ideal, which is the correct recipe for both the polynomial ring
+and the local ring at the origin.
 """
 
 from __future__ import annotations
@@ -550,6 +550,14 @@ class Ideal:
         self.gens: List[Polynomial] = _sorted_gens(ctx, gens, self._key)
         self._basis_cache: Optional[List[Polynomial]] = None
 
+    @classmethod
+    def _reduced(cls, ctx: VariableContext, basis: List[Polynomial],
+                 config: ComputeConfig) -> "Ideal":
+        """Degrevlex handle whose gens and cached basis are `basis`, reduced."""
+        ideal = cls(ctx, (), None, config)
+        ideal.gens, ideal._basis_cache = list(basis), list(basis)
+        return ideal
+
     # -- basis -----------------------------------------------------------
 
     def _engine(self) -> _Engine:
@@ -599,33 +607,27 @@ class Ideal:
         names = list(names)
         front = tuple(self.ctx.index(n) for n in names)
         work = self.with_ordering(OrderingSpec.elimination(front, len(self.ctx)))
-        front_set = set(front)
-        keep_idx = [i for i in range(len(self.ctx)) if i not in front_set]
+        keep = [i for i in range(len(self.ctx)) if i not in front]
         new_ctx = self.ctx.drop(names)
-        out: List[Polynomial] = []
-        for p in work.basis():
-            if all(all(e[i] == 0 for i in front) for e in p.terms):
-                out.append(Polynomial._raw(
-                    new_ctx,
-                    {tuple(e[i] for i in keep_idx): c for e, c in p.terms.items()}))
-        elim = Ideal(new_ctx, out, OrderingSpec.degrevlex(), self.config)
-        elim._basis_cache = out
-        return elim
+        out = [Polynomial._raw(new_ctx, {tuple(e[i] for i in keep): c
+                                         for e, c in p.terms.items()})
+               for p in work.basis() if not any(e[i] for e in p.terms for i in front)]
+        return Ideal._reduced(new_ctx, out, self.config)
 
     def saturation(self, f: Polynomial) -> "Ideal":
-        """Stable colon ideal (I : f^infinity), by one elimination: a fresh
-        variable z is eliminated from I + (1 - z*f) (Rabinowitsch's trick)."""
+        """Stable colon ideal (I : f^infinity): I : f, (I : f) : f, ... by
+        `syzygy.ideal_quotient` on reduced bases, up to the first repeat."""
+        from .syzygy import ideal_quotient
         if f.ctx != self.ctx:
             raise GermInputError("saturation argument over the wrong context")
         if f.is_zero():
             raise GermInputError("saturation by zero")
-        zname = self.ctx.fresh_name("_z")
-        ext = self.ctx.extend([zname], "source")
-        gens = [g.rename(ext) for g in self.gens]
-        z = Polynomial.variable(ext, zname)
-        gens.append(Polynomial.constant(ext, 1) - z * f.rename(ext))
-        elim = Ideal(ext, gens, OrderingSpec.degrevlex(), self.config).elimination([zname])
-        return elim.with_ordering(self.ordering)
+        basis = self.with_ordering(OrderingSpec.degrevlex()).basis()
+        while True:
+            colon = ideal_quotient(basis, f, self.config).basis()
+            if colon == basis:
+                return Ideal._reduced(self.ctx, basis, self.config).with_ordering(self.ordering)
+            basis = colon
 
     # -- dimensions ------------------------------------------------------
 

@@ -306,11 +306,10 @@ def samuel_multiplicity(I: Ideal, t: str) -> SamuelResult:
     """Multiplicity e of the ideal (t) on the local quotient A = O/I, with
     the profile d_k = dim A/t^k A.
 
-    I is a handle of the polynomial ring; only its generators matter, and
-    they are read from its degrevlex handle (I itself when it is one, so a
-    cached basis is reused) under I's config. Every colength is a
-    `local_colength` of that reduced basis, or of the saturation of it,
-    plus a power of t.
+    I is a handle of the polynomial ring, read through its degrevlex handle
+    (I itself when it is one, so a cached basis is reused) under I's config.
+    Every colength is a `local_colength` of that handle's reduced basis, or
+    of its saturation by t, taken on that same handle, plus a power of t.
 
     Needs A to be at most a curve (leading-term dimension <= 1). The t-torsion
     H = (I : t^inf)/I then has finite length and t is a nonzerodivisor on
@@ -337,7 +336,8 @@ def samuel_multiplicity(I: Ideal, t: str) -> SamuelResult:
                           f"multiplicity profile step k={k}")
 
     profile = [d(1)]
-    sat = Ideal(ctx, base, DEGREVLEX, config).saturation(tvar)
+    with _stage("multiplicity saturation"):
+        sat = clean.saturation(tvar)
     e = _local_dim(ctx, sat.gens + [tvar], config,
                    "multiplicity of the saturated quotient")
     if profile[0] == e:
@@ -401,7 +401,8 @@ def _off_slice_count(G: ImageEquation, value: Fraction):
     jac = [p for p in (gsl.partial(n) for n in gsl.ctx.names) if not p.is_zero()]
     if not jac:
         return INFINITE
-    sat = Ideal(gsl.ctx, jac, DEGREVLEX, G.config).saturation(gsl)
+    with _stage(f"slice saturation at s0={value}"):
+        sat = Ideal(gsl.ctx, jac, DEGREVLEX, G.config).saturation(gsl)
     return sat.quotient_dimension()
 
 
@@ -559,12 +560,8 @@ def lc_ideal(G: ImageEquation) -> LCIdeal:
         qname = ctx.fresh_name("q")
         ext = ctx.extend(pnames + [qname], "cotangent")
         covars = [Polynomial.variable(ext, n) for n in pnames + [qname]]
-        gens = []
-        for v in _kernel(G):
-            acc = Polynomial.zero(ext)
-            for comp, cv in zip(v, covars):
-                acc = acc + comp.rename(ext) * cv
-            gens.append(acc)
+        gens = [sum((comp.rename(ext) * cv for comp, cv in zip(v, covars)),
+                    Polynomial.zero(ext)) for v in _kernel(G)]
         handle = Ideal(ext, gens, DEGREVLEX, G.config)
         G._cache["lc"] = LCIdeal(handle, tuple(gens), tuple(pnames) + (qname,), G)
     return G._cache["lc"]
@@ -719,10 +716,9 @@ def full_report(G: ImageEquation, with_lc: bool = True,
         mu = image_milnor_number(G)
         oracle, br_terms = join()
 
-    br_basis = [Polynomial._raw(G.ctx, t) for t in br_terms]
-    br = Ideal(G.ctx, br_basis, DEGREVLEX, G.config)
-    br._basis_cache = br_basis      # reduced bases are unique: the one G would find
-    G._cache.setdefault("br", br)
+    # reduced bases are unique: the one G would find
+    G._cache.setdefault("br", Ideal._reduced(
+        G.ctx, [Polynomial._raw(G.ctx, t) for t in br_terms], G.config))
 
     codim = mu.profile[0]
     stability = "stable" if mu.multiplicity == 0 else "unstable"

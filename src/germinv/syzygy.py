@@ -37,7 +37,8 @@ Nothing above counts the tracking slots or asks that every input have one,
 so the argument holds as well when only some inputs are tracked. With the
 rows (f, 1) and (p_i, 0), the module they generate meets slot 0 = 0 in the
 vectors (0, a) with a*f in (p_1..p_k), and the harvest generates that ideal
-quotient (`ideal_quotient`) at the price of one tracking slot instead of k.
+quotient (`ideal_quotient`) at the price of one tracking slot instead of k;
+it is the one colon routine, which `Ideal.saturation` iterates to a repeat.
 
 Vector fields live here too: a field is its coefficient tuple against the
 coordinate partials, slot i multiplying the partial by `ctx.names[i]`, and

@@ -7,7 +7,7 @@ from germinv import (
     ComputeConfig, EMPTY, GermInputError, INFINITE, Ideal, OrderingSpec,
     Polynomial, ResourceLimitError, VariableContext, local_colength,
 )
-from germinv import gb
+from germinv import gb, syzygy
 from germinv.exprparse import parse_polynomial
 from germinv.gb import monomial_dimension, staircase_count
 from germinv.orderings import key_function
@@ -211,12 +211,36 @@ def test_saturation_strips_a_variable_factor():
     assert sat.basis() == [Y2 ** 3]
 
 
-def test_saturation_needs_no_chain_cap():
+def test_saturation_needs_no_chain_cap(monkeypatch):
     # (y^2, y*x^64) : x^inf = (y): y*x^64 lies in the ideal, so y lies in
     # the saturation, and every element of the ideal is a multiple of y.
-    # The colon chain (I : x^k) only reaches (y) at k = 64.
+    # Saturation is the colon chain I : x, (I : x) : x, ..., whose k-th
+    # link is (y^2, y*x^(64-k)); it reaches (y) at k = 64 and stops at its
+    # first repeat, link 65, with no cap on its length.
+    calls = []
+    real = syzygy.ideal_quotient
+    monkeypatch.setattr(syzygy, "ideal_quotient",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
     sat = Ideal(C2, [Y2 ** 2, Y2 * X2 ** 64], DRL).saturation(X2)
     assert sat.basis() == [Y2]
+    assert len(calls) == 65
+
+
+def test_saturation_edge_cases():
+    ideal = Ideal(C2, [X2 ** 2 * Y2, X2 * Y2 ** 2 - Y2], DRL)
+    unit = [Polynomial.constant(C2, 1)]
+    # a nonzero constant is a unit: I comes back, generated by its basis
+    same = ideal.saturation(Polynomial.constant(C2, 3))
+    assert same.basis() == same.gens == ideal.basis()
+    # f in I gives the unit ideal, which saturates to itself
+    full = ideal.saturation(X2 ** 2 * Y2)
+    assert full.basis() == full.gens == unit
+    assert full.saturation(X2).basis() == unit
+    assert Ideal(C2, unit, DRL).saturation(X2 + Y2).basis() == unit
+    with pytest.raises(GermInputError, match="saturation by zero"):
+        ideal.saturation(Polynomial.zero(C2))
+    with pytest.raises(GermInputError, match="wrong context"):
+        ideal.saturation(X3)
 
 
 def test_saturation_idempotent():

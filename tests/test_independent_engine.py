@@ -6,6 +6,12 @@ sympy's `groebner(..., order="grevlex", domain="QQ")` over the same
 variable order, and `Ideal.contains` must agree with sympy's reduction. The
 inputs are seeded small ideals over (x, y, z) and the FT and Bruce-Roberts
 ideals of the corpus germs s1 and crosscap, the handles the invariants read.
+
+The one colon primitive, `ideal_quotient`, and the saturation iterated from
+it are held to sympy's own eliminations, by a lex basis with an auxiliary
+variable t first: I : f is the intersection of I and (f), which is
+t*I + (1 - t)*(f) with t eliminated, divided by f; I : f^infinity is
+I + (1 - t*f) with t eliminated (Rabinowitsch's trick).
 """
 
 import random
@@ -16,6 +22,7 @@ import sympy
 
 from germinv import Ideal, Polynomial, VariableContext, ft_ideal
 from germinv.invariants import _br_ideal
+from germinv.syzygy import ideal_quotient
 
 C3 = VariableContext.make(source=("x", "y", "z"))
 
@@ -37,6 +44,35 @@ def as_sympy(p: Polynomial):
 
 def as_terms(p: sympy.Poly):
     return frozenset((e, Fraction(int(c.p), int(c.q))) for e, c in p.as_dict().items())
+
+
+def same_basis(ideal: Ideal, exprs):
+    """The reduced basis of `ideal` is sympy's grevlex basis of `exprs`."""
+    gens = sympy.symbols(ideal.ctx.names)
+    theirs = sympy.groebner(exprs, *gens, order="grevlex", domain="QQ")
+    assert {frozenset(b.terms.items()) for b in ideal.basis()} == \
+        {as_terms(p) for p in theirs.polys}
+
+
+def eliminate_t(ctx: VariableContext, exprs):
+    """The t-free elements of sympy's lex basis of `exprs`, t first."""
+    t = sympy.Symbol("t_aux")
+    lex = sympy.groebner(exprs, t, *sympy.symbols(ctx.names), order="lex", domain="QQ")
+    return [p for p in lex.exprs if t not in p.free_symbols]
+
+
+def sympy_quotient(gens, f: Polynomial):
+    t, ctx = sympy.Symbol("t_aux"), f.ctx
+    fp = as_sympy(f)
+    meet = eliminate_t(ctx, [t * as_sympy(g).as_expr() for g in gens]
+                       + [(1 - t) * fp.as_expr()])
+    return [sympy.Poly(p, *sympy.symbols(ctx.names)).exquo(fp).as_expr() for p in meet]
+
+
+def sympy_saturation(gens, f: Polynomial):
+    t = sympy.Symbol("t_aux")
+    return eliminate_t(f.ctx, [as_sympy(g).as_expr() for g in gens]
+                       + [1 - t * as_sympy(f).as_expr()])
 
 
 def check(ideal: Ideal, candidates):
@@ -79,3 +115,30 @@ def test_ft_and_bruce_roberts_ideals_match_sympy(name, request):
     for ideal in (ft_ideal(G), _br_ideal(G)):
         s = Polynomial.variable(G.ctx, G.spec.parameter)
         check(ideal, candidates(rng, ideal, 2) + [s, s ** 2, G.g])
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_quotient_and_saturation_match_sympy(seed):
+    # by a variable and by a polynomial that is no monomial
+    rng = random.Random(5000 + seed)
+    gens = [rand_poly(rng, C3, 3, 2) for _ in range(rng.randint(2, 3))]
+    x = Polynomial.variable(C3, "x")
+    for f in (x, x + rand_poly(rng, C3, 2, 2)):
+        if f.is_zero():
+            continue
+        same_basis(ideal_quotient(gens, f), sympy_quotient(gens, f))
+        same_basis(Ideal(C3, gens).saturation(f), sympy_saturation(gens, f))
+
+
+@pytest.mark.parametrize("name", ["s1", "crosscap"])
+def test_report_saturations_match_sympy(name, request):
+    # FT : s^infinity, and the slice oracle's Jac(g_s0) : g_s0^infinity at
+    # its baseline s0 = 0 and at a sample value
+    G = request.getfixturevalue(f"{name}_image")
+    s = Polynomial.variable(G.ctx, G.spec.parameter)
+    ft = ft_ideal(G).basis()
+    same_basis(Ideal(G.ctx, ft).saturation(s), sympy_saturation(ft, s))
+    for s0 in (Fraction(0), Fraction(1, 2)):
+        g = G.g.specialize({G.spec.parameter: s0})
+        jac = [p for p in (g.partial(n) for n in g.ctx.names) if not p.is_zero()]
+        same_basis(Ideal(g.ctx, jac).saturation(g), sympy_saturation(jac, g))

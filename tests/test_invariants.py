@@ -236,6 +236,26 @@ def test_resource_limit_names_its_stage_limit_and_value():
     assert (exc.stage, exc.limit, exc.value) == ("ideal basis", "max_pairs", 1)
 
 
+def test_saturation_budget_errors_name_their_stage():
+    # the basis and the first profile colength fit in six pairs, the
+    # saturation's quotient runs do not; the slice oracle's saturation
+    # names its sample value
+    cfg = ComputeConfig(max_pairs=6)
+    with pytest.raises(ResourceLimitError) as info:
+        samuel_multiplicity(local_ideal(YS, "y^2 - s^3", "y*s^2", config=cfg), "s")
+    exc = info.value
+    assert str(exc) == ("multiplicity saturation: "
+                        "module basis exceeded the pair budget max_pairs=6")
+    assert (exc.stage, exc.limit, exc.value) == ("module basis", "max_pairs", 6)
+    gf = load("s1")
+    G = image_equation(gf.spec, gf.config())
+    tight = dataclasses.replace(G, config=ComputeConfig(max_pairs=8))
+    with pytest.raises(ResourceLimitError) as info:
+        inv._off_slice_count(tight, Fraction(0))
+    assert str(info.value) == ("slice saturation at s0=0: "
+                               "module basis exceeded the pair budget max_pairs=8")
+
+
 def test_quotient_budget_errors_name_their_ideal():
     # FT and BR are each one quotient run; an exhausted budget says which
     gf = load("s1")

@@ -12,7 +12,6 @@ stable/unstable verdict.
 from .config import ComputeConfig, DEFAULT_CONFIG
 from .errors import GermInputError, ParseError, ResourceLimitError
 from .poly import VariableContext, Polynomial
-from .orderings import OrderingSpec
 from .gb import Ideal, local_colength, INFINITE, EMPTY
 from .syzygy import (
     syzygy_basis, kernel_fields, tangent_fields, parameter_part, ideal_quotient,
@@ -33,7 +32,6 @@ __all__ = [
     "ResourceLimitError",
     "VariableContext",
     "Polynomial",
-    "OrderingSpec",
     "Ideal",
     "local_colength",
     "INFINITE",

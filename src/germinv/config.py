@@ -17,7 +17,8 @@ class ComputeConfig:
     max_degree: int = 120         # total degree any intermediate term may reach
     # slice oracle
     seed: int = 0
-    s0_retries: int = 5           # degenerate slices tolerated before giving up
+    s0_retries: int = 5           # slice values drawn, degenerate ones included,
+                                  # for two valid ones to agree
 
     def with_overrides(self, **kw) -> "ComputeConfig":
         return replace(self, **kw)

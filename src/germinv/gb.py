@@ -54,7 +54,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from .config import ComputeConfig, DEFAULT_CONFIG
 from .errors import GermInputError, ResourceLimitError
-from .orderings import OrderingSpec, key_function, lazard_key
+from . import orderings
 from .poly import Exponent, Polynomial, VariableContext
 
 
@@ -509,7 +509,7 @@ def local_colength(ctx: VariableContext, gens: Iterable[Polynomial],
     The ideal is the unit ideal there, colength 0, exactly when a generator
     does not vanish at the origin. Otherwise each generator is homogenized
     by a new last variable h, and the global basis of those is computed
-    under `lazard_key`. Its elements are homogeneous, so each lead is the
+    under `orderings.lazard`. Its elements are homogeneous, so each lead is the
     local lead of its terms and survives h = 1; with h = 1 they are a
     standard basis of the local ideal (Greuel and Pfister, 1.7), whose
     staircase is the count. Redundant leads do not change a staircase, so
@@ -517,55 +517,48 @@ def local_colength(ctx: VariableContext, gens: Iterable[Polynomial],
     `max_degree` bounds the homogenized degree.
     """
     n = len(ctx)
-    gens = _sorted_gens(ctx, gens, key_function(OrderingSpec.local(), n))
+    gens = _sorted_gens(ctx, gens, orderings.local)
     if any(g.constant_term() for g in gens):
         return 0
     homog = []
     for g in gens:
         d = max(sum(e) for e in g.terms)
         homog.append({e + (d - sum(e),): c for e, c in g.terms.items()})
-    eng = _Engine(lazard_key(OrderingSpec.local(), n), config, n + 1)
+    eng = _Engine(orderings.lazard(orderings.local, n), config, n + 1)
     return staircase_count([eng.exponent(e.lm)[:n] for e in eng.basis(homog)], n)
 
 
 class Ideal:
-    """An ideal of the polynomial ring: generators, a global order, and a
-    lazily cached reduced basis.
+    """An ideal of the polynomial ring: generators and a lazily cached
+    reduced basis, both under degrevlex.
 
-    The order is degrevlex or an elimination order; the local order is
-    refused, since a question about the ring of germs at the origin is a
-    colength, asked of `local_colength`.
+    A question about the ring of germs at the origin is a colength, asked of
+    `local_colength`; the one other order in use serves `elimination`.
     """
 
     def __init__(self, ctx: VariableContext, gens: Iterable[Polynomial],
-                 ordering: Optional[OrderingSpec] = None,
                  config: ComputeConfig = DEFAULT_CONFIG):
         self.ctx = ctx
-        self.ordering = ordering or OrderingSpec.degrevlex()
-        if self.ordering == OrderingSpec.local():
-            raise GermInputError("an Ideal speaks about the polynomial ring; "
-                                 "ask local_colength for a local colength")
         self.config = config
-        self._key = key_function(self.ordering, len(ctx))
-        self.gens: List[Polynomial] = _sorted_gens(ctx, gens, self._key)
+        self.gens: List[Polynomial] = _sorted_gens(ctx, gens, orderings.degrevlex)
         self._basis_cache: Optional[List[Polynomial]] = None
 
     @classmethod
     def _reduced(cls, ctx: VariableContext, basis: List[Polynomial],
                  config: ComputeConfig) -> "Ideal":
-        """Degrevlex handle whose gens and cached basis are `basis`, reduced."""
-        ideal = cls(ctx, (), None, config)
+        """Handle whose gens and cached basis are `basis`, reduced."""
+        ideal = cls(ctx, (), config)
         ideal.gens, ideal._basis_cache = list(basis), list(basis)
         return ideal
 
     # -- basis -----------------------------------------------------------
 
     def _engine(self) -> _Engine:
-        return _Engine(self._key, self.config, len(self.ctx))
+        return _Engine(orderings.degrevlex, self.config, len(self.ctx))
 
     def _keep_basis(self, eng: _Engine, elts: List[_Elt]) -> None:
-        self._basis_cache = [Polynomial._raw(self.ctx, {eng.exponent(z): Fraction(c, e.lc)
-                                                        for z, c in e.terms.items()})
+        self._basis_cache = [Polynomial._raw(self.ctx, {x: Fraction(c, e.lc) for x, c
+                                                        in eng.decoded(e).items()})
                              for e in elts]
 
     def basis(self) -> List[Polynomial]:
@@ -576,7 +569,7 @@ class Ideal:
         return self._basis_cache
 
     def leading_monomials(self) -> List[Exponent]:
-        return [max(p.terms, key=self._key) for p in self.basis()]
+        return [max(p.terms, key=orderings.degrevlex) for p in self.basis()]
 
     def contains(self, p: Polynomial) -> bool:
         """Membership in the ideal of the polynomial ring: p reduces to zero
@@ -588,30 +581,29 @@ class Ideal:
 
     # -- constructions ---------------------------------------------------
 
-    def with_ordering(self, ordering: OrderingSpec) -> "Ideal":
-        """The same generators under `ordering`; this handle itself, cached
-        basis included, when the order is unchanged."""
-        if ordering == self.ordering:
-            return self
-        return Ideal(self.ctx, self.gens, ordering, self.config)
-
     def elimination(self, names: Iterable[str]) -> "Ideal":
-        """The intersection with the subring omitting `names`, under degrevlex.
+        """The intersection with the subring omitting `names`.
 
-        Read off the basis under the order that eliminates `names`; a
-        handle already under that order answers from its own cached basis.
-        The kept elements are the new handle's reduced basis: on monomials
-        without the eliminated variables the elimination order is degrevlex
-        on the rest, and a reduced basis stays reduced on a subset.
+        One engine run under the order that eliminates `names`, on the
+        generators sorted by that order. Under it an element is free of
+        `names` exactly when its lead is, and the kept elements are the new
+        handle's reduced basis: on monomials without the eliminated
+        variables the elimination order is degrevlex on the rest, and a
+        reduced basis stays reduced on a subset.
         """
         names = list(names)
-        front = tuple(self.ctx.index(n) for n in names)
-        work = self.with_ordering(OrderingSpec.elimination(front, len(self.ctx)))
-        keep = [i for i in range(len(self.ctx)) if i not in front]
+        n = len(self.ctx)
+        front = [self.ctx.index(v) for v in names]
+        key = orderings.elimination(front, n)
+        eng = _Engine(key, self.config, n)
+        keep = [i for i in range(n) if i not in front]
         new_ctx = self.ctx.drop(names)
-        out = [Polynomial._raw(new_ctx, {tuple(e[i] for i in keep): c
-                                         for e, c in p.terms.items()})
-               for p in work.basis() if not any(e[i] for e in p.terms for i in front)]
+        out = []
+        for elt in eng.basis([g.terms for g in _sorted_gens(self.ctx, self.gens, key)]):
+            if not any(eng.exponent(elt.lm)[i] for i in front):
+                out.append(Polynomial._raw(new_ctx, {
+                    tuple(e[i] for i in keep): Fraction(c, elt.lc)
+                    for e, c in eng.decoded(elt).items()}))
         return Ideal._reduced(new_ctx, out, self.config)
 
     def saturation(self, f: Polynomial) -> "Ideal":
@@ -622,11 +614,11 @@ class Ideal:
             raise GermInputError("saturation argument over the wrong context")
         if f.is_zero():
             raise GermInputError("saturation by zero")
-        basis = self.with_ordering(OrderingSpec.degrevlex()).basis()
+        basis = self.basis()
         while True:
             colon = ideal_quotient(basis, f, self.config).basis()
             if colon == basis:
-                return Ideal._reduced(self.ctx, basis, self.config).with_ordering(self.ordering)
+                return Ideal._reduced(self.ctx, basis, self.config)
             basis = colon
 
     # -- dimensions ------------------------------------------------------

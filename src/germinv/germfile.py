@@ -21,7 +21,8 @@ supplies the image equation (used instead of the eliminated one); bare
 `weights name=w ...` asserts quasi-homogeneous weights for the target and
 parameter variables. Branch expressions live in the source variables plus
 the parameter, the image expression in the target variables plus the
-parameter. `#` starts a comment anywhere.
+parameter. `#` starts a comment anywhere, and any run of whitespace, tabs
+included, separates a keyword from what follows it.
 
 Config overrides are single lines `seed N`, `retries N`, `max-pairs N`,
 `max-degree N`; any other keyword is a parse error, and so is a repeated
@@ -120,8 +121,8 @@ def parse_germ_file(text: str) -> GermFile:
         i += 1
         if not body:
             continue
-        head, _, rest = body.partition(" ")
-        rest = rest.strip()
+        head, *rest = body.split(None, 1)
+        rest = rest[0] if rest else ""
 
         if head in ("source", "target"):
             names = rest.split()
@@ -267,10 +268,10 @@ def load_limits(path: str) -> Dict[str, int]:
         body = raw.split("#", 1)[0].strip()
         if not body:
             continue
-        key, _, val = body.partition(" ")
+        key, *val = body.split(None, 1)
         if key not in _KEY_TO_FIELD:
             raise ParseError(f"unknown limit {key!r}", lineno, 1)
-        config_line(overrides, key, val.strip(), lineno)
+        config_line(overrides, key, val[0] if val else "", lineno)
     return overrides
 
 
@@ -293,10 +294,8 @@ def print_germ_file(gf: GermFile) -> str:
     if spec.is_stable_unfolding:
         out.append("stable-unfolding")
     if spec.weights is not None:
-        tctx = spec.target_ctx()
-        pairs = " ".join(f"{n}={spec.weights[n]}" for n in tctx.names
-                         if n in spec.weights)
-        out.append("weights " + pairs)
+        out.append("weights " + " ".join(f"{n}={spec.weights[n]}"
+                                         for n in spec.target_ctx().names))
     field_to_key = {f: k for k, f in _CONFIG_KEYS}
     for field, value in gf.overrides:
         out.append(f"{field_to_key[field]} {value}")

@@ -44,12 +44,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .config import ComputeConfig, DEFAULT_CONFIG
 from .errors import GermInputError, ResourceLimitError
 from .gb import EMPTY, INFINITE, Ideal, local_colength
-from .orderings import OrderingSpec
 from .poly import Polynomial, VariableContext
 from .syzygy import Vector, ideal_quotient, kernel_fields, parameter_part
-
-DEGREVLEX = OrderingSpec.degrevlex()
-
 
 # -- input specification -----------------------------------------------------
 
@@ -61,7 +57,8 @@ class MapGermSpec:
     parameter; each branch is a germ at the origin of its own source copy,
     so multigerm inputs must be pre-translated. The flags are user
     assertions about the unfolding that the computations cannot verify; they
-    gate the operations whose meaning depends on them.
+    gate the operations whose meaning depends on them. Asserted weights must
+    name every target and parameter variable, each with a positive integer.
     """
 
     source: Tuple[str, ...]
@@ -89,6 +86,12 @@ class MapGermSpec:
                     raise GermInputError("branch component does not vanish at the origin")
         if self.image_g is not None and self.image_g.ctx != self.target_ctx():
             raise GermInputError("supplied image equation over the wrong context")
+        if self.weights is not None:
+            missing = [n for n in self.target_ctx().names if n not in self.weights]
+            if missing:
+                raise GermInputError(f"weights missing for {missing}")
+            if any(int(v) <= 0 for v in self.weights.values()):
+                raise GermInputError("weights must be positive integers")
 
     def source_ctx(self) -> VariableContext:
         return VariableContext.make(source=self.source, parameter=(self.parameter,))
@@ -103,7 +106,7 @@ class MapGermSpec:
 class ImageEquation:
     """The reduced equation of the image hypersurface, with provenance.
 
-    Derived objects (field bases, cleaned generating sets) are cached here;
+    Derived objects are cached here;
     every operation taking an ImageEquation shares them. A copy made with
     `dataclasses.replace` starts with an empty cache, so a tighter config
     is obeyed rather than answered from the original's results.
@@ -121,33 +124,21 @@ class ImageEquation:
         return self.g.ctx
 
 
-def _graph(branch: Sequence[Polynomial], spec: MapGermSpec,
-           cfg: ComputeConfig) -> Ideal:
-    """The branch's graph ideal (y - f(x, s)), under the order that
-    eliminates the source.
+def _branch_image(branch: Sequence[Polynomial], spec: MapGermSpec,
+                  cfg: ComputeConfig) -> Ideal:
+    """The branch's image ideal over target and parameter: its graph ideal
+    (y - f(x, s)) with the source eliminated (Cox, Little and O'Shea,
+    Ideals, Varieties, and Algorithms, 3.3).
 
-    One handle answers every image question, from one basis: its
-    elimination is the branch's image factor (Cox, Little and O'Shea,
-    Ideals, Varieties, and Algorithms, 3.3), and since Q[x, y, s]/(y - f)
-    is Q[x, s], a polynomial g in y and s lies in it exactly when
-    g(f(x, s), s) = 0, that is when g vanishes on the branch.
+    Since Q[x, y, s]/(y - f) is Q[x, s], a polynomial g in y and s lies in
+    the graph ideal, and so in this one, exactly when g(f(x, s), s) = 0,
+    that is when g vanishes on the branch.
     """
     ctx = VariableContext.make(source=spec.source, target=spec.target,
                                parameter=(spec.parameter,))
     gens = [Polynomial.variable(ctx, y) - p.rename(ctx)
             for y, p in zip(spec.target, branch)]
-    order = OrderingSpec.elimination(tuple(range(len(spec.source))), len(ctx))
-    return Ideal(ctx, gens, order, cfg)
-
-
-def _branch_image(graph: Ideal, spec: MapGermSpec) -> Polynomial:
-    """Principal generator of the branch's image: the graph's elimination."""
-    basis = graph.elimination(spec.source).basis()
-    if len(basis) != 1:
-        raise GermInputError(
-            "branch image is not a hypersurface (elimination ideal not principal); "
-            "the branch is probably not generically finite")
-    return basis[0]
+    return Ideal(ctx, gens, cfg).elimination(spec.source)
 
 
 def image_equation(spec: MapGermSpec, config: ComputeConfig = DEFAULT_CONFIG,
@@ -155,30 +146,38 @@ def image_equation(spec: MapGermSpec, config: ComputeConfig = DEFAULT_CONFIG,
                    ) -> ImageEquation:
     """Equation of the image of the unfolding in target-parameter space.
 
-    Each branch is eliminated from its graph (`_graph`); a multigerm image
-    is the union of the branch images, so the generators are multiplied.
-    An eliminated factor is reduced by construction: the graph ideal is
-    prime, so its contraction is prime and its monic generator irreducible.
-    Two branches therefore share an image component exactly when their
-    factors are equal, and the product would then not be reduced.
-    `cached_factors` (one per branch, read from a `.gcache` sidecar) must
-    equal the eliminated factors. A user-supplied equation must be reduced,
-    which holds exactly when its singular locus {g = dg = 0} has codimension
-    at least 2. Either way the equation must lie in every branch's graph
-    ideal, that is vanish on every branch.
+    Each branch image (`_branch_image`) must be principal, and its generator
+    is the branch's factor; a multigerm image is the union of the branch
+    images, so the factors are multiplied. An eliminated factor is reduced
+    by construction: the graph ideal is prime, so its contraction is prime
+    and its monic generator irreducible. Two branches therefore share an
+    image component exactly when their factors are equal, and the product
+    would then not be reduced. `cached_factors` (one per branch, read from
+    a `.gcache` sidecar) must equal the eliminated factors. A user-supplied
+    equation must be reduced, which holds exactly when its singular locus
+    {g = dg = 0} has codimension at least 2, and is checked before any
+    elimination. Either way the equation must lie in every branch image,
+    that is vanish on every branch.
     """
-    graphs = [_graph(b, spec, config) for b in spec.branches]
     if spec.image_g is not None:
         g = spec.image_g
-        sing = Ideal(g.ctx, [g] + [g.partial(n) for n in g.ctx.names], DEGREVLEX,
-                     config).dimension()
+        sing = Ideal(g.ctx, [g] + [g.partial(n) for n in g.ctx.names], config).dimension()
         if sing is not EMPTY and sing > len(g.ctx) - 2:
             raise GermInputError("supplied image equation is not reduced: it is "
                                  "singular along a hypersurface (a repeated factor)")
+        images: List[Ideal] = [_branch_image(b, spec, config) for b in spec.branches]
         factors: Tuple[Polynomial, ...] = (g,)
         provenance = "user-supplied"
     else:
-        fs = [_branch_image(graph, spec) for graph in graphs]
+        images, fs = [], []
+        for b in spec.branches:
+            images.append(_branch_image(b, spec, config))
+            basis = images[-1].basis()
+            if len(basis) != 1:
+                raise GermInputError(
+                    "branch image is not a hypersurface (elimination ideal not "
+                    "principal); the branch is probably not generically finite")
+            fs.append(basis[0])
         if cached_factors is not None and list(cached_factors) != fs:
             raise GermInputError(
                 "the image factors in the .gcache sidecar differ from the "
@@ -197,8 +196,8 @@ def image_equation(spec: MapGermSpec, config: ComputeConfig = DEFAULT_CONFIG,
 
     if g.constant_term():
         raise GermInputError("image equation does not vanish at the origin")
-    for i, graph in enumerate(graphs):
-        if not graph.contains(g.rename(graph.ctx)):
+    for i, image in enumerate(images):
+        if not image.contains(g):
             raise GermInputError(f"image equation does not vanish on branch {i}")
     return ImageEquation(spec, g, provenance, factors, config)
 
@@ -306,10 +305,9 @@ def samuel_multiplicity(I: Ideal, t: str) -> SamuelResult:
     """Multiplicity e of the ideal (t) on the local quotient A = O/I, with
     the profile d_k = dim A/t^k A.
 
-    I is a handle of the polynomial ring, read through its degrevlex handle
-    (I itself when it is one, so a cached basis is reused) under I's config.
-    Every colength is a `local_colength` of that handle's reduced basis, or
-    of its saturation by t, taken on that same handle, plus a power of t.
+    I is a handle of the polynomial ring, read under its config. Every
+    colength is a `local_colength` of its reduced basis, or of its
+    saturation by t, plus a power of t.
 
     Needs A to be at most a curve (leading-term dimension <= 1). The t-torsion
     H = (I : t^inf)/I then has finite length and t is a nonzerodivisor on
@@ -323,12 +321,11 @@ def samuel_multiplicity(I: Ideal, t: str) -> SamuelResult:
       ends with that d_k.
     """
     ctx, config = I.ctx, I.config
-    clean = I.with_ordering(DEGREVLEX)
-    dim = clean.dimension()
+    dim = I.dimension()
     if dim is not EMPTY and dim > 1:
         raise GermInputError(
             f"parameter multiplicity needs a quotient of dimension <= 1, got {dim}")
-    base = clean.basis()
+    base = I.basis()
     tvar = Polynomial.variable(ctx, t)
 
     def d(k: int) -> int:
@@ -337,7 +334,7 @@ def samuel_multiplicity(I: Ideal, t: str) -> SamuelResult:
 
     profile = [d(1)]
     with _stage("multiplicity saturation"):
-        sat = clean.saturation(tvar)
+        sat = I.saturation(tvar)
     e = _local_dim(ctx, sat.gens + [tvar], config,
                    "multiplicity of the saturated quotient")
     if profile[0] == e:
@@ -402,7 +399,7 @@ def _off_slice_count(G: ImageEquation, value: Fraction):
     if not jac:
         return INFINITE
     with _stage(f"slice saturation at s0={value}"):
-        sat = Ideal(gsl.ctx, jac, DEGREVLEX, G.config).saturation(gsl)
+        sat = Ideal(gsl.ctx, jac, G.config).saturation(gsl)
     return sat.quotient_dimension()
 
 
@@ -562,7 +559,7 @@ def lc_ideal(G: ImageEquation) -> LCIdeal:
         covars = [Polynomial.variable(ext, n) for n in pnames + [qname]]
         gens = [sum((comp.rename(ext) * cv for comp, cv in zip(v, covars)),
                     Polynomial.zero(ext)) for v in _kernel(G)]
-        handle = Ideal(ext, gens, DEGREVLEX, G.config)
+        handle = Ideal(ext, gens, G.config)
         G._cache["lc"] = LCIdeal(handle, tuple(gens), tuple(pnames) + (qname,), G)
     return G._cache["lc"]
 
@@ -570,16 +567,12 @@ def lc_ideal(G: ImageEquation) -> LCIdeal:
 # -- quasi-homogeneous checks ------------------------------------------------
 
 def euler_degree(G: ImageEquation) -> int:
-    """Validate the asserted weights: g must be weighted homogeneous and the
-    weighted Euler field must reproduce (wdeg g) * g. Returns wdeg g."""
+    """Validate the asserted weights, which the spec holds complete and
+    positive: g must be weighted homogeneous and the weighted Euler field
+    must reproduce (wdeg g) * g. Returns wdeg g."""
     if G.spec.weights is None:
         raise GermInputError("no weights asserted")
     w = dict(G.spec.weights)
-    missing = [n for n in G.ctx.names if n not in w]
-    if missing:
-        raise GermInputError(f"weights missing for {missing}")
-    if any(int(v) <= 0 for v in w.values()):
-        raise GermInputError("weights must be positive integers")
     degs = set(G.g.weighted_degrees(w))
     if len(degs) != 1:
         raise GermInputError("asserted weights do not make the image equation "
@@ -602,7 +595,7 @@ def euler_ideal_identity(G: ImageEquation) -> bool:
     germ-level one agree."""
     euler_degree(G)
     s = Polynomial.variable(G.ctx, G.spec.parameter)
-    ft_s = Ideal(G.ctx, ft_ideal(G).basis() + [s], DEGREVLEX, G.config)
+    ft_s = Ideal(G.ctx, ft_ideal(G).basis() + [s], G.config)
     return _br_ideal(G).basis() == ft_s.basis()
 
 

@@ -274,9 +274,8 @@ class Polynomial:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        key = orderings.key_function(orderings.OrderingSpec.degrevlex(), len(self.ctx))
         parts = []
-        for exp in sorted(self.terms, key=key, reverse=True):
+        for exp in sorted(self.terms, key=orderings.degrevlex, reverse=True):
             c = self.terms[exp]
             factors = []
             for name, e in zip(self.ctx.names, exp):

@@ -57,7 +57,7 @@ from typing import Dict, List, Sequence, Tuple
 from .config import ComputeConfig, DEFAULT_CONFIG
 from .errors import GermInputError
 from .gb import Ideal, _Engine
-from .orderings import OrderingSpec, key_function
+from .orderings import degrevlex
 from .poly import Exponent, Polynomial, VariableContext
 
 Vector = Tuple[Polynomial, ...]
@@ -67,10 +67,9 @@ def _engine(ctx: VariableContext, rank: int, config: ComputeConfig) -> _Engine:
     """Engine for submodules of R^rank: the first slot dominates, then
     degrevlex term-over-position with lower components first."""
     n = len(ctx)
-    ring_key = key_function(OrderingSpec.degrevlex(), n)
 
     def key(t: Exponent):
-        return ((1 if t[n] == 0 else 0),) + ring_key(t[:n]) + (-t[n],)
+        return ((1 if t[n] == 0 else 0),) + degrevlex(t[:n]) + (-t[n],)
 
     return _Engine(key, config, n, rank=rank)
 
@@ -125,8 +124,8 @@ def syzygy_basis(polys: Sequence[Polynomial],
 
 def ideal_quotient(gens: Sequence[Polynomial], f: Polynomial,
                    config: ComputeConfig = DEFAULT_CONFIG) -> Ideal:
-    """The ideal quotient (gens) : f = {a : a*f in (gens)}, as a global
-    (degrevlex) handle whose reduced basis is computed once and cached.
+    """The ideal quotient (gens) : f = {a : a*f in (gens)}, as a handle
+    whose reduced basis is computed once and cached.
 
     One harvest that tracks f alone: the rows (f, 1) and (p, 0) for each
     nonzero generator p. A syzygy (0, a) of them is a*f + sum b_p p = 0, so
@@ -141,8 +140,7 @@ def ideal_quotient(gens: Sequence[Polynomial], f: Polynomial,
             raise GermInputError("ideal quotient inputs over mixed contexts")
     one, zero = Polynomial.constant(ctx, 1), Polynomial.zero(ctx)
     rows = [[f, one]] + [[p, zero] for p in gens]
-    return Ideal(ctx, [v[0] for v in _harvest(ctx, rows, config)],
-                 OrderingSpec.degrevlex(), config)
+    return Ideal(ctx, [v[0] for v in _harvest(ctx, rows, config)], config)
 
 
 def kernel_fields(g: Polynomial, config: ComputeConfig = DEFAULT_CONFIG) -> List[Vector]:
@@ -171,7 +169,7 @@ def tangent_fields(g: Polynomial, config: ComputeConfig = DEFAULT_CONFIG) -> Lis
 
 def parameter_part(ctx: VariableContext, fields: Sequence[Vector],
                    config: ComputeConfig = DEFAULT_CONFIG) -> Ideal:
-    """Ideal of the parameter slots of fields over `ctx`, as a global
-    (degrevlex) handle, whose reduced basis is computed once and cached."""
+    """Ideal of the parameter slots of fields over `ctx`, as a handle whose
+    reduced basis is computed once and cached."""
     idx = ctx.parameter_index()
-    return Ideal(ctx, [v[idx] for v in fields], OrderingSpec.degrevlex(), config)
+    return Ideal(ctx, [v[idx] for v in fields], config)

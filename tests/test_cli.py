@@ -175,7 +175,7 @@ def test_wrong_ft_quotient_exits_3(capsys, tmp_corpus, monkeypatch):
         pidx = q.ctx.parameter_index()
         scaled = [inv.Polynomial(q.ctx, {e: c * 2 ** e[pidx] for e, c in p.terms.items()})
                   for p in q.basis()]
-        return inv.Ideal(q.ctx, scaled, q.ordering, q.config)
+        return inv.Ideal(q.ctx, scaled, q.config)
 
     monkeypatch.setattr(inv, "ideal_quotient", scaled_quotient)
     code, out, _ = run(capsys, "report", tmp_corpus("s1"), "--format", "machine",
@@ -296,6 +296,36 @@ def test_a_worker_budget_error_exits_2(capsys, tmp_path, tmp_corpus):
     assert (code, out) == (2, "")
     assert err == ("resource limit: tangent-field ideal: ideal basis exceeded "
                    "the pair budget max_pairs=1000\n")
+
+
+def test_slice_sampling_out_of_retries_exits_2(capsys, tmp_path, tmp_corpus):
+    # one draw has no second one to agree with: the oracle's own budget
+    # error, while a pinned s0 draws nothing. A tab separates the limits
+    # file's key from its value.
+    limits = tmp_path / "limits.txt"
+    limits.write_text("retries\t1\n")
+    argv = ["report", tmp_corpus("s1"), "--no-cache", "--format", "machine",
+            "--limits", str(limits)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == ("resource limit: no two sampled slice values agreed on a count "
+                   "within 1 tries (counts [1], degenerate []); raise the retry budget\n")
+    code, out, err = run(capsys, *argv, "--s0", "1/3")
+    assert (code, err) == (0, "")
+    assert machine_dict(out)["oracle_s0"] == "1/3"
+
+
+@pytest.mark.parametrize("weights, message", [
+    ("y1=1 y2=2 y3=0 s=1", "weights must be positive integers"),
+    ("y1=1 y2=2", "weights missing for ['y3', 's']"),
+])
+def test_bad_weights_exit_1_on_every_command(capsys, tmp_path, weights, message):
+    germ = tmp_path / "weighted.germ"
+    text = Path(corpus_path("s1")).read_text()
+    germ.write_text(text.replace("weights y1=1 y2=2 y3=3 s=2", f"weights {weights}"))
+    for command in ("mu-image", "report"):
+        code, out, err = run(capsys, command, str(germ), "--no-cache")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_unknown_limit_key_exits_1(capsys, tmp_path, tmp_corpus):

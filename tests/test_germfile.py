@@ -47,6 +47,17 @@ def test_comments_and_blank_lines_are_ignored():
     assert parse_germ_file(noisy) == parse_germ_file(MINIMAL)
 
 
+def test_keywords_split_on_any_whitespace():
+    # a tab, or a run of blanks, separates a keyword from its arguments
+    tabbed = (MINIMAL.replace("source x y", "source\tx y")
+              .replace("parameter s", "parameter \t s")
+              + "stabilisation\nweights\ty1=1\ty2=2 y3=3 s=1\nretries\t3\n")
+    gf = parse_germ_file(tabbed)
+    assert gf == parse_germ_file(MINIMAL + "stabilisation\nweights y1=1 y2=2 y3=3 s=1\n"
+                                 "retries 3\n")
+    assert gf.config().s0_retries == 3
+
+
 def test_flags_and_weights_are_carried():
     gf = parse_germ_file(MINIMAL + "stable-unfolding\nweights y1=1 y2=2 y3=2 s=1\n")
     assert gf.spec.is_stable_unfolding and not gf.spec.is_stabilisation
@@ -70,6 +81,25 @@ def test_expression_error_reports_file_line():
         parse_germ_file(bad)
     assert err.value.line == 6 and err.value.column == 3
     assert "line 6, column 3" in str(err.value)
+
+
+@pytest.mark.parametrize("text, reason, line, column", [
+    ("x $ y", "unexpected character '$'", 1, 3),
+    ("x +\n  $", "unexpected character '$'", 2, 3),
+    ("   ", "empty expression", 1, 1),
+    ("3/x", "expected integer denominator after '/'", 1, 3),
+    ("3/0", "zero denominator", 1, 3),
+    ("(x + y", "expected ')'", 1, 7),
+    ("x +", "unexpected end of expression", 1, 4),
+    ("x + *", "unexpected '*'", 1, 5),
+    ("x y", "unexpected 'y' after expression", 1, 3),
+])
+def test_expression_error_paths(text, reason, line, column):
+    ctx = VariableContext.make(source=("x", "y"))
+    with pytest.raises(ParseError) as err:
+        parse_polynomial(text, ctx)
+    assert (err.value.reason, err.value.line, err.value.column) == (reason, line, column)
+    assert str(err.value) == f"line {line}, column {column}: {reason}"
 
 
 def test_unknown_variable_in_branch():

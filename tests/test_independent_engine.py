@@ -7,6 +7,12 @@ variable order, and `Ideal.contains` must agree with sympy's reduction. The
 inputs are seeded small ideals over (x, y, z) and the FT and Bruce-Roberts
 ideals of the corpus germs s1 and crosscap, the handles the invariants read.
 
+`Ideal.elimination` is held to the elements of sympy's lex basis, the
+eliminated variables first, that are free of them, on seeded ideals over
+(t, x, y) and on the graph ideals of the corpus germs but exam1 (sympy's
+lex basis of its graph did not finish in 300 s) and of the seed-1 family
+germs of the benchmark.
+
 The one colon primitive, `ideal_quotient`, and the saturation iterated from
 it are held to sympy's own eliminations, by a lex basis with an auxiliary
 variable t first: I : f is the intersection of I and (f), which is
@@ -15,16 +21,25 @@ I + (1 - t*f) with t eliminated (Rabinowitsch's trick).
 """
 
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
 
 from germinv import Ideal, Polynomial, VariableContext, ft_ideal
+from germinv.germfile import parse_germ_file
 from germinv.invariants import _br_ideal
 from germinv.syzygy import ideal_quotient
 
+from conftest import load
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import families  # noqa: E402
+
 C3 = VariableContext.make(source=("x", "y", "z"))
+TXY = VariableContext.make(source=("t",), target=("x", "y"))
 
 
 def rand_poly(rng, ctx, max_terms=3, max_deg=3):
@@ -59,6 +74,15 @@ def eliminate_t(ctx: VariableContext, exprs):
     t = sympy.Symbol("t_aux")
     lex = sympy.groebner(exprs, t, *sympy.symbols(ctx.names), order="lex", domain="QQ")
     return [p for p in lex.exprs if t not in p.free_symbols]
+
+
+def sympy_elimination(ideal: Ideal, names):
+    """The elements free of `names` of sympy's lex basis, `names` first."""
+    front = sympy.symbols(names)
+    rest = [sympy.Symbol(n) for n in ideal.ctx.names if n not in names]
+    lex = sympy.groebner([as_sympy(g).as_expr() for g in ideal.gens], *front, *rest,
+                         order="lex", domain="QQ")
+    return [p for p in lex.exprs if not p.free_symbols & set(front)]
 
 
 def sympy_quotient(gens, f: Polynomial):
@@ -142,3 +166,32 @@ def test_report_saturations_match_sympy(name, request):
         g = G.g.specialize({G.spec.parameter: s0})
         jac = [p for p in (g.partial(n) for n in g.ctx.names) if not p.is_zero()]
         same_basis(Ideal(g.ctx, jac).saturation(g), sympy_saturation(jac, g))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_seeded_eliminations_match_sympy(seed):
+    rng = random.Random(6000 + seed)
+    gens = [rand_poly(rng, TXY, 3, 2) for _ in range(rng.randint(2, 3))]
+    ideal = Ideal(TXY, gens)
+    same_basis(ideal.elimination(["t"]), sympy_elimination(ideal, ["t"]))
+
+
+def graph_ideals(spec):
+    """The graph ideal (y - f(x, s)) of each branch."""
+    ctx = VariableContext.make(source=spec.source, target=spec.target,
+                               parameter=(spec.parameter,))
+    for branch in spec.branches:
+        yield Ideal(ctx, [Polynomial.variable(ctx, y) - p.rename(ctx)
+                          for y, p in zip(spec.target, branch)])
+
+
+FAMILY = {g.name: g.text for g in families.generate(1)}
+
+
+@pytest.mark.parametrize("name", ["crosscap", "s1", "twoplane"] + list(FAMILY))
+def test_graph_eliminations_match_sympy(name):
+    spec = (parse_germ_file(FAMILY[name]) if name in FAMILY else load(name)).spec
+    for graph in graph_ideals(spec):
+        image = graph.elimination(spec.source)
+        assert len(image.basis()) == 1
+        same_basis(image, sympy_elimination(graph, spec.source))

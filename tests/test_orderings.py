@@ -7,11 +7,8 @@ from germinv import syzygy
 from germinv.config import DEFAULT_CONFIG
 from germinv.errors import GermInputError
 from germinv.gb import _Engine
-from germinv.orderings import OrderingSpec, key_function, lazard_key
+from germinv.orderings import degrevlex, elimination, lazard, local
 from germinv.poly import VariableContext
-
-DRL = OrderingSpec.degrevlex()
-LOC = OrderingSpec.local()
 
 
 def sample_exponents(rng, n, count, max_deg=5):
@@ -19,7 +16,7 @@ def sample_exponents(rng, n, count, max_deg=5):
 
 
 def test_degrevlex_classics():
-    key = key_function(DRL, 3)
+    key = degrevlex
     one, x, y, z = (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)
     assert key(x) > key(y) > key(z) > key(one)
     # equal degree: the smaller exponent on the *last* distinguishing
@@ -29,18 +26,17 @@ def test_degrevlex_classics():
 
 
 def test_local_reverses_and_keeps_one_on_top():
-    key = key_function(LOC, 2)
+    key = local
     one, x, x2 = (0, 0), (1, 0), (2, 0)
     assert key(one) > key(x) > key(x2)
 
 
 def test_elimination_front_block_dominates():
-    spec = OrderingSpec.elimination((0,), 2)
-    key = key_function(spec, 2)
+    key = elimination((0,), 2)
     assert key((1, 0)) > key((0, 9))     # any x beats any power of y
     for front in ((), (0, 1), (2,)):
         with pytest.raises(GermInputError, match="proper variable split"):
-            OrderingSpec.elimination(front, 2)
+            elimination(front, 2)
 
 
 def test_keys_are_total_and_multiplicative():
@@ -49,9 +45,9 @@ def test_keys_are_total_and_multiplicative():
     # addition, and the guard mask tests divisibility. The Lazard key runs
     # over the three variables and the homogenizing one.
     ctx = VariableContext.make(source=("x", "y", "z"))
-    engines = [_Engine(key_function(spec, 3), DEFAULT_CONFIG, 3)
-               for spec in (DRL, LOC, OrderingSpec.elimination((0, 1), 3))]
-    engines.append(_Engine(lazard_key(LOC, 3), DEFAULT_CONFIG, 4))
+    engines = [_Engine(key, DEFAULT_CONFIG, 3)
+               for key in (degrevlex, local, elimination((0, 1), 3))]
+    engines.append(_Engine(lazard(local, 3), DEFAULT_CONFIG, 4))
     engines.append(syzygy._engine(ctx, 3, DEFAULT_CONFIG))
     for eng in engines:
         rng = random.Random(3)

@@ -12,6 +12,9 @@ written to a sidecar `<file>.gcache` keyed by a content hash of the
 declarations and branch block; a later run still eliminates every branch and
 must find the same factors, or it stops with exit code 1. The sidecar never
 stores invariants — those are recomputed every time, disagreements included.
+Asserted weights are checked on the image equation (`euler_degree`) before
+any command does other work, so weights that do not make it weighted
+homogeneous exit 1 at once.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .exprparse import parse_polynomial
 from .gb import EMPTY, INFINITE
 from .germfile import GermFile, load_germ_file, load_limits
 from .invariants import (
-    ImageEquation, ae_codimension, bruce_roberts_number, ft_codim,
+    ImageEquation, ae_codimension, bruce_roberts_number, euler_degree, ft_codim,
     ft_dimension, ft_ideal, full_report, image_equation, image_milnor_number,
     lc_ideal, milnor_number,
 )
@@ -336,6 +339,8 @@ def _run(argv: Optional[Sequence[str]]) -> int:
         gf = load_germ_file(args.file)
         G = _load_image(gf, args.file, _resolve_config(gf, args),
                         use_cache=not args.no_cache)
+        if G.spec.weights is not None:
+            euler_degree(G)    # bad asserted weights stop every command first
         command, _ = _FILE_COMMANDS[args.command]
         rows, warnings, code = command(G, args)
     _emit(args.format, f"germinv.{args.command}.v1", rows, warnings)

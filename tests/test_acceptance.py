@@ -186,18 +186,20 @@ def test_substrate_engines():
 
 
 def test_machine_reports_are_deterministic(tmp_path, capsys):
-    for name in ("crosscap", "twoplane", "s1", "exam1"):
+    for name, extra in (("crosscap", ()), ("twoplane", ()), ("s1", ()), ("exam1", ()),
+                        ("exam1", ("--with-lc",))):
         path = tmp_path / f"{name}.germ"
         shutil.copy(corpus_path(name), path)
         runs = []
         for _ in range(2):
             code = console_main(["report", str(path), "--seed", "11",
-                                 "--format", "machine"])
+                                 "--format", "machine", *extra])
             out = capsys.readouterr().out
             assert code == 0, (name, out)
             runs.append(out)
         assert runs[0] == runs[1], name
         assert runs[0].startswith("schema=germinv.report.v1\n")
+        assert ("\nlc_dim=5\n" in runs[0]) == bool(extra), name
     # a rejected input is just as reproducible
     bad = tmp_path / "nonfinite.germ"
     shutil.copy(corpus_path("nonfinite"), bad)

@@ -328,6 +328,31 @@ def test_bad_weights_exit_1_on_every_command(capsys, tmp_path, weights, message)
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("image",), ("ft",), ("mu-image",), ("mu-br",), ("ae-codim",), ("lc-check",),
+    ("report",), ("report", "--with-lc"),
+])
+def test_inhomogeneous_weights_stop_every_command_first(capsys, tmp_path, monkeypatch,
+                                                        argv):
+    # complete positive weights that do not make s1's image equation weighted
+    # homogeneous: each command exits 1 before it computes any field or
+    # quotient, which would fail the test here
+    import germinv.invariants as inv
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("computed before the weights were checked")
+
+    monkeypatch.setattr(inv, "ideal_quotient", no_work)
+    monkeypatch.setattr(inv, "kernel_fields", no_work)
+    germ = tmp_path / "weighted.germ"
+    text = Path(corpus_path("s1")).read_text()
+    germ.write_text(text.replace("weights y1=1 y2=2 y3=3 s=2", "weights y1=1 y2=1 y3=1 s=1"))
+    code, out, err = run(capsys, *argv[:1], str(germ), *argv[1:], "--no-cache")
+    assert (code, out) == (1, "")
+    assert err == ("error: asserted weights do not make the image equation "
+                   "weighted homogeneous\n")
+
+
 def test_unknown_limit_key_exits_1(capsys, tmp_path, tmp_corpus):
     limits = tmp_path / "limits.txt"
     for key in ("pairs", "jet-bound"):

@@ -18,6 +18,12 @@ it are held to sympy's own eliminations, by a lex basis with an auxiliary
 variable t first: I : f is the intersection of I and (f), which is
 t*I + (1 - t)*(f) with t eliminated, divided by f; I : f^infinity is
 I + (1 - t*f) with t eliminated (Rabinowitsch's trick).
+
+`Ideal.quotient_dimension` is held to the number of standard monomials of
+sympy's grevlex basis, found by a walk up from 1 rather than by a staircase
+box, and `local_colength` to the same number on ideals that hold a pure
+power of every variable: their zero set is at most the origin, so the
+colength there is the global one.
 """
 
 import random
@@ -28,7 +34,7 @@ from pathlib import Path
 import pytest
 import sympy
 
-from germinv import Ideal, Polynomial, VariableContext, ft_ideal
+from germinv import INFINITE, Ideal, Polynomial, VariableContext, ft_ideal, local_colength
 from germinv.germfile import parse_germ_file
 from germinv.invariants import _br_ideal
 from germinv.syzygy import ideal_quotient
@@ -195,3 +201,56 @@ def test_graph_eliminations_match_sympy(name):
         image = graph.elimination(spec.source)
         assert len(image.basis()) == 1
         same_basis(image, sympy_elimination(graph, spec.source))
+
+
+def sympy_standard_monomials(ctx: VariableContext, gens):
+    """How many monomials no lead of sympy's grevlex basis divides, walking
+    up from 1; INFINITE when that basis is neither zero-dimensional nor the
+    unit ideal's [1], which sympy does not count as zero-dimensional."""
+    syms = sympy.symbols(ctx.names)
+    theirs = sympy.groebner([as_sympy(g).as_expr() for g in gens], *syms,
+                            order="grevlex", domain="QQ")
+    if not theirs.is_zero_dimensional and theirs.exprs != [1]:
+        return INFINITE
+    leads = [p.monoms(order="grevlex")[0] for p in theirs.polys]
+    seen, todo = set(), [(0,) * len(ctx)]
+    while todo:
+        mono = todo.pop()
+        if mono in seen or any(all(a <= b for a, b in zip(lead, mono)) for lead in leads):
+            continue
+        seen.add(mono)
+        todo += [mono[:i] + (mono[i] + 1,) + mono[i + 1:] for i in range(len(ctx))]
+    return len(seen)
+
+
+def power_plus_lower(rng, ctx, i):
+    """x_i^a plus random terms of lower degree: its top-degree part is x_i^a."""
+    a = rng.randint(1, 4)
+    p = Polynomial.variable(ctx, ctx.names[i]) ** a
+    for _ in range(rng.randint(0, 2)):
+        exp = [0] * len(ctx)
+        for _ in range(rng.randint(0, a - 1)):
+            exp[rng.randrange(len(ctx))] += 1
+        p = p + Polynomial(ctx, {tuple(exp): Fraction(rng.randint(-4, 4))})
+    return p
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_quotient_dimension_matches_sympy(seed):
+    # a random ideal, mostly of positive dimension, and one whose leading
+    # forms x^a, y^b, z^c make it zero-dimensional
+    rng = random.Random(7000 + seed)
+    for gens in ([rand_poly(rng, C3) for _ in range(rng.randint(2, 3))],
+                 [power_plus_lower(rng, C3, i) for i in range(3)]
+                 + [rand_poly(rng, C3, 2, 2)]):
+        assert Ideal(C3, gens).quotient_dimension() == sympy_standard_monomials(C3, gens)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_local_colength_matches_the_global_one(seed):
+    rng = random.Random(8000 + seed)
+    names = C3.names
+    gens = [Polynomial.variable(C3, n) ** rng.randint(1, 4) for n in names]
+    gens += [rand_poly(rng, C3, 3, 2) for _ in range(rng.randint(1, 3))]
+    count = sympy_standard_monomials(C3, gens)
+    assert local_colength(C3, gens) == Ideal(C3, gens).quotient_dimension() == count

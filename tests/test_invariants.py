@@ -2,8 +2,10 @@ import dataclasses
 import os
 import pickle
 import signal
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,14 +14,20 @@ from germinv import (
     ImageEquation, MapGermSpec, Polynomial, ResourceLimitError,
     SamuelResult, VariableContext, ae_codimension, bruce_roberts_number,
     euler_degree, euler_ideal_identity, ft_codim, ft_dimension, ft_ideal,
-    full_report, image_equation, image_milnor_number, lc_ideal, milnor_number,
-    samuel_multiplicity, slice_milnor_total,
+    full_report, image_equation, image_milnor_number, kernel_fields, lc_ideal,
+    milnor_number, samuel_multiplicity, slice_milnor_total,
 )
 import germinv.invariants as inv
 from germinv.errors import ParseError
 from germinv.exprparse import parse_polynomial
+from germinv.germfile import parse_germ_file
 
 from conftest import load
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import families  # noqa: E402
+
+FAMILY = {g.name: g.text for g in families.generate(1)}
 
 SCTX = VariableContext.make(source=("x", "y"), parameter=("s",))
 TCTX = VariableContext.make(target=("y1", "y2", "y3"), parameter=("s",))
@@ -156,6 +164,53 @@ def test_s1_characteristic_ideal(s1_image):
     lc = lc_ideal(s1_image)
     assert lc.substitution_identity()
     assert lc.certified_dimension() == 5
+
+
+@pytest.mark.parametrize("name", ["crosscap", "s1", "twoplane"] + list(FAMILY))
+def test_rank_strata_certificate_equals_the_basis_route(name):
+    gf = parse_germ_file(FAMILY[name]) if name in FAMILY else load(name)
+    G = image_equation(gf.spec, gf.config())
+    lc = lc_ideal(G)
+    expected = len(G.ctx) + 1
+    assert inv._rank_strata_bound(G)
+    assert lc.certified_dimension() == expected == lc.ideal.dimension_bound(expected)
+
+
+def test_rank_strata_certificate_refuses_a_large_entry_locus():
+    # fields whose entries all lie in (y1, y2): I_1 vanishes on the plane
+    # y1 = y2 = 0, two dimensions where one is allowed, so the certificate
+    # claims nothing and the basis route answers
+    gf = load("s1")
+    G = image_equation(gf.spec, gf.config())
+    y1, y2 = (Polynomial.variable(G.ctx, n) for n in ("y1", "y2"))
+    G._cache["kernel"] = [tuple(y * p for p in v)
+                          for v in kernel_fields(G.g) for y in (y1, y2)]
+    lc = lc_ideal(G)
+    assert not inv._rank_strata_bound(G)
+    fallback = Ideal(lc.ideal.ctx, lc.gens, G.config).dimension_bound(len(G.ctx) + 1)
+    assert lc.certified_dimension() == fallback == 6
+
+
+def test_rank_strata_certificate_forms_minors_for_a_large_critical_locus(s1_image):
+    # y1^2*y2 is critical along the hyperplane y1 = 0, three dimensions where
+    # {rank A <= 1} may have two, so the 2x2 minors of its fields decide
+    g = parse_polynomial("y1^2*y2", TCTX)
+    G = ImageEquation(s1_image.spec, g, "user-supplied", (g,))
+    assert Ideal(TCTX, [g.partial(n) for n in TCTX.names]).dimension() == 3
+    assert inv._rank_strata_bound(G)
+    lc = lc_ideal(G)
+    assert lc.certified_dimension() == 5 == lc.ideal.dimension_bound(5)
+    # fields of rank 1 along y1 = 0: the minors leave those three
+    # dimensions, so the certificate refuses and the basis route finds 6
+    G = ImageEquation(s1_image.spec, g, "user-supplied", (g,))
+    y1, y2 = (Polynomial.variable(TCTX, n) for n in ("y1", "y2"))
+    one, zero = Polynomial.constant(TCTX, 1), Polynomial.zero(TCTX)
+    G._cache["kernel"] = [(zero, zero, zero, one), (y1 * y1, -2 * y1 * y2, zero, zero),
+                          (zero, zero, y1, zero)]
+    assert not inv._rank_strata_bound(G)
+    lc = lc_ideal(G)
+    fallback = Ideal(lc.ideal.ctx, lc.gens, G.config).dimension_bound(5)
+    assert lc.certified_dimension() == fallback == 6
 
 
 def test_s1_full_report(s1_image):

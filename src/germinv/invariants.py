@@ -32,8 +32,6 @@ number are computed independently and compared, not reconciled.
 from __future__ import annotations
 
 import gc
-import itertools
-import math
 import os
 import pickle
 import random
@@ -567,98 +565,38 @@ class LCIdeal:
         return self.ideal.dimension_bound(expected)
 
 
-RANK_POINT_BOUND = 1000   # coordinate bound of the point where A's rank is read
-
-
-def _rank(rows: List[List[Fraction]]) -> int:
-    """Rank of a rational matrix, by Gaussian elimination."""
-    rows = [list(r) for r in rows]
-    rank = 0
-    for c in range(len(rows[0]) if rows else 0):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        top = rows[rank]
-        for i in range(rank + 1, len(rows)):
-            if rows[i][c]:
-                f = rows[i][c] / top[c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], top)]
-        rank += 1
-    return rank
-
-
-def _det(m: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    """Determinant of a square polynomial matrix, along its first row."""
-    if len(m) == 1:
-        return m[0][0]
-    out = Polynomial.zero(m[0][0].ctx)
-    for j, a in enumerate(m[0]):
-        if not a.is_zero():
-            minor = a * _det([row[:j] + row[j + 1:] for row in m[1:]])
-            out = out + minor if j % 2 == 0 else out - minor
-    return out
-
-
 def _rank_strata_bound(G: ImageEquation) -> bool:
     """True when dim{rank A <= r} + N - r <= N + 1 is proven for every r,
     A the kernel-field matrix of `G` (`LCIdeal.certified_dimension`).
 
-    The fields generate the syzygies of grad g, the Koszul ones included,
-    so rank A >= N - 1 wherever grad g != 0: every {rank A <= r} with
-    r <= N - 2 lies in the critical locus C = V(dg/dy, dg/ds). A point of
-    rank N - 1, drawn from the config's seed, confirms that the fields in
-    hand have that generic rank. Then, stratum by stratum:
+    The fields generate the syzygies of grad g over the polynomial ring, the
+    Koszul ones g_j e_i - g_i e_j included, so at a base point b where
+    grad g(b) != 0 their values span the hyperplane orthogonal to
+    grad g(b): rank A = N - 1 there, and rank A <= N - 1 everywhere since
+    A grad g = 0. Every {rank A <= r} with r <= N - 2 therefore lies in the
+    critical locus C = V(dg/dy, dg/ds). Stratum by stratum:
 
     * r >= N - 1: the fibres are at most lines over at most N dimensions.
     * r = N - 2: C lies in the finitely many level sets of g at its
       critical values, so it has dimension at most N - 1.
     * r = 0: dim V(I_1(A)) <= 1, I_1 the ideal of the entries.
-    * r = 1..N-3: dim C <= r + 1, or else dim V(dg, J) <= r + 1 for J the
-      (r+1)-minors of the 3 fields with the fewest terms (none once r + 1 >
-      3). J lies in I_{r+1}(A), and a smaller ideal only enlarges the
-      variety, so either bound holds for {rank <= r}. The partials alone
-      settle every corpus germ, and forming the minors costs more than
-      bounding C, so the minors are formed only when C is too large.
+    * r = 1..N-3: dim C <= 2 <= r + 1.
 
     Each dimension is `dimension_bound`, stopped once it reaches its bound.
     False, and nothing claimed, when a step falls short or exhausts a limit.
     """
     ctx, cfg = G.ctx, G.config
-    N = len(ctx)
-    fields = _kernel(G)
-    rng = random.Random(cfg.seed)
-    point = [rng.randint(-RANK_POINT_BOUND, RANK_POINT_BOUND) for _ in range(N)]
-
-    def value(p: Polynomial) -> Fraction:
-        return sum((c * math.prod(x ** e for x, e in zip(point, exp))
-                    for exp, c in p.terms.items()), Fraction(0))
-
-    if _rank([[value(p) for p in v] for v in fields]) != N - 1:
-        return False
 
     def within(gens: List[Polynomial], bound: int) -> bool:
         d = Ideal(ctx, gens, cfg).dimension_bound(bound)
         return d is EMPTY or d <= bound
 
-    partials = [G.g.partial(n) for n in ctx.names]
-    small = sorted(fields, key=lambda v: sum(len(p.terms) for p in v))[:3]
     try:
-        if not within([p for v in fields for p in v], 1):
+        if not within([p for v in _kernel(G) for p in v], 1):
             return False
-        # an upper bound at most 2, or the exact dimension of C
-        crit = Ideal(ctx, partials, cfg).dimension_bound(2) if N > 3 else EMPTY
-        for r in range(1, N - 2):
-            if crit is EMPTY or crit <= r + 1:
-                break
-            minors = [_det([[v[c] for c in cols] for v in rows])
-                      for rows in itertools.combinations(small, r + 1)
-                      for cols in itertools.combinations(range(N), r + 1)]
-            if not within(partials + minors, r + 1):
-                return False
+        return len(ctx) <= 3 or within([G.g.partial(n) for n in ctx.names], 2)
     except ResourceLimitError:
         return False
-    return True
 
 
 def lc_ideal(G: ImageEquation) -> LCIdeal:

@@ -135,8 +135,6 @@ def _content_key(gf: GermFile) -> str:
         parts.append("branch")
         parts.extend(str(p) for p in branch)
         parts.append("end")
-    if spec.image_g is not None:
-        parts.append(f"image {spec.image_g}")
     return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
 
 
@@ -185,7 +183,7 @@ def _cache_store(path: str, key: str, factors: Sequence[Polynomial]) -> None:
 
 def _load_image(gf: GermFile, germ_path: str, cfg: ComputeConfig,
                 use_cache: bool) -> ImageEquation:
-    if gf.spec.image_g is not None or not use_cache:
+    if not use_cache:
         return image_equation(gf.spec, cfg)
     key = _content_key(gf)
     cache_path = germ_path + ".gcache"
@@ -200,7 +198,8 @@ def _load_image(gf: GermFile, germ_path: str, cfg: ComputeConfig,
 # -- subcommands ---------------------------------------------------------------
 
 def _cmd_image(G: ImageEquation, args) -> _Output:
-    rows: List[Tuple[str, object]] = [("provenance", G.provenance), ("g", G.g)]
+    # the provenance row stays in schema v1; every image equation is eliminated
+    rows: List[Tuple[str, object]] = [("provenance", "eliminated"), ("g", G.g)]
     rows += [(f"factor_{i}", f) for i, f in enumerate(G.factors, 1)]
     return rows, (), 0
 
@@ -266,6 +265,9 @@ def _cmd_milnor(args) -> _Output:
     names = [n.strip() for n in args.vars.split(",") if n.strip()]
     if not names:
         raise GermInputError("--vars needs a comma-separated variable list")
+    for n in names:
+        if not n.isidentifier():
+            raise GermInputError(f"--vars: bad variable name {n!r}")
     ctx = VariableContext.make(source=tuple(names))
     p = parse_polynomial(args.expression, ctx)
     return [("milnor", milnor_number(p, _resolve_config(None, args)))], (), 0

@@ -21,6 +21,7 @@ from .errors import ParseError
 from .poly import Polynomial, VariableContext
 
 _OPS = set("+-*^()/")
+_DIGITS = set("0123456789")   # not str.isdigit, which accepts '²' that int() refuses
 
 
 class _Token:
@@ -49,9 +50,9 @@ def _tokenize(text: str) -> List[_Token]:
             col += 1
             continue
         start_col = col
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             toks.append(_Token("int", text[i:j], line, start_col))
             col += j - i

@@ -15,14 +15,13 @@ One germ per file; a corpus is a directory of files. The format:
 
 Sections may appear in any order. `source`/`target`/`parameter` declare the
 variables; each `branch` .. `end` block lists one expression per target
-coordinate (several blocks make a multigerm); an optional `image` line
-supplies the image equation (used instead of the eliminated one); bare
-`stabilisation` / `stable-unfolding` lines assert the corresponding flags;
-`weights name=w ...` asserts quasi-homogeneous weights for the target and
-parameter variables. Branch expressions live in the source variables plus
-the parameter, the image expression in the target variables plus the
-parameter. `#` starts a comment anywhere, and any run of whitespace, tabs
-included, separates a keyword from what follows it.
+coordinate (several blocks make a multigerm); bare `stabilisation` /
+`stable-unfolding` lines assert the corresponding flags; `weights name=w ...`
+asserts quasi-homogeneous weights for the target and parameter variables.
+Branch expressions live in the source variables plus the parameter; the
+image equation is always eliminated from them. `#` starts a comment
+anywhere, and any run of whitespace, tabs included, separates a keyword
+from what follows it.
 
 Config overrides are single lines `seed N`, `retries N`, `max-pairs N`,
 `max-degree N`; any other keyword is a parse error, and so is a repeated
@@ -107,8 +106,7 @@ def parse_germ_file(text: str) -> GermFile:
     source: Optional[List[str]] = None
     target: Optional[List[str]] = None
     parameter: Optional[str] = None
-    branches_raw: List[List[Tuple[int, str]]] = []
-    image_raw: Optional[Tuple[int, str]] = None
+    branches_raw: List[List[Tuple[int, int, str]]] = []   # (line, indent, text)
     flags = {"stabilisation": False, "stable-unfolding": False}
     weights_raw: Optional[List[Tuple[int, str]]] = None
     overrides: Dict[str, int] = {}                # config field -> value
@@ -148,30 +146,25 @@ def parse_germ_file(text: str) -> GermFile:
             if rest:
                 raise ParseError("'branch' takes no arguments; expressions go "
                                  "on the following lines", lineno, 1)
-            block: List[Tuple[int, str]] = []
+            block: List[Tuple[int, int, str]] = []
             closed = False
             while i < len(lines):
                 sub_lineno = i + 1
-                sub = lines[i].split("#", 1)[0].strip()
+                raw = lines[i].split("#", 1)[0]
+                sub = raw.strip()
                 i += 1
                 if not sub:
                     continue
                 if sub == "end":
                     closed = True
                     break
-                block.append((sub_lineno, sub))
+                block.append((sub_lineno, len(raw) - len(raw.lstrip()), sub))
             if not closed:
                 raise ParseError("'branch' block never closed with 'end'",
                                  lineno, 1)
             if not block:
                 raise ParseError("empty 'branch' block", lineno, 1)
             branches_raw.append(block)
-        elif head == "image":
-            if image_raw is not None:
-                raise ParseError("duplicate 'image' line", lineno, 1)
-            if not rest:
-                raise ParseError("'image' needs an expression", lineno, 1)
-            image_raw = (lineno, rest)
         elif head in flags:
             if rest:
                 raise ParseError(f"'{head}' takes no arguments", lineno, 1)
@@ -207,12 +200,11 @@ def parse_germ_file(text: str) -> GermFile:
     except (ValueError, GermInputError) as e:
         raise ParseError(str(e), 1, 1) from None
 
-    def expr(raw: Tuple[int, str], ctx) -> Polynomial:
-        lineno, text_ = raw
+    def expr(lineno: int, indent: int, text_: str) -> Polynomial:
         try:
-            return parse_polynomial(text_, ctx)
-        except ParseError as e:
-            raise ParseError(e.reason, lineno, e.column) from None
+            return parse_polynomial(text_, sctx)
+        except ParseError as e:   # the column counts from the file line's start
+            raise ParseError(e.reason, lineno, indent + e.column) from None
 
     branches = []
     for block in branches_raw:
@@ -220,9 +212,7 @@ def parse_germ_file(text: str) -> GermFile:
             raise ParseError(
                 f"branch has {len(block)} expressions, target has "
                 f"{len(target)} coordinates", block[0][0], 1)
-        branches.append(tuple(expr(raw, sctx) for raw in block))
-
-    image_g = expr(image_raw, tctx) if image_raw is not None else None
+        branches.append(tuple(expr(*raw) for raw in block))
 
     weights = None
     if weights_raw is not None:
@@ -247,7 +237,6 @@ def parse_germ_file(text: str) -> GermFile:
         target=tuple(target),
         parameter=parameter,
         branches=tuple(branches),
-        image_g=image_g,
         is_stabilisation=flags["stabilisation"],
         is_stable_unfolding=flags["stable-unfolding"],
         weights=weights,
@@ -287,8 +276,6 @@ def print_germ_file(gf: GermFile) -> str:
         for p in branch:
             out.append(f"    {p}")
         out.append("end")
-    if spec.image_g is not None:
-        out.append(f"image {spec.image_g}")
     if spec.is_stabilisation:
         out.append("stabilisation")
     if spec.is_stable_unfolding:

@@ -65,7 +65,6 @@ class MapGermSpec:
     target: Tuple[str, ...]
     parameter: str
     branches: Tuple[Tuple[Polynomial, ...], ...]
-    image_g: Optional[Polynomial] = None
     is_stabilisation: bool = False
     is_stable_unfolding: bool = False
     weights: Optional[Mapping[str, int]] = None   # target+parameter weights
@@ -84,8 +83,6 @@ class MapGermSpec:
                     raise GermInputError("branch component over the wrong context")
                 if p.constant_term():
                     raise GermInputError("branch component does not vanish at the origin")
-        if self.image_g is not None and self.image_g.ctx != self.target_ctx():
-            raise GermInputError("supplied image equation over the wrong context")
         if self.weights is not None:
             missing = [n for n in self.target_ctx().names if n not in self.weights]
             if missing:
@@ -104,7 +101,7 @@ class MapGermSpec:
 
 @dataclass
 class ImageEquation:
-    """The reduced equation of the image hypersurface, with provenance.
+    """The reduced equation of the image hypersurface.
 
     Derived objects are cached here;
     every operation taking an ImageEquation shares them. A copy made with
@@ -114,7 +111,6 @@ class ImageEquation:
 
     spec: MapGermSpec
     g: Polynomial
-    provenance: str                      # "eliminated" | "user-supplied"
     factors: Tuple[Polynomial, ...]      # one per branch
     config: ComputeConfig = DEFAULT_CONFIG
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -153,53 +149,32 @@ def image_equation(spec: MapGermSpec, config: ComputeConfig = DEFAULT_CONFIG,
     and its monic generator irreducible. Two branches therefore share an
     image component exactly when their factors are equal, and the product
     would then not be reduced. `cached_factors` (one per branch, read from
-    a `.gcache` sidecar) must equal the eliminated factors. A user-supplied
-    equation must be reduced, which holds exactly when its singular locus
-    {g = dg = 0} has codimension at least 2, and is checked before any
-    elimination. Either way the equation must lie in every branch image,
-    that is vanish on every branch.
+    a `.gcache` sidecar) must equal the eliminated factors. Each factor
+    generates its branch image, which passes through the origin, so g
+    vanishes there and on every branch.
     """
-    if spec.image_g is not None:
-        g = spec.image_g
-        sing = Ideal(g.ctx, [g] + [g.partial(n) for n in g.ctx.names], config).dimension()
-        if sing is not EMPTY and sing > len(g.ctx) - 2:
-            raise GermInputError("supplied image equation is not reduced: it is "
-                                 "singular along a hypersurface (a repeated factor)")
-        images: List[Ideal] = [_branch_image(b, spec, config) for b in spec.branches]
-        factors: Tuple[Polynomial, ...] = (g,)
-        provenance = "user-supplied"
-    else:
-        images, fs = [], []
-        for b in spec.branches:
-            images.append(_branch_image(b, spec, config))
-            basis = images[-1].basis()
-            if len(basis) != 1:
-                raise GermInputError(
-                    "branch image is not a hypersurface (elimination ideal not "
-                    "principal); the branch is probably not generically finite")
-            fs.append(basis[0])
-        if cached_factors is not None and list(cached_factors) != fs:
+    factors = []
+    for b in spec.branches:
+        basis = _branch_image(b, spec, config).basis()
+        if len(basis) != 1:
             raise GermInputError(
-                "the image factors in the .gcache sidecar differ from the "
-                "eliminated ones; delete the sidecar")
-        for i in range(len(fs)):
-            for j in range(i + 1, len(fs)):
-                if fs[i] == fs[j]:
-                    raise GermInputError(
-                        f"branches {i} and {j} share an image component; "
-                        "the image equation would not be reduced")
-        g = fs[0]
-        for f in fs[1:]:
-            g = g * f
-        factors = tuple(fs)
-        provenance = "eliminated"
-
-    if g.constant_term():
-        raise GermInputError("image equation does not vanish at the origin")
-    for i, image in enumerate(images):
-        if not image.contains(g):
-            raise GermInputError(f"image equation does not vanish on branch {i}")
-    return ImageEquation(spec, g, provenance, factors, config)
+                "branch image is not a hypersurface (elimination ideal not "
+                "principal); the branch is probably not generically finite")
+        factors.append(basis[0])
+    if cached_factors is not None and list(cached_factors) != factors:
+        raise GermInputError(
+            "the image factors in the .gcache sidecar differ from the "
+            "eliminated ones; delete the sidecar")
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            if factors[i] == factors[j]:
+                raise GermInputError(
+                    f"branches {i} and {j} share an image component; "
+                    "the image equation would not be reduced")
+    g = factors[0]
+    for f in factors[1:]:
+        g = g * f
+    return ImageEquation(spec, g, tuple(factors), config)
 
 
 # -- shared derived objects --------------------------------------------------
@@ -617,23 +592,15 @@ def lc_ideal(G: ImageEquation) -> LCIdeal:
 
 def euler_degree(G: ImageEquation) -> int:
     """Validate the asserted weights, which the spec holds complete and
-    positive: g must be weighted homogeneous and the weighted Euler field
-    must reproduce (wdeg g) * g. Returns wdeg g."""
+    positive: g must be weighted homogeneous. Returns wdeg g. By Euler's
+    identity the weighted Euler field then maps g to (wdeg g) * g."""
     if G.spec.weights is None:
         raise GermInputError("no weights asserted")
-    w = dict(G.spec.weights)
-    degs = set(G.g.weighted_degrees(w))
+    degs = G.g.weighted_degrees(G.spec.weights)
     if len(degs) != 1:
         raise GermInputError("asserted weights do not make the image equation "
                              "weighted homogeneous")
-    d = degs.pop()
-    euler = Polynomial.zero(G.ctx)
-    for n in G.ctx.names:
-        euler = euler + G.g.partial(n) * Polynomial.variable(G.ctx, n) * w[n]
-    if euler != G.g * d:
-        raise GermInputError("weighted Euler field does not reproduce the "
-                             "image equation; weights rejected")
-    return d
+    return degs[0]
 
 
 def euler_ideal_identity(G: ImageEquation) -> bool:

@@ -272,6 +272,15 @@ def test_usage_errors_exit_1(capsys, tmp_corpus, flags, message):
     assert err.startswith("error: germinv") and message in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("x^²", "--vars", "x"), "line 1, column 3: unexpected character '²'"),
+    (("x^2 + y^2", "--vars", "x,y,1a"), "--vars: bad variable name '1a'"),
+])
+def test_milnor_bad_input_exits_1(capsys, argv, message):
+    code, out, err = run(capsys, "milnor", *argv, "--format", "machine")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as stop:
         console_main(["report", "--help"])
@@ -328,10 +337,34 @@ def test_bad_weights_exit_1_on_every_command(capsys, tmp_path, weights, message)
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
-@pytest.mark.parametrize("argv", [
+EVERY_FILE_COMMAND = [
     ("image",), ("ft",), ("mu-image",), ("mu-br",), ("ae-codim",), ("lc-check",),
     ("report",), ("report", "--with-lc"),
+]
+S1_G = "y1^4*y2 + 2*y1^2*y2^2 + 2*y1^2*y2*s + y2^3 + 2*y2^2*s + y2*s^2 - y3^2"
+
+
+@pytest.mark.parametrize("argv", EVERY_FILE_COMMAND)
+@pytest.mark.parametrize("name, drop, image", [
+    # (y1 + y2)*g vanishes on the S_1 branch but is not its image equation;
+    # taken as one it would double mu_image
+    ("s1", "weights y1=1 y2=2 y3=3 s=2\n", f"(y1 + y2)*({S1_G})"),
+    # y2 - y1^2 contains the twisted cubic, whose image is no hypersurface
+    ("nonfinite", "", "y2 - y1^2"),
 ])
+def test_image_line_is_refused_on_every_command(capsys, tmp_path, argv, name, drop,
+                                                 image):
+    germ = tmp_path / f"{name}.germ"
+    text = Path(corpus_path(name)).read_text().replace(drop, "")
+    germ.write_text(text + f"image {image}\n")
+    code, out, err = run(capsys, *argv[:1], str(germ), *argv[1:], "--format", "machine")
+    lineno = len(text.splitlines()) + 1
+    assert (code, out) == (1, "")
+    assert err == f"error: line {lineno}, column 1: unknown keyword 'image'\n"
+    assert not (tmp_path / f"{name}.germ.gcache").exists()
+
+
+@pytest.mark.parametrize("argv", EVERY_FILE_COMMAND)
 def test_inhomogeneous_weights_stop_every_command_first(capsys, tmp_path, monkeypatch,
                                                         argv):
     # complete positive weights that do not make s1's image equation weighted

@@ -79,8 +79,9 @@ def test_expression_error_reports_file_line():
     bad = MINIMAL.replace("y^2", "y^^2")
     with pytest.raises(ParseError) as err:
         parse_germ_file(bad)
-    assert err.value.line == 6 and err.value.column == 3
-    assert "line 6, column 3" in str(err.value)
+    # the column counts from the start of the file line, indentation included
+    assert err.value.line == 6 and err.value.column == 7
+    assert "line 6, column 7" in str(err.value)
 
 
 @pytest.mark.parametrize("text, reason, line, column", [
@@ -93,6 +94,7 @@ def test_expression_error_reports_file_line():
     ("x +", "unexpected end of expression", 1, 4),
     ("x + *", "unexpected '*'", 1, 5),
     ("x y", "unexpected 'y' after expression", 1, 3),
+    ("x^²", "unexpected character '²'", 1, 3),
 ])
 def test_expression_error_paths(text, reason, line, column):
     ctx = VariableContext.make(source=("x", "y"))
@@ -106,14 +108,6 @@ def test_unknown_variable_in_branch():
     bad = MINIMAL.replace("x*y", "x*z")
     with pytest.raises(ParseError, match="unknown variable 'z'"):
         parse_germ_file(bad)
-
-
-def test_image_expression_uses_target_context():
-    ok = parse_germ_file(MINIMAL + "image y1^2*y2 - y3^2\n")
-    tctx = VariableContext.make(target=("y1", "y2", "y3"), parameter=("s",))
-    assert ok.spec.image_g == parse_polynomial("y1^2*y2 - y3^2", tctx)
-    with pytest.raises(ParseError, match="unknown variable 'x'"):
-        parse_germ_file(MINIMAL + "image x\n")
 
 
 # -- structural errors ----------------------------------------------------------------
@@ -142,7 +136,7 @@ def test_image_expression_uses_target_context():
     (lambda t: t + "weights q=1\n", "unknown variable 'q'"),
     (lambda t: t + "weights y1=1 y1=2\n", "duplicate weight"),
     (lambda t: t + "weights y1=big\n", "not an integer"),
-    (lambda t: t + "image y1\nimage y2\n", "duplicate 'image'"),
+    (lambda t: t + "image y1\n", "unknown keyword 'image'"),
     (lambda t: t + "stabilisation yes\n", "takes no arguments"),
 ])
 def test_malformed_files(mutate, fragment):

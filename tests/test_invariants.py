@@ -69,49 +69,10 @@ def test_multigerm_shared_component_rejected():
         image_equation(spec)
 
 
-def test_user_supplied_image_is_checked_against_branches():
-    wrong = parse_polynomial("y1 - y2", TCTX)
-    spec = spec_of(("x", "y^2", "x*y"), image_g=wrong)
-    with pytest.raises(GermInputError, match="vanish on branch"):
-        image_equation(spec)
-
-
-def test_user_supplied_image_is_checked_on_every_branch():
-    # y3 = 0 is the image of the first plane only; the second lies in y2 = 0
-    spec = load("twoplane").spec
-    g = parse_polynomial("y3", spec.target_ctx())
-    with pytest.raises(GermInputError, match="does not vanish on branch 1"):
-        image_equation(dataclasses.replace(spec, image_g=g))
-
-
-def test_user_supplied_square_is_not_reduced():
-    # g^2 vanishes on the branch but is singular along the whole image
-    g = parse_polynomial("y1^2*y2 - y3^2", TCTX)
-    with pytest.raises(GermInputError, match="not reduced"):
-        image_equation(spec_of(("x", "y^2", "x*y"), image_g=g * g))
-
-
-def test_user_supplied_reduced_image_is_accepted():
-    # the cross-cap image is singular along a plane of (y1, y2, y3, s) only
-    g = parse_polynomial("y1^2*y2 - y3^2", TCTX)
-    G = image_equation(spec_of(("x", "y^2", "x*y"), image_g=g))
-    assert G.g == g and G.provenance == "user-supplied"
-
-
-def test_user_supplied_image_matches_eliminated_route():
-    g = parse_polynomial("y1^2*y2 - y3^2", TCTX)
-    supplied = image_equation(spec_of(("x", "y^2", "x*y"), image_g=g,
-                                      is_stabilisation=True))
-    assert supplied.provenance == "user-supplied"
-    assert image_milnor_number(supplied).multiplicity == 0
-    assert bruce_roberts_number(supplied) == 0
-
-
 # -- stable fixtures ---------------------------------------------------------------
 
 def test_crosscap_everything_vanishes(crosscap_image):
     G = crosscap_image
-    assert G.provenance == "eliminated"
     assert str(G.g) == "y1^2*y2 - y3^2"
     assert ft_codim(G) == 0
     assert ft_dimension(G) is EMPTY
@@ -196,7 +157,7 @@ def test_rank_strata_certificate_refuses_a_large_critical_locus(s1_image):
     # {rank A <= 1} may have two, so the certificate claims nothing and the
     # basis route finds the graph dimension
     g = parse_polynomial("y1^2*y2", TCTX)
-    G = ImageEquation(s1_image.spec, g, "user-supplied", (g,))
+    G = ImageEquation(s1_image.spec, g, (g,))
     assert Ideal(TCTX, [g.partial(n) for n in TCTX.names]).dimension() == 3
     assert not inv._rank_strata_bound(G)
     lc = lc_ideal(G)
@@ -460,7 +421,7 @@ def test_pinned_degenerate_slice_value_is_refused(crosscap_image):
     # at s = 1 exactly, the critical locus of g_s contains the whole plane
     # {y1 = 0} off the image; any other sample is harmless
     g = parse_polynomial("y1^4 - 2*y1^2*s + s^2 + y2 - s*y2", TCTX)
-    G = ImageEquation(crosscap_image.spec, g, "user-supplied", (g,))
+    G = ImageEquation(crosscap_image.spec, g, (g,))
     assert slice_milnor_total(G, seed=3).total == 0
     with pytest.raises(GermInputError, match="degenerate"):
         slice_milnor_total(G, s0=Fraction(1))
@@ -479,7 +440,7 @@ def test_slice_degenerate_baseline_is_an_error(crosscap_image):
     # g0 = y1^3 - 3*y1 has critical planes {y1 = ±1} where g0 ≠ 0: the
     # off-slice locus at parameter zero is not isolated, so no baseline
     g = parse_polynomial("y1^3 - 3*y1 + s*y2", TCTX)
-    G = ImageEquation(crosscap_image.spec, g, "user-supplied", (g,))
+    G = ImageEquation(crosscap_image.spec, g, (g,))
     with pytest.raises(GermInputError, match="baseline is degenerate"):
         slice_milnor_total(G)
 

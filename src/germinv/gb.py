@@ -17,9 +17,8 @@ Results are decoded once, where they leave the engine: the kept basis of an
 
 The reducer keys each term once into a heap and pops the largest live term
 (Monagan and Pearce, CASC 2007), so no step rescans the polynomial, and
-takes the first basis element whose lead divides it. It reduces every term
-while a basis is built, and stops at the first irreducible term for
-membership tests.
+takes the first basis element whose lead divides it. It reduces every
+term, so a membership test asks whether the remainder is zero.
 
 The pair loop selects pairs by sugar and applies the chain criterion and,
 for ideals, the product criterion. Ideal bases are tail-interreduced into
@@ -241,8 +240,7 @@ class _Engine:
     def reduce(self, f: Dict[Exponent, Fraction],
                basis: Sequence[Dict[Exponent, Fraction]]) -> bool:
         """Whether f reduces to zero by the Groebner basis `basis`, both
-        exponent-keyed: membership in what the basis generates. Reduction
-        stops at the first term no lead divides."""
+        exponent-keyed: membership in what the basis generates."""
         h = _intify(f)
         if not h:
             return True
@@ -250,16 +248,12 @@ class _Engine:
         self._admit([h] + basis)
         pack = self.pack
         elts = [self.elt({pack(e): c for e, c in b.items()}) for b in basis if b]
-        return not self._reduce({pack(e): c for e, c in h.items()}, elts, full=False)
+        return not self._reduce({pack(e): c for e, c in h.items()}, elts)
 
-    def _reduce(self, h: Dict[int, int], elts: Sequence[_Elt], full: bool) -> Dict[int, int]:
-        """Pseudo-reduce a packed, primitive h, which it consumes, by `elts`.
-
-        The remainder is primitive, and a positive rational multiple of the
-        one over Q. With `full` every term is reduced; otherwise reduction
-        stops at the first term no lead divides, and the remainder is zero
-        exactly when h reduces to zero.
-        """
+    def _reduce(self, h: Dict[int, int], elts: Sequence[_Elt]) -> Dict[int, int]:
+        """Fully pseudo-reduce a packed, primitive h, which it consumes, by
+        `elts`. The remainder is primitive, and a positive rational multiple
+        of the one over Q."""
         if not h:
             return h
         cfg, dmask, guard = self.cfg, self.dmask, self.guard
@@ -275,9 +269,7 @@ class _Engine:
                 if not (e - red.lm) & guard:
                     break
             else:
-                if full:
-                    continue  # settled: coefficient may still change, monomial won't return
-                break
+                continue  # settled: coefficient may still change, monomial won't return
             m = e - red.lm
             steps += 1
             if steps > cfg.max_pairs:
@@ -419,7 +411,7 @@ class _Engine:
                     break
             if skip:
                 continue
-            h = self._reduce(self.spoly(f, g, lcm), elts, full=True)
+            h = self._reduce(self.spoly(f, g, lcm), elts)
             if not h:
                 continue
             new = self.elt(h)
@@ -443,8 +435,7 @@ class _Engine:
             # tail interreduction gives the unique reduced basis
             for idx in range(len(minimal)):
                 others = minimal[:idx] + minimal[idx + 1:]
-                minimal[idx] = self.elt(self._reduce(dict(minimal[idx].terms), others,
-                                                     full=True))
+                minimal[idx] = self.elt(self._reduce(dict(minimal[idx].terms), others))
         return minimal
 
 

@@ -27,6 +27,8 @@ Config overrides are single lines `seed N`, `retries N`, `max-pairs N`,
 `max-degree N`; any other keyword is a parse error, and so is a repeated
 key or a value of 0 or less for any of them but `seed`. A limits file
 (`load_limits`) holds config lines only, parsed by the same `config_line`.
+An integer there or in a weight is an optional sign, then ASCII digits.
+Every `ParseError` names the file line that caused it.
 
 `print_germ_file` emits the canonical form: fixed section order, one
 canonical expression per branch line. Parsing the printed form reproduces
@@ -36,22 +38,40 @@ the parsed object exactly; that round trip is a test invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .config import ComputeConfig, DEFAULT_CONFIG
 from .errors import GermInputError, ParseError
-from .exprparse import parse_polynomial
+from .exprparse import _DIGITS, parse_polynomial
 from .invariants import MapGermSpec
 from .poly import Polynomial, VariableContext
 
 # file keyword -> ComputeConfig field, in canonical print order
-_CONFIG_KEYS: Tuple[Tuple[str, str], ...] = (
-    ("seed", "seed"),
-    ("retries", "s0_retries"),
-    ("max-pairs", "max_pairs"),
-    ("max-degree", "max_degree"),
-)
-_KEY_TO_FIELD = dict(_CONFIG_KEYS)
+_CONFIG = {"seed": "seed", "retries": "s0_retries",
+           "max-pairs": "max_pairs", "max-degree": "max_degree"}
+_DECLARATIONS = ("source", "target", "parameter")
+
+Statement = Tuple[int, int, str, str]   # (line, indent, keyword, rest)
+
+
+def _statements(lines: Sequence[str]) -> Iterator[Statement]:
+    """A statement per line not blank once its `#` comment is cut; `rest`
+    keeps its separator, so `keyword + rest` is the line's text."""
+    for lineno, raw in enumerate(lines, 1):
+        body = raw.split("#", 1)[0]
+        text = body.strip()
+        if text:
+            keyword = text.split(None, 1)[0]
+            yield lineno, len(body) - len(body.lstrip()), keyword, text[len(keyword):]
+
+
+def _integer(text: str, lineno: int, reason: str) -> int:
+    """An optional sign, then ASCII digits; `int` alone takes '٣' and '1_0'."""
+    text = text.strip()
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not digits or not set(digits) <= _DIGITS:
+        raise ParseError(reason, lineno, 1)
+    return int(text)
 
 
 def config_line(overrides: Dict[str, int], key: str, text: str, lineno: int) -> None:
@@ -59,13 +79,10 @@ def config_line(overrides: Dict[str, int], key: str, text: str, lineno: int) -> 
     a germ file and a limits file alike. A repeated key is a parse error, and
     so is a value that is not one integer, or one of 0 or less for any key
     but `seed`, since every other key is a count or a bound."""
-    field = _KEY_TO_FIELD[key]
+    field = _CONFIG[key]
     if field in overrides:
         raise ParseError(f"duplicate '{key}' line", lineno, 1)
-    try:
-        value = int(text)
-    except ValueError:
-        raise ParseError(f"'{key}' needs one integer", lineno, 1) from None
+    value = _integer(text, lineno, f"'{key}' needs one integer")
     if value <= 0 and key != "seed":
         raise ParseError(f"'{key}' needs a positive integer", lineno, 1)
     overrides[field] = value
@@ -94,143 +111,117 @@ class GermFile:
         return base.with_overrides(**dict(self.overrides)) if self.overrides else base
 
 
-def _is_name(tok: str) -> bool:
-    return tok.isidentifier()
-
-
 def parse_germ_file(text: str) -> GermFile:
     """Parse germ-file text; all errors carry 1-based file positions."""
-    # First pass: split into declarations and expression slots (with line
-    # numbers), so sections may appear in any order relative to the
-    # variable declarations the expressions need.
-    source: Optional[List[str]] = None
-    target: Optional[List[str]] = None
-    parameter: Optional[str] = None
-    branches_raw: List[List[Tuple[int, int, str]]] = []   # (line, indent, text)
+    # First pass: check the declarations, keep the rest for the second.
+    declared: Dict[str, Tuple[int, List[str]]] = {}   # keyword -> (line, names)
+    owner: Dict[str, str] = {}                         # variable -> its keyword
+    blocks: List[List[Statement]] = []
     flags = {"stabilisation": False, "stable-unfolding": False}
-    weights_raw: Optional[List[Tuple[int, str]]] = None
-    overrides: Dict[str, int] = {}                # config field -> value
+    weights_at = None                                  # (line, name=value pairs)
+    overrides: Dict[str, int] = {}                     # config field -> value
 
     lines = text.splitlines()
-    i = 0
-    while i < len(lines):
-        lineno = i + 1
-        body = lines[i].split("#", 1)[0].strip()
-        i += 1
-        if not body:
-            continue
-        head, *rest = body.split(None, 1)
-        rest = rest[0] if rest else ""
-
-        if head in ("source", "target"):
+    statements = _statements(lines)
+    for lineno, _, head, rest in statements:
+        if head in _DECLARATIONS:
             names = rest.split()
+            if head in declared:
+                raise ParseError(f"duplicate '{head}' declaration", lineno, 1)
+            if head == "parameter" and len(names) != 1:
+                raise ParseError("'parameter' needs exactly one variable name", lineno, 1)
             if not names:
                 raise ParseError(f"'{head}' needs at least one variable", lineno, 1)
             for n in names:
-                if not _is_name(n):
+                if not n.isidentifier():
                     raise ParseError(f"bad variable name {n!r}", lineno, 1)
-            if (source if head == "source" else target) is not None:
-                raise ParseError(f"duplicate '{head}' declaration", lineno, 1)
-            if head == "source":
-                source = names
-            else:
-                target = names
-        elif head == "parameter":
-            if parameter is not None:
-                raise ParseError("duplicate 'parameter' declaration", lineno, 1)
-            if not _is_name(rest) or " " in rest:
-                raise ParseError("'parameter' needs exactly one variable name",
-                                 lineno, 1)
-            parameter = rest
+                if owner.get(n) == head:
+                    raise ParseError(f"variable {n!r} appears twice in '{head}'", lineno, 1)
+                if n in owner:   # a clash is reported at the later declaration
+                    both = " and ".join(k for k in _DECLARATIONS if k in (owner[n], head))
+                    raise ParseError(f"variable {n!r} appears in both {both}", lineno, 1)
+                owner[n] = head
+            declared[head] = (lineno, names)
         elif head == "branch":
             if rest:
                 raise ParseError("'branch' takes no arguments; expressions go "
                                  "on the following lines", lineno, 1)
-            block: List[Tuple[int, int, str]] = []
-            closed = False
-            while i < len(lines):
-                sub_lineno = i + 1
-                raw = lines[i].split("#", 1)[0]
-                sub = raw.strip()
-                i += 1
-                if not sub:
-                    continue
-                if sub == "end":
-                    closed = True
+            block: List[Statement] = []
+            for sub in statements:
+                if sub[2:] == ("end", ""):
                     break
-                block.append((sub_lineno, len(raw) - len(raw.lstrip()), sub))
-            if not closed:
-                raise ParseError("'branch' block never closed with 'end'",
-                                 lineno, 1)
+                block.append(sub)
+            else:
+                raise ParseError("'branch' block never closed with 'end'", lineno, 1)
             if not block:
                 raise ParseError("empty 'branch' block", lineno, 1)
-            branches_raw.append(block)
+            blocks.append(block)
         elif head in flags:
             if rest:
                 raise ParseError(f"'{head}' takes no arguments", lineno, 1)
             flags[head] = True
         elif head == "weights":
-            if weights_raw is not None:
+            if weights_at is not None:
                 raise ParseError("duplicate 'weights' line", lineno, 1)
             if not rest:
                 raise ParseError("'weights' needs name=value pairs", lineno, 1)
-            weights_raw = [(lineno, pair) for pair in rest.split()]
-        elif head in _KEY_TO_FIELD:
+            weights_at = (lineno, rest.split())
+        elif head in _CONFIG:
             config_line(overrides, head, rest, lineno)
         else:
             raise ParseError(f"unknown keyword {head!r}", lineno, 1)
 
-    if source is None:
-        raise ParseError("missing 'source' declaration", len(lines) or 1, 1)
-    if target is None:
-        raise ParseError("missing 'target' declaration", len(lines) or 1, 1)
-    if parameter is None:
-        raise ParseError("missing 'parameter' declaration", len(lines) or 1, 1)
-    if not branches_raw:
+    for head in _DECLARATIONS:
+        if head not in declared:
+            raise ParseError(f"missing '{head}' declaration", len(lines) or 1, 1)
+    if not blocks:
         raise ParseError("no 'branch' block", len(lines) or 1, 1)
+    source, target, [parameter] = (declared[k][1] for k in _DECLARATIONS)
+    if len(target) != len(source) + 1:
+        raise ParseError("target needs exactly one more variable than source",
+                         max(declared["source"][0], declared["target"][0]), 1)
 
-    # Second pass: build contexts and parse the stored expressions.
-    shared = sorted(set(source) & set(target))
-    if shared:
-        raise ParseError(f"variables {shared} appear in both source and target",
-                         1, 1)
-    try:
-        sctx = VariableContext.make(source=tuple(source), parameter=(parameter,))
-        tctx = VariableContext.make(target=tuple(target), parameter=(parameter,))
-    except (ValueError, GermInputError) as e:
-        raise ParseError(str(e), 1, 1) from None
+    # Second pass: parse the stored expressions and weights.
+    sctx = VariableContext.make(source=tuple(source), parameter=(parameter,))
 
-    def expr(lineno: int, indent: int, text_: str) -> Polynomial:
+    def expr(lineno: int, indent: int, head: str, rest: str) -> Polynomial:
         try:
-            return parse_polynomial(text_, sctx)
+            p = parse_polynomial(head + rest, sctx)
         except ParseError as e:   # the column counts from the file line's start
             raise ParseError(e.reason, lineno, indent + e.column) from None
+        if p.constant_term():
+            raise ParseError("branch component does not vanish at the origin",
+                             lineno, 1)
+        return p
 
     branches = []
-    for block in branches_raw:
+    for block in blocks:
         if len(block) != len(target):
             raise ParseError(
                 f"branch has {len(block)} expressions, target has "
                 f"{len(target)} coordinates", block[0][0], 1)
-        branches.append(tuple(expr(*raw) for raw in block))
+        branches.append(tuple(expr(*sub) for sub in block))
 
     weights = None
-    if weights_raw is not None:
+    if weights_at is not None:
+        lineno, pairs = weights_at
+        weighted = (*target, parameter)
         weights = {}
-        for lineno, pair in weights_raw:
+        for pair in pairs:
             name, eq, val = pair.partition("=")
-            if not eq or not _is_name(name):
+            if not eq or not name.isidentifier():
                 raise ParseError(f"bad weight entry {pair!r} (want name=value)",
                                  lineno, 1)
-            if name not in tctx.names:
+            if name not in weighted:
                 raise ParseError(f"weight for unknown variable {name!r}", lineno, 1)
             if name in weights:
                 raise ParseError(f"duplicate weight for {name!r}", lineno, 1)
-            try:
-                weights[name] = int(val)
-            except ValueError:
-                raise ParseError(f"weight for {name!r} is not an integer",
-                                 lineno, 1) from None
+            weights[name] = _integer(val, lineno, f"weight for {name!r} is not an integer")
+        missing = [n for n in weighted if n not in weights]
+        if missing:
+            raise ParseError(f"weights missing for {missing}", lineno, 1)
+        if any(w <= 0 for w in weights.values()):
+            raise ParseError("weights must be positive integers", lineno, 1)
 
     spec = MapGermSpec(
         source=tuple(source),
@@ -241,7 +232,7 @@ def parse_germ_file(text: str) -> GermFile:
         is_stable_unfolding=flags["stable-unfolding"],
         weights=weights,
     )
-    ordered = tuple((f, overrides[f]) for _, f in _CONFIG_KEYS if f in overrides)
+    ordered = tuple((f, overrides[f]) for f in _CONFIG.values() if f in overrides)
     return GermFile(spec, ordered)
 
 
@@ -253,24 +244,18 @@ def load_limits(path: str) -> Dict[str, int]:
     """The config overrides of a limits file: config lines only, parsed as
     in a germ file (config field -> value)."""
     overrides: Dict[str, int] = {}
-    for lineno, raw in enumerate(_read_text(path, "limits file ").splitlines(), 1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
-        key, *val = body.split(None, 1)
-        if key not in _KEY_TO_FIELD:
+    for lineno, _, key, rest in _statements(_read_text(path, "limits file ").splitlines()):
+        if key not in _CONFIG:
             raise ParseError(f"unknown limit {key!r}", lineno, 1)
-        config_line(overrides, key, val[0] if val else "", lineno)
+        config_line(overrides, key, rest, lineno)
     return overrides
 
 
 def print_germ_file(gf: GermFile) -> str:
     """Canonical text for a parsed germ file (fixed section order)."""
     spec = gf.spec
-    out: List[str] = []
-    out.append("source " + " ".join(spec.source))
-    out.append("target " + " ".join(spec.target))
-    out.append("parameter " + spec.parameter)
+    out = ["source " + " ".join(spec.source), "target " + " ".join(spec.target),
+           "parameter " + spec.parameter]
     for branch in spec.branches:
         out.append("branch")
         for p in branch:
@@ -283,7 +268,7 @@ def print_germ_file(gf: GermFile) -> str:
     if spec.weights is not None:
         out.append("weights " + " ".join(f"{n}={spec.weights[n]}"
                                          for n in spec.target_ctx().names))
-    field_to_key = {f: k for k, f in _CONFIG_KEYS}
-    for field, value in gf.overrides:
-        out.append(f"{field_to_key[field]} {value}")
+    overrides = dict(gf.overrides)
+    out.extend(f"{key} {overrides[field]}" for key, field in _CONFIG.items()
+               if field in overrides)
     return "\n".join(out) + "\n"

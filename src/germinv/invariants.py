@@ -103,10 +103,10 @@ class MapGermSpec:
 class ImageEquation:
     """The reduced equation of the image hypersurface.
 
-    Derived objects are cached here;
-    every operation taking an ImageEquation shares them. A copy made with
-    `dataclasses.replace` starts with an empty cache, so a tighter config
-    is obeyed rather than answered from the original's results.
+    Derived objects are cached here, and every operation taking an
+    ImageEquation shares them. A copy made with `dataclasses.replace` starts
+    with an empty cache, so a tighter config is obeyed rather than answered
+    from the original's results.
     """
 
     spec: MapGermSpec

@@ -334,7 +334,8 @@ def test_bad_weights_exit_1_on_every_command(capsys, tmp_path, weights, message)
     germ.write_text(text.replace("weights y1=1 y2=2 y3=3 s=2", f"weights {weights}"))
     for command in ("mu-image", "report"):
         code, out, err = run(capsys, command, str(germ), "--no-cache")
-        assert (code, out, err) == (1, "", f"error: {message}\n")
+        # reported at the weights line, the file's 13th
+        assert (code, out, err) == (1, "", f"error: line 13, column 1: {message}\n")
 
 
 EVERY_FILE_COMMAND = [
@@ -419,6 +420,16 @@ def test_duplicate_limit_key_exits_1(capsys, tmp_path, tmp_corpus):
     code, _, err = run(capsys, "report", str(germ), "--no-cache")
     assert code == 1
     assert err == "error: line 15, column 1: duplicate 'max-pairs' line\n"
+
+
+def test_non_ascii_limit_digit_exits_1(capsys, tmp_path, tmp_corpus):
+    # '\u0663' is an Arabic-Indic three, which int() alone would read as 3
+    limits = tmp_path / "limits.txt"
+    limits.write_text("max-pairs 1000\nretries \u0663\n", encoding="utf-8")
+    code, out, err = run(capsys, "report", tmp_corpus("s1"), "--no-cache",
+                         "--limits", str(limits))
+    assert (code, out) == (1, "")
+    assert err == "error: line 2, column 1: 'retries' needs one integer\n"
 
 
 @pytest.mark.parametrize("flag", ["file", "--limits"])

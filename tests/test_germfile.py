@@ -144,6 +144,51 @@ def test_malformed_files(mutate, fragment):
         parse_germ_file(mutate(MINIMAL))
 
 
+# every error names the line that caused it; a clash between declarations is
+# reported at the later one, and integers are a sign and ASCII digits only
+NO_SOURCE = MINIMAL.replace("source x y\n", "")   # 7 lines, target first
+
+
+@pytest.mark.parametrize("text, reason, line", [
+    pytest.param("# a germ\n\n\n\nsource x x\n" + NO_SOURCE,
+                 "variable 'x' appears twice in 'source'", 5, id="source-x-x"),
+    pytest.param(MINIMAL.replace("target y1 y2 y3", "target y1 x y3"),
+                 "variable 'x' appears in both source and target", 2,
+                 id="target-after-source"),
+    pytest.param(NO_SOURCE.replace("target y1 y2 y3", "target y1 x y3") + "source x y\n",
+                 "variable 'x' appears in both source and target", 8,
+                 id="source-after-target"),
+    pytest.param(MINIMAL.replace("source x y", "source x s"),
+                 "variable 's' appears in both source and parameter", 3,
+                 id="parameter-in-source"),
+    pytest.param(MINIMAL.replace("target y1 y2 y3", "target y1 y2"),
+                 "target needs exactly one more variable than source", 2,
+                 id="target-too-short"),
+    pytest.param(MINIMAL + "retries \u0663\n", "'retries' needs one integer", 9,
+                 id="arabic-indic-retries"),
+    pytest.param(MINIMAL + "retries 1_0\n", "'retries' needs one integer", 9,
+                 id="underscore-retries"),
+    pytest.param(MINIMAL + "weights y1=\u0661 y2=2 y3=3 s=1\n",
+                 "weight for 'y1' is not an integer", 9, id="arabic-indic-weight"),
+    pytest.param(MINIMAL + "weights y1=0 y2=2 y3=3 s=1\n",
+                 "weights must be positive integers", 9, id="zero-weight"),
+    pytest.param(MINIMAL + "weights y1=1\n",
+                 "weights missing for ['y2', 'y3', 's']", 9, id="missing-weights"),
+    pytest.param(MINIMAL.replace("    y^2", "    y^2 + 1"),
+                 "branch component does not vanish at the origin", 6, id="constant-term"),
+])
+def test_errors_name_their_line(text, reason, line):
+    with pytest.raises(ParseError) as err:
+        parse_germ_file(text)
+    assert (err.value.reason, err.value.line, err.value.column) == (reason, line, 1)
+
+
+def test_signed_integers_still_parse():
+    gf = parse_germ_file(MINIMAL + "retries +3\nseed -2\nweights y1=+1 y2=2 y3=3 s=1\n")
+    assert (gf.config().s0_retries, gf.config().seed) == (3, -2)
+    assert gf.spec.weights["y1"] == 1
+
+
 def test_multiplicity_has_no_power_cap_key():
     with pytest.raises(ParseError, match="unknown keyword 'kmax'"):
         parse_germ_file(MINIMAL + "kmax 12\n")

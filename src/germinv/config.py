@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 class ComputeConfig:
     # basis computations
     max_pairs: int = 200_000      # s-pairs per basis run; steps per reduction
-    max_degree: int = 120         # total degree any intermediate term may reach
+    max_degree: int = 120         # a run's degree bound, or its inputs' degree if larger
     # slice oracle
     seed: int = 0
     s0_retries: int = 5           # slice values drawn, degenerate ones included,

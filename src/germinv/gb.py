@@ -10,8 +10,8 @@ so componentwise divisibility already requires equal components; degrees
 
 Tuples are the engine's boundary. Inside a run each monomial is one packed
 int, so a product is an addition, the order is int order and divisibility
-is one mask; `_Engine` gives the layout and how its field widths follow
-from the maximal degree, the module rank and the degrees of the inputs.
+is one mask; `_Engine` gives the layout for the module rank and the run's
+one degree bound: element terms <= bound, packed values <= 2 * bound.
 Results are decoded once, where they leave the engine: the kept basis of an
 `Ideal`, the harvested syzygies and the leads a `lead_stop` predicate sees.
 
@@ -119,10 +119,6 @@ def _affine(key, origins: Sequence[Exponent], nvars: int):
     return base, steps
 
 
-class _Overflow(Exception):
-    """A new element has a term above the run's packing cap; args[0] is its degree."""
-
-
 class _Elt:
     """Basis element with the data the reducer needs on every step.
 
@@ -156,15 +152,11 @@ class _Engine:
     evaluating `key` at the zero exponent of each component and at the unit
     exponents (see `_affine`); no second copy of any order exists.
 
-    Field widths follow from `cap`, the largest ring degree an element term
-    may have: the maximal degree, or the inputs' degree where that is larger.
-    Fields hold degree 2 * cap, which covers lcms, s-polynomial terms (their
-    lcm is at most `bound`) and products. The degree guards let an lcm and
-    a product of the reducer reach `bound`, the larger of the maximal degree
-    and the inputs' degree, so an input above the maximal degree still
-    reduces by itself and pairs with the others. A new element above the
-    cap, which only an order that does not compare degrees first lets
-    through, restarts the run with a larger one.
+    Each run (`basis`, `reduce`) has one degree bound, set by `_admit`: the
+    maximal degree, or the inputs' degree where that is larger. Element terms
+    stay <= bound (an lcm, a reducer product or a new element above it raises
+    `ResourceLimitError`), so packed values, s-polynomial terms and products
+    included, stay <= 2 * bound, the degree the fields hold.
     Tuples appear only at the boundary: inputs are packed by `basis` and
     `reduce`, and callers decode with `exponent` and `decoded`.
     """
@@ -179,16 +171,12 @@ class _Engine:
         self._origins = [(0,) * nvars + ((c, rank - c) if rank else ())
                          for c in range(max(rank, 1))]
         self._key_base, self._key_steps = _affine(key, self._origins, nvars)
-        self.cap = -1
-        self.bound = cfg.max_degree
         self._fit(max(cfg.max_degree, 0))
 
-    def _fit(self, degree: int) -> None:
-        """Lay out the fields for element terms of ring degree up to `degree`."""
-        if degree <= self.cap:
-            return
-        self.cap = degree
-        top = 2 * degree
+    def _fit(self, bound: int) -> None:
+        """Lay out the fields for element terms of ring degree up to `bound`."""
+        self.bound = bound
+        top = 2 * bound
         w = max(top, self.rank, 1).bit_length()
         width = w + 1
         ncoord = len(self._origins[0])
@@ -231,11 +219,18 @@ class _Engine:
         return _Elt(terms, self.dmask)
 
     def _admit(self, polys) -> None:
-        """Fit the packing and the degree guard to a run's inputs."""
-        n = self.nvars
-        degree = max((sum(e[:n]) for p in polys for e in p), default=0)
-        self.bound = max(self.cfg.max_degree, degree)
-        self._fit(degree)
+        """Lay the packing out for the run's degree bound: the maximal degree,
+        or the inputs' degree where that is larger."""
+        bound = max(self.cfg.max_degree, 0, *(sum(e[:self.nvars]) for p in polys for e in p))
+        if bound != self.bound:
+            self._fit(bound)
+
+    def _over_bound(self, step: str) -> ResourceLimitError:
+        """The error for a term above the run's degree bound at `step`."""
+        limit, stage = self.cfg.max_degree, f"{self.stage} {step}"
+        above = f"{self.bound}, the inputs' degree, above " if self.bound > limit else ""
+        return ResourceLimitError(f"{stage} exceeded the degree bound {above}max_degree={limit}",
+                                  stage, "max_degree", limit)
 
     def reduce(self, f: Dict[Exponent, Fraction],
                basis: Sequence[Dict[Exponent, Fraction]]) -> bool:
@@ -278,10 +273,7 @@ class _Engine:
                     f"(max_pairs={cfg.max_pairs} steps)",
                     f"{self.stage} reduction", "max_pairs", cfg.max_pairs)
             if (m & dmask) + red.maxdeg > self.bound:
-                raise ResourceLimitError(
-                    f"{self.stage} reduction exceeded the degree bound "
-                    f"max_degree={cfg.max_degree}",
-                    f"{self.stage} reduction", "max_degree", cfg.max_degree)
+                raise self._over_bound("reduction")
             g0 = gcd(c, red.lc)
             scale = red.lc // g0
             if scale < 0:
@@ -312,10 +304,7 @@ class _Engine:
 
     def spoly(self, f: _Elt, g: _Elt, lcm: int) -> Dict[int, int]:
         if lcm & self.dmask > self.bound:
-            raise ResourceLimitError(
-                f"{self.stage} s-polynomial exceeded the degree bound "
-                f"max_degree={self.cfg.max_degree}",
-                f"{self.stage} s-polynomial", "max_degree", self.cfg.max_degree)
+            raise self._over_bound("s-polynomial")
         mf = lcm - f.lm
         mg = lcm - g.lm
         g0 = gcd(f.lc, g.lc)
@@ -347,11 +336,7 @@ class _Engine:
         """
         gens = [_intify(g) for g in gens if g]
         self._admit(gens)
-        while True:
-            try:
-                return self._basis(gens, lead_stop, harvest)
-            except _Overflow as grown:
-                self._fit(max(grown.args[0], 2 * self.cap))
+        return self._basis(gens, lead_stop, harvest)
 
     def _basis(self, gens: Sequence[Dict[Exponent, int]], lead_stop,
                harvest: bool) -> Optional[List[_Elt]]:
@@ -415,8 +400,8 @@ class _Engine:
             if not h:
                 continue
             new = self.elt(h)
-            if new.maxdeg > self.cap:
-                raise _Overflow(new.maxdeg)
+            if new.maxdeg > self.bound:
+                raise self._over_bound("basis")
             new.sugar = max(sugar, new.maxdeg)
             elts.append(new)
             leads.append(self.exponent(new.lm))

@@ -309,7 +309,7 @@ def test_coprime_lead_criterion_skips_work():
     assert len(basis) == 2
 
 
-def test_packing_fits_inputs_beyond_max_degree():
+def test_packing_fits_inputs_beyond_max_degree(monkeypatch):
     # the engine packs each monomial into one int; the field widths follow
     # the inputs where they exceed max_degree
     assert not Ideal(C2, [Y2]).contains(X2 ** 5000)
@@ -319,14 +319,23 @@ def test_packing_fits_inputs_beyond_max_degree():
     basis = Ideal(C2, gens, config=ComputeConfig(max_degree=2)).basis()
     assert sorted(map(str, basis)) == sorted(map(str, gens))
     # under the block order of an elimination, reducing an s-polynomial
-    # leaves a term of degree 7, above both max_degree and the inputs'
-    # degree: the run starts over with wider fields
+    # leaves a term of degree 7, above both max_degree=6 and the inputs'
+    # degree: the new element is refused at once, and under the default
+    # bound the one run gives the basis
     ctx = VariableContext.make(source=("t",), target=("x", "y"))
     t, x, y = (Polynomial.variable(ctx, n) for n in ("t", "x", "y"))
     gens = [x ** 4 * y + t * x * y, -2 * x ** 4 + t * x * y]
-    for max_degree in (6, 120):
-        elim = Ideal(ctx, gens, config=ComputeConfig(max_degree=max_degree)).elimination(["t"])
-        assert [str(b) for b in elim.basis()] == ["x^4*y + 2*x^4"]
+    with pytest.raises(ResourceLimitError) as info:
+        Ideal(ctx, gens, config=ComputeConfig(max_degree=6)).elimination(["t"])
+    exc = info.value
+    assert (exc.stage, exc.limit, exc.value) == ("ideal basis", "max_degree", 6)
+    runs = []
+    real = gb._Engine._basis
+    monkeypatch.setattr(gb._Engine, "_basis",
+                        lambda self, *a, **k: runs.append(1) or real(self, *a, **k))
+    elim = Ideal(ctx, gens, config=ComputeConfig(max_degree=120)).elimination(["t"])
+    assert [str(b) for b in elim.basis()] == ["x^4*y + 2*x^4"]
+    assert len(runs) == 1
 
 
 def test_membership_of_an_input_above_max_degree():
@@ -340,7 +349,8 @@ def test_membership_of_an_input_above_max_degree():
     with pytest.raises(ResourceLimitError) as info:
         Ideal(C2, [X2 - Y2 ** 3, X2 ** 130 - Y2]).elimination(["x"])
     exc = info.value
-    assert str(exc) == "ideal reduction exceeded the degree bound max_degree=120"
+    assert str(exc) == ("ideal reduction exceeded the degree bound 130, the inputs' "
+                        "degree, above max_degree=120")
     assert (exc.stage, exc.limit, exc.value) == ("ideal reduction", "max_degree", 120)
 
 
@@ -355,7 +365,8 @@ def test_pairs_of_an_input_above_max_degree():
     with pytest.raises(ResourceLimitError) as info:
         Ideal(C2, [X2 ** 200 + Y2, X2 ** 2 * Y2]).basis()
     exc = info.value
-    assert str(exc) == "ideal s-polynomial exceeded the degree bound max_degree=120"
+    assert str(exc) == ("ideal s-polynomial exceeded the degree bound 200, the inputs' "
+                        "degree, above max_degree=120")
     assert (exc.stage, exc.limit, exc.value) == ("ideal s-polynomial", "max_degree", 120)
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from germinv import (
-    GermInputError, Ideal, Polynomial, VariableContext,
+    ComputeConfig, GermInputError, Ideal, Polynomial, ResourceLimitError, VariableContext,
     ideal_quotient, image_equation, kernel_fields, parameter_part, syzygy_basis,
     tangent_fields,
 )
@@ -161,6 +161,17 @@ def test_syzygies_over_a_unit_multiple():
 # -- the harvest: a generating set, not a basis ----------------------------------
 
 C3 = VariableContext.make(source=("x", "y", "z"))
+
+
+def test_module_basis_stops_at_its_degree_bound():
+    # the module order puts the slot before the degree, so a new element of
+    # this run has a term above max_degree=8: it is refused at once
+    f, g = -X ** 4 * Y ** 4 + X ** 3 * Y ** 2 - Y, -2 * X ** 2 * Y ** 4
+    with pytest.raises(ResourceLimitError) as info:
+        syzygy_basis([f, g], ComputeConfig(max_degree=8))
+    assert info.value.stage == "module basis"
+    [(a, b)] = syzygy_basis([f, g])
+    assert (a * f + b * g).is_zero()
 
 
 def full_syzygies(polys):

@@ -20,10 +20,8 @@ homogeneous exit 1 at once.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import sys
-import tempfile
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -127,6 +125,7 @@ def _resolve_config(gf: Optional[GermFile], args) -> ComputeConfig:
 # -- image-equation cache -----------------------------------------------------
 
 def _content_key(gf: GermFile) -> str:
+    import hashlib    # sidecar only: loading it costs every --no-cache run 5 ms
     spec = gf.spec
     parts = ["source " + " ".join(spec.source),
              "target " + " ".join(spec.target),
@@ -163,6 +162,7 @@ def _cache_load(path: str, key: str, gf: GermFile) -> Optional[List[Polynomial]]
 def _cache_store(path: str, key: str, factors: Sequence[Polynomial]) -> None:
     """Write the sidecar through a temp file and a rename, so that a
     concurrent run reads either the old sidecar or the whole new one."""
+    import tempfile   # sidecar only, like hashlib in _content_key
     body = "\n".join([_CACHE_MAGIC, f"key={key}"]
                      + [f"factor={p}" for p in factors]) + "\n"
     tmp = None

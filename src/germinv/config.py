@@ -7,11 +7,10 @@ truncated silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class ComputeConfig:
+class ComputeConfig(NamedTuple):
     # basis computations
     max_pairs: int = 200_000      # s-pairs per basis run; steps per reduction
     max_degree: int = 120         # a run's degree bound, or its inputs' degree if larger
@@ -21,7 +20,7 @@ class ComputeConfig:
                                   # for two valid ones to agree
 
     def with_overrides(self, **kw) -> "ComputeConfig":
-        return replace(self, **kw)
+        return self._replace(**kw)
 
 
 DEFAULT_CONFIG = ComputeConfig()

@@ -29,7 +29,9 @@ class ResourceLimitError(RuntimeError):
     """A configured computation limit was exceeded; never an approximation.
 
     `stage` names the computation that stopped, `limit` the bound it hit (a
-    `ComputeConfig` field, or a fixed cap) and `value` that bound's value.
+    `ComputeConfig` field, or a fixed cap) and `value` the configured value
+    of `limit`. When the inputs set a degree bound above `max_degree`,
+    `value` is still `max_degree`; only the message names the bound in force.
     """
 
     def __init__(self, message: str, stage: str, limit: str, value: int):

@@ -37,8 +37,7 @@ the parsed object exactly; that round trip is a test invariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .config import ComputeConfig, DEFAULT_CONFIG
 from .errors import GermInputError, ParseError
@@ -100,8 +99,7 @@ def _read_text(path: str, what: str = "") -> str:
     raise GermInputError(f"cannot read {what}{path}: {reason}")
 
 
-@dataclass(frozen=True)
-class GermFile:
+class GermFile(NamedTuple):
     """A parsed germ file: the spec plus any config overrides it carried."""
 
     spec: MapGermSpec

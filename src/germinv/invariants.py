@@ -37,9 +37,8 @@ import pickle
 import random
 import signal
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .config import ComputeConfig, DEFAULT_CONFIG
 from .errors import GermInputError, ResourceLimitError
@@ -49,7 +48,6 @@ from .syzygy import Vector, ideal_quotient, kernel_fields, parameter_part
 
 # -- input specification -----------------------------------------------------
 
-@dataclass(frozen=True)
 class MapGermSpec:
     """A polynomial map germ with a one-parameter unfolding.
 
@@ -59,17 +57,23 @@ class MapGermSpec:
     assertions about the unfolding that the computations cannot verify; they
     gate the operations whose meaning depends on them. Asserted weights must
     name every target and parameter variable, each with a positive integer.
+
+    Immutable: equal specs compare equal, and assigning a field raises
+    AttributeError.
     """
 
-    source: Tuple[str, ...]
-    target: Tuple[str, ...]
-    parameter: str
-    branches: Tuple[Tuple[Polynomial, ...], ...]
-    is_stabilisation: bool = False
-    is_stable_unfolding: bool = False
-    weights: Optional[Mapping[str, int]] = None   # target+parameter weights
+    __slots__ = ("source", "target", "parameter", "branches",
+                 "is_stabilisation", "is_stable_unfolding",
+                 "weights")   # target+parameter weights, or None
 
-    def __post_init__(self):
+    def __init__(self, source: Tuple[str, ...], target: Tuple[str, ...], parameter: str,
+                 branches: Tuple[Tuple[Polynomial, ...], ...],
+                 is_stabilisation: bool = False, is_stable_unfolding: bool = False,
+                 weights: Optional[Mapping[str, int]] = None):
+        for name, value in zip(self.__slots__, (source, target, parameter, branches,
+                                                is_stabilisation, is_stable_unfolding,
+                                                weights)):
+            object.__setattr__(self, name, value)
         if len(self.target) != len(self.source) + 1:
             raise GermInputError("target needs exactly one more variable than source")
         if not self.branches:
@@ -90,6 +94,27 @@ class MapGermSpec:
             if any(int(v) <= 0 for v in self.weights.values()):
                 raise GermInputError("weights must be positive integers")
 
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return MapGermSpec, self._fields()
+
+    def __eq__(self, other):
+        if other.__class__ is not MapGermSpec:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return "MapGermSpec(" + ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields())) + ")"
+
     def source_ctx(self) -> VariableContext:
         return VariableContext.make(source=self.source, parameter=(self.parameter,))
 
@@ -99,21 +124,25 @@ class MapGermSpec:
 
 # -- image equation ----------------------------------------------------------
 
-@dataclass
 class ImageEquation:
     """The reduced equation of the image hypersurface.
 
     Derived objects are cached here, and every operation taking an
-    ImageEquation shares them. A copy made with `dataclasses.replace` starts
-    with an empty cache, so a tighter config is obeyed rather than answered
-    from the original's results.
+    ImageEquation shares them. A copy under another config,
+    `ImageEquation(G.spec, G.g, G.factors, config)`, starts with an empty
+    cache, so a tighter config is obeyed rather than answered from the
+    original's results.
     """
 
-    spec: MapGermSpec
-    g: Polynomial
-    factors: Tuple[Polynomial, ...]      # one per branch
-    config: ComputeConfig = DEFAULT_CONFIG
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("spec", "g", "factors", "config", "_cache")
+
+    def __init__(self, spec: MapGermSpec, g: Polynomial, factors: Tuple[Polynomial, ...],
+                 config: ComputeConfig = DEFAULT_CONFIG):
+        self.spec = spec
+        self.g = g
+        self.factors = factors      # one per branch
+        self.config = config
+        self._cache: dict = {}
 
     @property
     def ctx(self) -> VariableContext:
@@ -270,8 +299,7 @@ def ft_dimension(G: ImageEquation):
     return ft_ideal(G).dimension()
 
 
-@dataclass(frozen=True)
-class SamuelResult:
+class SamuelResult(NamedTuple):
     multiplicity: int
     profile: Tuple[int, ...]
 
@@ -359,8 +387,7 @@ def milnor_number(h: Polynomial, config: ComputeConfig = DEFAULT_CONFIG):
 SLICE_COEFF_BOUND = 100   # numerator/denominator bound for sampled slice values
 
 
-@dataclass(frozen=True)
-class SliceResult:
+class SliceResult(NamedTuple):
     total: int                       # net count: raw minus baseline
     s0: Fraction
     raw: int                         # all off-slice critical points at s0
@@ -478,8 +505,7 @@ def ae_codimension(G: ImageEquation) -> int:
 
 # -- logarithmic characteristic ideal ----------------------------------------
 
-@dataclass
-class LCIdeal:
+class LCIdeal(NamedTuple):
     """Linear forms pairing the annihilating fields with cotangent coordinates.
 
     One generator per field: the field's target components multiply the p's,
@@ -617,8 +643,7 @@ def euler_ideal_identity(G: ImageEquation) -> bool:
 
 # -- report ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     mu_image: int
     mu_image_oracle: Optional[int]
     ft_codim: int

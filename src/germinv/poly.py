@@ -11,7 +11,6 @@ by content, zero coefficients are never stored).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
@@ -28,23 +27,47 @@ ROLE_COTANGENT = "cotangent"
 ROLES = (ROLE_SOURCE, ROLE_TARGET, ROLE_PARAMETER, ROLE_COTANGENT)
 
 
-@dataclass(frozen=True)
 class VariableContext:
-    """Ordered, role-tagged variable list shared by a family of polynomials."""
+    """Ordered, role-tagged variable list shared by a family of polynomials.
 
-    names: Tuple[str, ...]
-    roles: Tuple[str, ...]
+    Immutable: equal contexts compare and hash equal, and assigning a field
+    raises AttributeError. Not a tuple, since its length counts variables.
+    """
 
-    def __post_init__(self):
-        if len(self.names) != len(self.roles):
+    __slots__ = ("names", "roles")
+
+    def __init__(self, names: Tuple[str, ...], roles: Tuple[str, ...]):
+        if len(names) != len(roles):
             raise GermInputError("variable names and roles differ in length")
-        if len(set(self.names)) != len(self.names):
+        if len(set(names)) != len(names):
             raise GermInputError("duplicate variable name in context")
-        for r in self.roles:
+        for r in roles:
             if r not in ROLES:
                 raise GermInputError(f"unknown variable role {r!r}")
-        if self.roles.count(ROLE_PARAMETER) > 1:
+        if roles.count(ROLE_PARAMETER) > 1:
             raise GermInputError("a context carries at most one parameter variable")
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "roles", roles)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return VariableContext, (self.names, self.roles)
+
+    def __eq__(self, other):
+        if other.__class__ is not VariableContext:
+            return NotImplemented
+        return self.names == other.names and self.roles == other.roles
+
+    def __hash__(self) -> int:
+        return hash((self.names, self.roles))
+
+    def __repr__(self) -> str:
+        return f"VariableContext(names={self.names!r}, roles={self.roles!r})"
 
     @staticmethod
     def make(**groups: Iterable[str]) -> "VariableContext":

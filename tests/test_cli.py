@@ -1,4 +1,7 @@
+import os
 import shutil
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -496,6 +499,23 @@ def test_no_cache_leaves_no_sidecar(capsys, tmp_path, tmp_corpus):
     path = tmp_corpus("crosscap")
     run(capsys, "mu-br", path, "--no-cache", "--format", "machine")
     assert not (tmp_path / "crosscap.germ.gcache").exists()
+
+
+def test_a_no_cache_report_loads_no_sidecar_or_record_modules():
+    # each germ is one process, so its imports are paid on every run:
+    # dataclasses pulls in inspect, and hashlib and tempfile serve only the sidecar
+    argv = ["report", "--format", "machine", "--no-cache", "--with-lc", corpus_path("s1")]
+    script = ("import sys\n"
+              "from germinv.cli import console_main\n"
+              f"code = console_main({argv!r})\n"
+              "print('loaded=' + ','.join(m for m in ('dataclasses', 'inspect', 'hashlib',"
+              " 'tempfile') if m in sys.modules))\n"
+              "raise SystemExit(code)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "loaded="
 
 
 def test_cache_store_leaves_only_the_sidecar(capsys, tmp_path, tmp_corpus):

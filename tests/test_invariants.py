@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import pickle
 import signal
@@ -11,8 +10,8 @@ import pytest
 
 from germinv import (
     DEFAULT_CONFIG, EMPTY, ComputeConfig, GermInputError, INFINITE, Ideal,
-    ImageEquation, MapGermSpec, Polynomial, ResourceLimitError,
-    SamuelResult, VariableContext, ae_codimension, bruce_roberts_number,
+    ImageEquation, InvariantReport, MapGermSpec, Polynomial, ResourceLimitError,
+    SamuelResult, SliceResult, VariableContext, ae_codimension, bruce_roberts_number,
     euler_degree, euler_ideal_identity, ft_codim, ft_dimension, ft_ideal,
     full_report, image_equation, image_milnor_number, kernel_fields, lc_ideal,
     milnor_number, samuel_multiplicity, slice_milnor_total,
@@ -20,7 +19,7 @@ from germinv import (
 import germinv.invariants as inv
 from germinv.errors import ParseError
 from germinv.exprparse import parse_polynomial
-from germinv.germfile import parse_germ_file
+from germinv.germfile import GermFile, parse_germ_file
 
 from conftest import load
 
@@ -255,7 +254,7 @@ def test_saturation_budget_errors_name_their_stage():
     assert (exc.stage, exc.limit, exc.value) == ("module basis", "max_pairs", 6)
     gf = load("s1")
     G = image_equation(gf.spec, gf.config())
-    tight = dataclasses.replace(G, config=ComputeConfig(max_pairs=8))
+    tight = ImageEquation(G.spec, G.g, G.factors, ComputeConfig(max_pairs=8))
     with pytest.raises(ResourceLimitError) as info:
         inv._off_slice_count(tight, Fraction(0))
     assert str(info.value) == ("slice saturation at s0=0: "
@@ -268,7 +267,7 @@ def test_quotient_budget_errors_name_their_ideal():
     G = image_equation(gf.spec, gf.config())
     for call, what in ((ft_ideal, "ft ideal"),
                        (bruce_roberts_number, "tangent-field ideal")):
-        tight = dataclasses.replace(G, config=ComputeConfig(max_pairs=1))
+        tight = ImageEquation(G.spec, G.g, G.factors, ComputeConfig(max_pairs=1))
         with pytest.raises(ResourceLimitError) as info:
             call(tight)
         exc = info.value
@@ -282,9 +281,47 @@ def test_a_replaced_config_starts_from_an_empty_cache():
     gf = load("s1")
     G = image_equation(gf.spec, gf.config())
     assert ft_ideal(G).basis()
-    tight = dataclasses.replace(G, config=ComputeConfig(max_pairs=1))
+    tight = ImageEquation(G.spec, G.g, G.factors, ComputeConfig(max_pairs=1))
     with pytest.raises(ResourceLimitError, match="max_pairs=1"):
         ft_ideal(tight)
+
+
+# -- records -------------------------------------------------------------------------
+
+def test_records_survive_a_pickle_round_trip():
+    # the report's worker sends its results back through a pickle
+    spec = load("s1").spec
+    report = InvariantReport(
+        mu_image=1, mu_image_oracle=1, ft_codim=1, mu_br=1, cm_flag=True,
+        stability="unstable", ae_codim=1, samuel_profile=(1, 2, 3), ft_dim=1,
+        lc_dim=5, oracle_s0=Fraction(25, 49), warnings=("a warning",))
+    for record in (SliceResult(1, Fraction(25, 49), 3, 2, (Fraction(1, 7),)),
+                   SamuelResult(1, (1, 2, 3)), report, spec.source_ctx(), spec,
+                   ComputeConfig(max_pairs=8), GermFile(spec, (("seed", 3),))):
+        back = pickle.loads(pickle.dumps(record))
+        assert type(back) is type(record) and back == record
+
+
+def test_equal_contexts_are_equal_and_hash_equal():
+    a = VariableContext.make(source=("x", "y"), parameter=("s",))
+    b = VariableContext(("x", "y", "s"), ("source", "source", "parameter"))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != VariableContext.make(source=("y", "x"), parameter=("s",))
+    assert a != (a.names, a.roles) and (a.names, a.roles) != a and a != a.names
+    assert repr(a) == ("VariableContext(names=('x', 'y', 's'), "
+                       "roles=('source', 'source', 'parameter'))")
+
+
+def test_record_fields_cannot_be_assigned():
+    spec = load("s1").spec
+    for record, field in ((spec.source_ctx(), "names"), (spec, "parameter"),
+                          (ComputeConfig(), "max_pairs")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+
+
+def test_with_overrides_replaces_only_the_named_fields():
+    assert ComputeConfig().with_overrides(max_pairs=8) == ComputeConfig(max_pairs=8)
 
 
 # -- the report's forked worker ------------------------------------------------------

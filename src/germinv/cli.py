@@ -125,7 +125,7 @@ def _resolve_config(gf: Optional[GermFile], args) -> ComputeConfig:
 # -- image-equation cache -----------------------------------------------------
 
 def _content_key(gf: GermFile) -> str:
-    import hashlib    # sidecar only: loading it costs every --no-cache run 5 ms
+    import hashlib    # sidecar only: it loads OpenSSL, about 5 ms and 3 MB a process
     spec = gf.spec
     parts = ["source " + " ".join(spec.source),
              "target " + " ".join(spec.target),

@@ -94,7 +94,7 @@ class MapGermSpec:
             if any(int(v) <= 0 for v in self.weights.values()):
                 raise GermInputError("weights must be positive integers")
 
-    def _fields(self) -> tuple:
+    def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
 
     def __setattr__(self, name, value):
@@ -104,16 +104,16 @@ class MapGermSpec:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return MapGermSpec, self._fields()
+        return MapGermSpec, self._values()
 
     def __eq__(self, other):
         if other.__class__ is not MapGermSpec:
             return NotImplemented
-        return self._fields() == other._fields()
+        return self._values() == other._values()
 
     def __repr__(self) -> str:
         return "MapGermSpec(" + ", ".join(
-            f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields())) + ")"
+            f"{name}={value!r}" for name, value in zip(self.__slots__, self._values())) + ")"
 
     def source_ctx(self) -> VariableContext:
         return VariableContext.make(source=self.source, parameter=(self.parameter,))

@@ -360,5 +360,18 @@ def console_main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
 
+def main() -> None:
+    """The `germinv` command: `console_main`, then an exit that skips the
+    interpreter's teardown (a full collection and every module's cleanup)."""
+    try:
+        code = console_main()
+        sys.stdout.flush()
+    except BrokenPipeError as e:
+        code = 1
+        print(f"error: cannot write the output: {e}", file=sys.stderr)
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(console_main())
+    main()

@@ -12,6 +12,8 @@ Tuples are the engine's boundary. Inside a run each monomial is one packed
 int, so a product is an addition, the order is int order and divisibility
 is one mask; `_Engine` gives the layout for the module rank and the run's
 one degree bound: element terms <= bound, packed values <= 2 * bound.
+A layout is built once per shape (order key, variables, rank) and bound in
+a process (`_layout`), so each key factory returns one object per shape.
 Results are decoded once, where they leave the engine: the kept basis of an
 `Ideal`, the harvested syzygies and the leads a `lead_stop` predicate sees.
 
@@ -47,6 +49,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from operator import sub
 from typing import Dict, Iterable, List, Optional, Sequence
@@ -80,7 +83,7 @@ def _intify(terms) -> Dict[Exponent, int]:
     for c in terms.values():
         if isinstance(c, Fraction):
             den = den * c.denominator // gcd(den, c.denominator)
-    return _primitive({e: int(c * den) for e, c in terms.items()})
+    return _primitive({e: c.numerator * (den // c.denominator) for e, c in terms.items()})
 
 
 def _primitive(h: Dict[Exponent, int]) -> Dict[Exponent, int]:
@@ -100,23 +103,58 @@ def _divides(a: Exponent, b: Exponent) -> bool:
     return True
 
 
-def _affine(key, origins: Sequence[Exponent], nvars: int):
-    """The key at each origin and its step per ring variable.
+@lru_cache(maxsize=None)
+def _affine(key, nvars: int, rank: int):
+    """The zero exponent of each component (its origin), the key at each
+    origin and the key's step per ring variable, once per shape.
 
     Raises unless the key is affine in the ring exponent with the same steps
     at every origin, checked at the exponent (1, 2, ..., n) over each origin;
     the packing of `_Engine` relies on it.
     """
+    # a module term ends in the position pair (c, r - c) of its component c
+    origins = tuple((0,) * nvars + ((c, rank - c) if rank else ()) for c in range(max(rank, 1)))
     pos = origins[0][nvars:]
-    base = [tuple(key(o)) for o in origins]
-    steps = [tuple(map(sub, key(tuple(int(i == j) for j in range(nvars)) + pos), base[0]))
-             for i in range(nvars)]
+    base = tuple(tuple(key(o)) for o in origins)
+    steps = tuple(tuple(map(sub, key(tuple(int(i == j) for j in range(nvars)) + pos), base[0]))
+                  for i in range(nvars))
     probe = tuple(range(1, nvars + 1))
     delta = [sum(x * st[f] for x, st in zip(probe, steps)) for f in range(len(base[0]))]
     for o, k in zip(origins, base):
         if tuple(key(probe + o[nvars:])) != tuple(map(sum, zip(k, delta))):
             raise ValueError("monomial order key is not affine in the exponent")
-    return base, steps
+    return origins, base, steps
+
+
+@lru_cache(maxsize=None)
+def _layout(key, nvars: int, rank: int, bound: int):
+    """`_Engine`'s packing for terms of ring degree up to `bound`: degree mask,
+    coordinate shifts, guard bits, packed steps and packed origins."""
+    origins, base, steps = _affine(key, nvars, rank)
+    top = 2 * bound
+    w = max(top, rank, 1).bit_length()
+    width = w + 1
+    ncoord = len(origins[0])
+    shifts = tuple(width * (i + 1) for i in range(ncoord))
+    guard = sum(1 << (s + w) for s in shifts)
+    # key entries above the exponents, the first one on top, each offset
+    # by its least value over terms of degree at most `top`
+    shift = width * (ncoord + 1)
+    kshift = [0] * len(base[0])
+    offset = 0
+    for f in reversed(range(len(base[0]))):
+        slopes = [0] + [st[f] for st in steps]
+        lo = min(k[f] for k in base) + top * min(slopes)
+        hi = max(k[f] for k in base) + top * max(slopes)
+        kshift[f] = shift
+        offset -= lo << shift
+        shift += (hi - lo).bit_length()
+    step = tuple((1 << s) + 1 + sum(x << t for x, t in zip(st, kshift))
+                 for s, st in zip(shifts, steps))
+    zero = tuple(offset + sum(x << t for x, t in zip(k, kshift))
+                 + sum(x << s for x, s in zip(o, shifts))
+                 for o, k in zip(origins, base))
+    return (1 << w) - 1, shifts, guard, step, zero
 
 
 class _Elt:
@@ -167,40 +205,13 @@ class _Engine:
         self.nvars = nvars
         self.rank = rank
         self.stage = "module" if rank else "ideal"
-        # a module term ends in the position pair (c, r - c) of its component c
-        self._origins = [(0,) * nvars + ((c, rank - c) if rank else ())
-                         for c in range(max(rank, 1))]
-        self._key_base, self._key_steps = _affine(key, self._origins, nvars)
         self._fit(max(cfg.max_degree, 0))
 
     def _fit(self, bound: int) -> None:
         """Lay out the fields for element terms of ring degree up to `bound`."""
         self.bound = bound
-        top = 2 * bound
-        w = max(top, self.rank, 1).bit_length()
-        width = w + 1
-        ncoord = len(self._origins[0])
-        self.dmask = (1 << w) - 1
-        self._shifts = [width * (i + 1) for i in range(ncoord)]
-        self.guard = sum(1 << (s + w) for s in self._shifts)
-        base, steps = self._key_base, self._key_steps
-        # key entries above the exponents, the first one on top, each offset
-        # by its least value over terms of degree at most `top`
-        shift = width * (ncoord + 1)
-        kshift = [0] * len(base[0])
-        offset = 0
-        for f in reversed(range(len(base[0]))):
-            slopes = [0] + [st[f] for st in steps]
-            lo = min(k[f] for k in base) + top * min(slopes)
-            hi = max(k[f] for k in base) + top * max(slopes)
-            kshift[f] = shift
-            offset -= lo << shift
-            shift += (hi - lo).bit_length()
-        self._step = [(1 << s) + 1 + sum(x << t for x, t in zip(st, kshift))
-                      for s, st in zip(self._shifts, steps)]
-        self._zero = [offset + sum(x << t for x, t in zip(k, kshift))
-                      + sum(x << s for x, s in zip(o, self._shifts))
-                      for o, k in zip(self._origins, base)]
+        self.dmask, self._shifts, self.guard, self._step, self._zero = \
+            _layout(self.key, self.nvars, self.rank, bound)
 
     def pack(self, e: Exponent) -> int:
         z = self._zero[e[self.nvars]] if self.rank else self._zero[0]

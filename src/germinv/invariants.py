@@ -42,7 +42,7 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .config import ComputeConfig, DEFAULT_CONFIG
 from .errors import GermInputError, ResourceLimitError
-from .gb import EMPTY, INFINITE, Ideal, local_colength
+from .gb import EMPTY, INFINITE, Ideal, _intify, local_colength
 from .poly import Polynomial, VariableContext
 from .syzygy import Vector, ideal_quotient, kernel_fields, parameter_part
 
@@ -208,9 +208,20 @@ def image_equation(spec: MapGermSpec, config: ComputeConfig = DEFAULT_CONFIG,
 
 # -- shared derived objects --------------------------------------------------
 
+def _dg(G: ImageEquation) -> Tuple[Polynomial, Tuple[Polynomial, ...]]:
+    """The primitive integer multiple of g, a positive one, and its partials
+    in context order, free of Fraction arithmetic. No ideal, quotient,
+    saturation or syzygy module changes when its generators are scaled by one
+    positive constant; `G.g` stays monic, as `image` prints it."""
+    if "dg" not in G._cache:
+        g = Polynomial._raw(G.ctx, _intify(G.g.terms))
+        G._cache["dg"] = g, tuple(g.partial(n) for n in G.ctx.names)
+    return G._cache["dg"]
+
+
 def _kernel(G: ImageEquation) -> List[Vector]:
     if "kernel" not in G._cache:
-        G._cache["kernel"] = kernel_fields(G.g, G.config)
+        G._cache["kernel"] = kernel_fields(_dg(G)[0], G.config)
     return G._cache["kernel"]
 
 
@@ -223,7 +234,7 @@ def _br_ideal(G: ImageEquation) -> Ideal:
     the ideal is the quotient (dg/dy, g) : dg/ds.
     """
     if "br" not in G._cache:
-        G._cache["br"] = _slot_quotient(G, [G.g], "tangent-field ideal")
+        G._cache["br"] = _slot_quotient(G, (_dg(G)[0],), "tangent-field ideal")
     return G._cache["br"]
 
 
@@ -237,13 +248,12 @@ def _stage(what: str):
         raise ResourceLimitError(f"{what}: {exc}", exc.stage, exc.limit, exc.value) from exc
 
 
-def _slot_quotient(G: ImageEquation, extra: List[Polynomial], what: str) -> Ideal:
+def _slot_quotient(G: ImageEquation, extra: Tuple[Polynomial, ...], what: str) -> Ideal:
     """(dg/dy, extra) : dg/ds over the target coordinates y, its reduced
     basis computed at once, so a budget error of either run names `what`."""
-    s = G.spec.parameter
-    dy = [G.g.partial(n) for n in G.ctx.names if n != s]
+    dg, s = _dg(G)[1], G.ctx.parameter_index()
     with _stage(what):
-        quotient = ideal_quotient(dy + extra, G.g.partial(s), G.config)
+        quotient = ideal_quotient(dg[:s] + dg[s + 1:] + extra, dg[s], G.config)
         quotient.basis()
     return quotient
 
@@ -275,7 +285,7 @@ def ft_ideal(G: ImageEquation) -> Ideal:
     checks it against the parameter slots of the kernel fields.
     """
     if "ft" not in G._cache:
-        G._cache["ft"] = _slot_quotient(G, [], "ft ideal")
+        G._cache["ft"] = _slot_quotient(G, (), "ft ideal")
     return G._cache["ft"]
 
 
@@ -399,7 +409,7 @@ def _off_slice_count(G: ImageEquation, value: Fraction):
     """Total Milnor number of g_{s:=value}'s critical points off its zero set,
     over the whole affine target space: the global dimension of the
     coordinate ring modulo the Jacobian ideal saturated by the slice."""
-    gsl = G.g.specialize({G.spec.parameter: value})
+    gsl = _dg(G)[0].specialize({G.spec.parameter: value})
     jac = [p for p in (gsl.partial(n) for n in gsl.ctx.names) if not p.is_zero()]
     if not jac:
         return INFINITE
@@ -595,7 +605,7 @@ def _rank_strata_bound(G: ImageEquation) -> bool:
     try:
         if not within([p for v in _kernel(G) for p in v], 1):
             return False
-        return len(ctx) <= 3 or within([G.g.partial(n) for n in ctx.names], 2)
+        return len(ctx) <= 3 or within(list(_dg(G)[1]), 2)
     except ResourceLimitError:
         return False
 
@@ -745,6 +755,7 @@ def full_report(G: ImageEquation, with_lc: bool = True,
     warnings: List[str] = []
     disagreement = False
 
+    _dg(G)    # before the fork, so that both processes share it
     with _worker(lambda: (slice_milnor_total(G, s0=s0),
                           [p.terms for p in _br_ideal(G).basis()])) as join:
         mu = image_milnor_number(G)

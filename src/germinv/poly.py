@@ -1,9 +1,9 @@
 """Sparse multivariate polynomials over Q with role-tagged variables.
 
-A polynomial is a dict from exponent tuples to nonzero Fractions, bound to a
-VariableContext that fixes variable order and assigns each variable a role
-(source, target, parameter, cotangent). Roles are what let the germ layer
-find "the parameter direction" without positional conventions.
+A polynomial is a dict from exponent tuples to nonzero Fractions (or ints),
+bound to a VariableContext that fixes variable order and assigns each
+variable a role (source, target, parameter, cotangent). Roles are what let
+the germ layer find "the parameter direction" without positional conventions.
 
 Arithmetic is exact; equality is representation independent (dicts compare
 by content, zero coefficients are never stored).
@@ -253,14 +253,14 @@ class Polynomial:
     # -- calculus and specialization -------------------------------------
 
     def partial(self, name: str) -> "Polynomial":
-        """Partial derivative with respect to a context variable."""
+        """Partial derivative by a context variable; int coefficients stay ints."""
         i = self.ctx.index(name)
-        out: Dict[Exponent, Fraction] = {}
+        out: Dict[Exponent, Scalar] = {}
         for exp, c in self.terms.items():
             e = exp[i]
             if e:
                 d = exp[:i] + (e - 1,) + exp[i + 1:]
-                out[d] = out.get(d, _ZERO) + c * e
+                out[d] = out.get(d, 0) + c * e
         return Polynomial._raw(self.ctx, {e: c for e, c in out.items() if c})
 
     def specialize(self, values: Mapping[str, Scalar]) -> "Polynomial":

@@ -52,6 +52,7 @@ quotient of the other partials (and g) by that slot's partial.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 from .config import ComputeConfig, DEFAULT_CONFIG
@@ -63,15 +64,16 @@ from .poly import Exponent, Polynomial, VariableContext
 Vector = Tuple[Polynomial, ...]
 
 
+@lru_cache(maxsize=None)
+def _module_key(n: int):
+    """The first slot dominates, then degrevlex term-over-position with
+    lower components first; one key object per n."""
+    return lambda t: ((1 if t[n] == 0 else 0),) + degrevlex(t[:n]) + (-t[n],)
+
+
 def _engine(ctx: VariableContext, rank: int, config: ComputeConfig) -> _Engine:
-    """Engine for submodules of R^rank: the first slot dominates, then
-    degrevlex term-over-position with lower components first."""
-    n = len(ctx)
-
-    def key(t: Exponent):
-        return ((1 if t[n] == 0 else 0),) + degrevlex(t[:n]) + (-t[n],)
-
-    return _Engine(key, config, n, rank=rank)
+    """Engine for submodules of R^rank under `_module_key`."""
+    return _Engine(_module_key(len(ctx)), config, len(ctx), rank=rank)
 
 
 def _encode(vec: Sequence[Polynomial], rank: int) -> Dict[Exponent, Fraction]:

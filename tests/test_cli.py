@@ -532,3 +532,58 @@ def test_failed_cache_store_leaves_no_temp_file(capsys, tmp_path, tmp_corpus):
     assert code == 0 and machine_dict(out)["mu_image"] == "1"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["s1.germ", "s1.germ.gcache"]
     assert (tmp_path / "s1.germ.gcache").is_dir()
+
+
+# -- the `germinv` entry point ---------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _entry_point(argv, buffered=True, **popen):
+    # without PYTHONUNBUFFERED stdout is block-buffered into a pipe, so only
+    # the flush before the exit without teardown writes it
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    env["PYTHONPATH"] = str(ROOT / "src")
+    return subprocess.run([sys.executable, "-m", "germinv.cli"] + argv, text=True,
+                          env=env, timeout=120, **popen)
+
+
+@pytest.mark.parametrize("case", ["machine", "human", "malformed", "budget"])
+def test_entry_point_prints_what_console_main_prints(capsys, tmp_path, tmp_corpus, case):
+    argv = ["report", "--with-lc", "--no-cache", tmp_corpus("s1")]
+    if case == "machine":
+        argv += ["--format", "machine"]
+    elif case == "malformed":
+        bad = tmp_path / "bad.germ"
+        bad.write_text("source x y\ntarget y1 y2 y3\nparameter s\nbranch\n    x^\nend\n")
+        argv[-1] = str(bad)
+    elif case == "budget":
+        limits = tmp_path / "limits.txt"
+        limits.write_text("max-pairs 1\n")
+        argv += ["--limits", str(limits)]
+    expected = run(capsys, *argv)
+    assert expected[0] == {"machine": 0, "human": 0, "malformed": 1, "budget": 2}[case]
+    proc = _entry_point(argv, capture_output=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == expected
+
+
+def test_the_germinv_script_is_the_entry_point():
+    assert 'germinv = "germinv.cli:main"' in (ROOT / "pyproject.toml").read_text()
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+def test_a_closed_stdout_is_one_error_line(buffered):
+    # the reader of stdout is gone before the report is written: buffered,
+    # the write fails at the final flush; unbuffered, at the first line
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = _entry_point(["report", "--format", "machine", "--no-cache",
+                             corpus_path("crosscap")], buffered, stdout=w,
+                            stderr=subprocess.PIPE)
+    finally:
+        os.close(w)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: cannot write the output: [Errno 32] Broken pipe\n"

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, strategies as st
 
 from germinv import (
     ComputeConfig, EMPTY, GermInputError, INFINITE, Ideal,
@@ -368,6 +370,16 @@ def test_pairs_of_an_input_above_max_degree():
     assert str(exc) == ("ideal s-polynomial exceeded the degree bound 200, the inputs' "
                         "degree, above max_degree=120")
     assert (exc.stage, exc.limit, exc.value) == ("ideal s-polynomial", "max_degree", 120)
+
+
+@given(st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                       st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                                 st.fractions(max_denominator=10 ** 4)).filter(bool),
+                       min_size=1, max_size=8))
+def test_intify_clears_denominators_exactly(terms):
+    # the integer form of the numerators equals the product form it replaced
+    den = lcm(*(c.denominator for c in terms.values() if isinstance(c, Fraction)))
+    assert gb._intify(terms) == gb._primitive({e: int(c * den) for e, c in terms.items()})
 
 
 def test_context_mismatch_rejected():

@@ -1,3 +1,4 @@
+import math
 import os
 import pickle
 import signal
@@ -13,8 +14,8 @@ from germinv import (
     ImageEquation, InvariantReport, MapGermSpec, Polynomial, ResourceLimitError,
     SamuelResult, SliceResult, VariableContext, ae_codimension, bruce_roberts_number,
     euler_degree, euler_ideal_identity, ft_codim, ft_dimension, ft_ideal,
-    full_report, image_equation, image_milnor_number, kernel_fields, lc_ideal,
-    milnor_number, samuel_multiplicity, slice_milnor_total,
+    full_report, ideal_quotient, image_equation, image_milnor_number, kernel_fields,
+    lc_ideal, milnor_number, samuel_multiplicity, slice_milnor_total,
 )
 import germinv.invariants as inv
 from germinv.errors import ParseError
@@ -134,6 +135,32 @@ def test_rank_strata_certificate_equals_the_basis_route(name):
     expected = len(G.ctx) + 1
     assert inv._rank_strata_bound(G)
     assert lc.certified_dimension() == expected == lc.ideal.dimension_bound(expected)
+
+
+def test_integer_partials_give_what_the_monic_partials_give():
+    # a skewed family germ whose image equation has rational coefficients:
+    # every stage that reads the cached integer multiple of g and its
+    # partials finds what the monic g's own partials give
+    gf = parse_germ_file(FAMILY["00-S3-skew"])
+    G = image_equation(gf.spec, gf.config())
+    g, dg = inv._dg(G)
+    coeffs = list(g.terms.values())
+    assert any(c.denominator != 1 for c in G.g.terms.values())
+    assert all(type(c) is int for c in coeffs) and math.gcd(*coeffs) == 1
+    ratio = {c / G.g.terms[e] for e, c in g.terms.items()}
+    assert g.terms.keys() == G.g.terms.keys() and len(ratio) == 1 and ratio.pop() > 0
+    assert dg == tuple(g.partial(n) for n in G.ctx.names)
+
+    s = G.spec.parameter
+    dy = [G.g.partial(n) for n in G.ctx.names if n != s]
+    assert ft_ideal(G).basis() == ideal_quotient(dy, G.g.partial(s)).basis()
+    assert inv._br_ideal(G).basis() == ideal_quotient(dy + [G.g], G.g.partial(s)).basis()
+    assert inv._kernel(G) == kernel_fields(G.g)
+    for s0 in (Fraction(1, 2), Fraction(-3, 7)):
+        gsl = G.g.specialize({s: s0})
+        jac = [gsl.partial(n) for n in gsl.ctx.names]
+        monic = Ideal(gsl.ctx, jac).saturation(gsl).quotient_dimension()
+        assert inv._off_slice_count(G, s0) == monic
 
 
 def test_rank_strata_certificate_refuses_a_large_entry_locus():

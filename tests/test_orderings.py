@@ -3,12 +3,13 @@ import random
 
 import pytest
 
-from germinv import syzygy
+from germinv import gb, syzygy
 from germinv.config import DEFAULT_CONFIG
 from germinv.errors import GermInputError
-from germinv.gb import _Engine
+from germinv.gb import Ideal, _Engine, local_colength
 from germinv.orderings import degrevlex, elimination, lazard, local
-from germinv.poly import VariableContext
+from germinv.poly import Polynomial, VariableContext
+from germinv.syzygy import ideal_quotient
 
 
 def sample_exponents(rng, n, count, max_deg=5):
@@ -74,5 +75,31 @@ def test_keys_are_total_and_multiplicative():
 
 
 def test_packing_rejects_a_key_that_is_not_affine():
-    with pytest.raises(ValueError, match="not affine"):
-        _Engine(lambda e: (max(e),) + tuple(e), DEFAULT_CONFIG, 3)
+    # a refused shape is not cached: the same key raises again
+    key = lambda e: (max(e),) + tuple(e)    # noqa: E731
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not affine"):
+            _Engine(key, DEFAULT_CONFIG, 3)
+
+
+def test_layouts_are_built_once_per_engine_shape():
+    # each key factory returns one object per shape, so engines of one shape
+    # share their packing layout and a second run adds no cache entry
+    assert elimination([0], 2) is elimination((0,), 2)
+    assert lazard(local, 3) is lazard(local, 3)
+    assert syzygy._module_key(3) is syzygy._module_key(3)
+    ctx = VariableContext.make(source=("t",), target=("x", "y"))
+    t, x, y = (Polynomial.variable(ctx, n) for n in ("t", "x", "y"))
+
+    def sizes():
+        return gb._affine.cache_info().currsize, gb._layout.cache_info().currsize
+
+    def runs(k):
+        Ideal(ctx, [x - t ** 2, y - t ** (k + 2)]).elimination(["t"])
+        ideal_quotient([x * y ** k, y ** 2], x).basis()
+        local_colength(ctx, [x ** 2, y ** k, t ** 3])
+
+    runs(1)
+    before = sizes()
+    runs(3)
+    assert sizes() == before

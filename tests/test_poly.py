@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from germinv import GermInputError, Polynomial, VariableContext
 from germinv.exprparse import parse_polynomial
@@ -178,3 +179,14 @@ def test_str_parse_round_trip_randomized():
     for _ in range(80):
         p = rand_poly(rng, max_terms=6, max_deg=4)
         assert parse_polynomial(str(p), CTX) == p
+
+
+@given(st.dictionaries(st.tuples(*[st.integers(0, 4)] * 3),
+                       st.integers(-50, 50).filter(bool), max_size=8),
+       st.sampled_from(CTX.names))
+def test_partial_of_an_integer_polynomial_matches_its_fraction_twin(terms, name):
+    p = Polynomial._raw(CTX, terms)
+    twin = Polynomial(CTX, terms)        # the same coefficients as Fractions
+    d, dt = p.partial(name), twin.partial(name)
+    assert d.terms == dt.terms and str(d) == str(dt)
+    assert all(type(c) is int for c in d.terms.values())

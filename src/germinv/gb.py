@@ -20,12 +20,20 @@ Results are decoded once, where they leave the engine: the kept basis of an
 The reducer keys each term once into a heap and pops the largest live term
 (Monagan and Pearce, CASC 2007), so no step rescans the polynomial, and
 takes the first basis element whose lead divides it. It reduces every
-term, so a membership test asks whether the remainder is zero.
+term, so a membership test asks whether the remainder is zero. A basis run
+shares one memo of each monomial's first divisor among the reductions by
+its element list: elements are only appended, so a first divisor never
+changes.
 
-The pair loop selects pairs by sugar and applies the chain criterion and,
-for ideals, the product criterion. Ideal bases are tail-interreduced into
-the unique reduced basis; module bases keep their tails (that buys nothing
-for harvesting syzygies). A syzygy run (`harvest`) forms pairs only between
+An ideal run first interreduces its inputs (Becker and Weispfenning,
+Groebner Bases, 1993, ch. 5): in ascending lead order each is reduced by
+those kept before it, and those that become zero are dropped, so they never
+pair. A module run keeps its rows, since a row that reduces into a tracking
+slot is a syzygy to harvest. The pair loop selects pairs by sugar and
+applies the chain criterion and, for ideals, the product criterion. Ideal
+bases are tail-interreduced into the unique reduced basis; module bases keep
+their tails (that buys nothing for harvesting syzygies). A syzygy run
+(`harvest`) forms pairs only between
 elements led in slot 0, the slot of the inputs, and keeps every element led
 in a tracking slot: those are the harvested syzygies, a generating set of
 the syzygy module but not a basis of it, so minimalization, which only a
@@ -254,15 +262,20 @@ class _Engine:
         self._admit([h] + basis)
         pack = self.pack
         elts = [self.elt({pack(e): c for e, c in b.items()}) for b in basis if b]
-        return not self._reduce({pack(e): c for e, c in h.items()}, elts)
+        return not self._reduce({pack(e): c for e, c in h.items()}, elts, {})
 
-    def _reduce(self, h: Dict[int, int], elts: Sequence[_Elt]) -> Dict[int, int]:
+    def _reduce(self, h: Dict[int, int], elts: Sequence[_Elt],
+                memo: Dict[int, int]) -> Dict[int, int]:
         """Fully pseudo-reduce a packed, primitive h, which it consumes, by
         `elts`. The remainder is primitive, and a positive rational multiple
-        of the one over Q."""
+        of the one over Q. `memo` maps a monomial to the index of its first
+        divisor in `elts`, or to ~k for none among the first k; calls may
+        share it while `elts` only grows by appending.
+        """
         if not h:
             return h
         cfg, dmask, guard = self.cfg, self.dmask, self.guard
+        push = heapq.heappush
         heap = [-z for z in h]
         heapq.heapify(heap)
         steps = 0
@@ -271,11 +284,16 @@ class _Engine:
             c = h.get(e)
             if c is None:
                 continue                # stale: the term cancelled after it was keyed
-            for red in elts:
-                if not (e - red.lm) & guard:
-                    break
-            else:
-                continue  # settled: coefficient may still change, monomial won't return
+            i = memo.get(e, -1)
+            if i < 0:
+                for i in range(~i, len(elts)):
+                    if not (e - elts[i].lm) & guard:
+                        break
+                else:
+                    memo[e] = ~len(elts)
+                    continue  # settled: coefficient may still change, monomial won't return
+                memo[e] = i
+            red = elts[i]
             m = e - red.lm
             steps += 1
             if steps > cfg.max_pairs:
@@ -290,21 +308,17 @@ class _Engine:
             if scale < 0:
                 scale, g0 = -scale, -g0
             if scale != 1:
-                for k in h:
-                    h[k] *= scale
-            factor = c // g0
-            del h[e]
-            lm = red.lm
+                h = {k: v * scale for k, v in h.items()}
+            # the lead term cancels: c * scale == (c // g0) * red.lc
+            factor, get = -(c // g0), h.get
             for gz, gc in red.terms.items():
-                if gz == lm:
-                    continue
                 tz = gz + m
-                prev = h.get(tz)
+                prev = get(tz)
                 if prev is None:
-                    h[tz] = -factor * gc
-                    heapq.heappush(heap, -tz)
+                    h[tz] = factor * gc
+                    push(heap, -tz)
                 else:
-                    s = prev - factor * gc
+                    s = prev + factor * gc
                     if s:
                         h[tz] = s
                     else:
@@ -351,9 +365,18 @@ class _Engine:
 
     def _basis(self, gens: Sequence[Dict[Exponent, int]], lead_stop,
                harvest: bool) -> Optional[List[_Elt]]:
+        """The pair loop of `basis` on primitive inputs, the ideal's
+        interreduced first; one divisor memo serves every reduction."""
         cfg, n, dmask, guard = self.cfg, self.nvars, self.dmask, self.guard
         pack = self.pack
         elts = [self.elt({pack(e): c for e, c in g.items()}) for g in gens]
+        memo: Dict[int, int] = {}
+        if not self.rank:
+            inputs, elts = sorted(elts, key=lambda e: e.lm), []
+            for elt in inputs:
+                h = self._reduce(elt.terms, elts, memo)
+                if h:
+                    elts.append(self.elt(h))
         leads = [self.exponent(e.lm) for e in elts]
 
         heap: List[tuple] = []
@@ -407,7 +430,7 @@ class _Engine:
                     break
             if skip:
                 continue
-            h = self._reduce(self.spoly(f, g, lcm), elts)
+            h = self._reduce(self.spoly(f, g, lcm), elts, memo)
             if not h:
                 continue
             new = self.elt(h)
@@ -431,7 +454,7 @@ class _Engine:
             # tail interreduction gives the unique reduced basis
             for idx in range(len(minimal)):
                 others = minimal[:idx] + minimal[idx + 1:]
-                minimal[idx] = self.elt(self._reduce(dict(minimal[idx].terms), others))
+                minimal[idx] = self.elt(self._reduce(dict(minimal[idx].terms), others, {}))
         return minimal
 
 

@@ -272,10 +272,21 @@ class Polynomial:
         fixed = [(self.ctx.index(n), Fraction(v)) for n, v in values.items()]
         gone = {i for i, _ in fixed}
         keep = [i for i in range(len(self.ctx)) if i not in gone]
+        zeros = [i for i, v in fixed if not v]
+        # a value of 0 kills its terms, one of 1 changes nothing; the others
+        # take each power once from a table
+        powers = [(i, v, {}) for i, v in fixed if v and v != 1]
         out: Dict[Exponent, Fraction] = {}
         for exp, c in self.terms.items():
-            for i, v in fixed:
-                c *= v ** exp[i]
+            if any(exp[i] for i in zeros):
+                continue
+            for i, v, table in powers:
+                k = exp[i]
+                if k:
+                    p = table.get(k)
+                    if p is None:
+                        p = table[k] = v ** k
+                    c *= p
             e = tuple(exp[i] for i in keep)
             out[e] = out.get(e, _ZERO) + c
         return Polynomial._raw(self.ctx.drop(values), {e: c for e, c in out.items() if c})

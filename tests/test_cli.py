@@ -299,15 +299,16 @@ def test_pair_budget_exits_2(capsys, tmp_path, tmp_corpus):
 
 
 def test_a_worker_budget_error_exits_2(capsys, tmp_path, tmp_corpus):
-    # exam1's Bruce-Roberts basis, computed in the report's forked worker,
-    # exhausts the budget; its error crosses the pipe whole
+    # exam1's Bruce-Roberts harvest, computed in the report's forked worker,
+    # exhausts the budget that the FT harvest of this process fits in; its
+    # error crosses the pipe whole
     limits = tmp_path / "limits.txt"
-    limits.write_text("max-pairs 1000\n")
+    limits.write_text("max-pairs 800\n")
     code, out, err = run(capsys, "report", tmp_corpus("exam1"), "--no-cache",
                          "--format", "machine", "--limits", str(limits))
     assert (code, out) == (2, "")
-    assert err == ("resource limit: tangent-field ideal: ideal basis exceeded "
-                   "the pair budget max_pairs=1000\n")
+    assert err == ("resource limit: tangent-field ideal: module basis exceeded "
+                   "the pair budget max_pairs=800\n")
 
 
 def test_slice_sampling_out_of_retries_exits_2(capsys, tmp_path, tmp_corpus):

@@ -84,6 +84,46 @@ def test_basis_deterministic_and_generator_order_free():
 
 # -- membership -----------------------------------------------------------------
 
+def test_a_member_among_the_inputs_handles_no_more_pairs(monkeypatch):
+    # the inputs are interreduced before pairs are formed, so a member of
+    # the ideal that the other inputs reduce to zero never pairs: here the
+    # others are a Groebner basis, which reduces every member to zero
+    pairs = []
+    real = gb._Engine.spoly
+    monkeypatch.setattr(gb._Engine, "spoly",
+                        lambda self, *a: pairs.append(1) or real(self, *a))
+    rng = random.Random(31)
+    for _ in range(8):
+        basis = Ideal(C3, [rand_poly(rng, C3) for _ in range(3)]).basis()
+        member = Polynomial.zero(C3)
+        for g in basis:
+            member = member + rand_poly(rng, C3, 2, 2) * g
+        counts = []
+        for gens in (basis, basis + [member]):
+            pairs.clear()
+            assert Ideal(C3, gens).basis() == basis
+            counts.append(len(pairs))
+        assert counts[1] <= counts[0]
+
+
+@given(st.lists(st.tuples(
+    st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), st.integers(-9, 9).filter(bool),
+                    min_size=1, max_size=4),
+    st.dictionaries(st.tuples(*[st.integers(0, 4)] * 3), st.integers(-9, 9).filter(bool),
+                    min_size=1, max_size=6)), min_size=1, max_size=6))
+def test_a_shared_divisor_memo_gives_the_fresh_remainder(steps):
+    # each step appends an element, then reduces a polynomial once with the
+    # memo of the earlier steps and once with an empty one
+    eng = gb._Engine(degrevlex, ComputeConfig(), 3)
+    polys = [gb._intify(p) for step in steps for p in step]
+    eng._admit(polys)
+    elts, memo = [], {}
+    for elt, h in zip(polys[::2], polys[1::2]):
+        elts.append(eng.elt({eng.pack(e): c for e, c in elt.items()}))
+        packed = {eng.pack(e): c for e, c in h.items()}
+        assert eng._reduce(dict(packed), elts, memo) == eng._reduce(packed, elts, {})
+
+
 def test_membership_explicit_combinations():
     rng = random.Random(31)
     g1, g2 = X2 ** 2 + Y2 ** 3, X2 * Y2 - X2
@@ -320,13 +360,13 @@ def test_packing_fits_inputs_beyond_max_degree(monkeypatch):
     gens = [X2 ** 300 + Y2, Y2 ** 2]
     basis = Ideal(C2, gens, config=ComputeConfig(max_degree=2)).basis()
     assert sorted(map(str, basis)) == sorted(map(str, gens))
-    # under the block order of an elimination, reducing an s-polynomial
-    # leaves a term of degree 7, above both max_degree=6 and the inputs'
-    # degree: the new element is refused at once, and under the default
-    # bound the one run gives the basis
+    # under the block order of an elimination, the s-polynomial of the two
+    # inputs is x^6*y + 2*x^4*y, of degree 7, above both max_degree=6 and
+    # the inputs' degree: the new element is refused at once, and under the
+    # default bound the one run gives the basis
     ctx = VariableContext.make(source=("t",), target=("x", "y"))
     t, x, y = (Polynomial.variable(ctx, n) for n in ("t", "x", "y"))
-    gens = [x ** 4 * y + t * x * y, -2 * x ** 4 + t * x * y]
+    gens = [x ** 5 * y + t * y, -2 * x ** 4 + t * x]
     with pytest.raises(ResourceLimitError) as info:
         Ideal(ctx, gens, config=ComputeConfig(max_degree=6)).elimination(["t"])
     exc = info.value
@@ -336,7 +376,7 @@ def test_packing_fits_inputs_beyond_max_degree(monkeypatch):
     monkeypatch.setattr(gb._Engine, "_basis",
                         lambda self, *a, **k: runs.append(1) or real(self, *a, **k))
     elim = Ideal(ctx, gens, config=ComputeConfig(max_degree=120)).elimination(["t"])
-    assert [str(b) for b in elim.basis()] == ["x^4*y + 2*x^4"]
+    assert [str(b) for b in elim.basis()] == ["x^6*y + 2*x^4*y"]
     assert len(runs) == 1
 
 

@@ -138,6 +138,21 @@ def test_seeded_ideals_match_sympy(seed):
     check(ideal, candidates(rng, ideal))
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_redundant_inputs_give_sympys_basis(seed):
+    # the engine drops inputs that the others reduce to zero before it
+    # pairs them: a duplicate, a rational multiple and a combination of the
+    # others must leave sympy's basis of the plain generators
+    rng = random.Random(4100 + seed)
+    gens = [rand_poly(rng, C3) for _ in range(rng.randint(2, 3))]
+    member = Polynomial.zero(C3)
+    for g in gens:
+        member = member + rand_poly(rng, C3, 2, 2) * g
+    redundant = gens + [gens[0], Fraction(-3, 7) * gens[-1], member]
+    rng.shuffle(redundant)
+    same_basis(Ideal(C3, redundant), [as_sympy(g) for g in gens])
+
+
 @pytest.mark.parametrize("name", ["s1", "crosscap"])
 def test_ft_and_bruce_roberts_ideals_match_sympy(name, request):
     G = request.getfixturevalue(f"{name}_image")

@@ -251,21 +251,24 @@ def test_multiplicity_budget_is_a_resource_limit():
 
 def test_resource_limit_names_its_stage_limit_and_value():
     # the message is the one the command line prints; a colength's stage
-    # prefix keeps the attributes of the engine error under it
+    # prefix keeps the attributes of the engine error under it. One step
+    # cannot interreduce the inputs of the first colength; s1's report
+    # interreduces its first inputs within three steps but needs more
+    # than three pairs for their basis.
     cfg = ComputeConfig(max_pairs=1)
     with pytest.raises(ResourceLimitError) as info:
         samuel_multiplicity(local_ideal(XT, "x^3 - t^2 + x^2*t", config=cfg), "t")
     exc = info.value
     assert str(exc) == ("multiplicity profile step k=1: "
-                        "ideal basis exceeded the pair budget max_pairs=1")
-    assert (exc.stage, exc.limit, exc.value) == ("ideal basis", "max_pairs", 1)
+                        "ideal reduction exceeded the pair budget (max_pairs=1 steps)")
+    assert (exc.stage, exc.limit, exc.value) == ("ideal reduction", "max_pairs", 1)
     gf = load("s1")
     with pytest.raises(ResourceLimitError) as info:
-        full_report(image_equation(gf.spec, gf.config().with_overrides(max_pairs=1)),
+        full_report(image_equation(gf.spec, gf.config().with_overrides(max_pairs=3)),
                     with_lc=False)
     exc = info.value
-    assert str(exc) == "ideal basis exceeded the pair budget max_pairs=1"
-    assert (exc.stage, exc.limit, exc.value) == ("ideal basis", "max_pairs", 1)
+    assert str(exc) == "ideal basis exceeded the pair budget max_pairs=3"
+    assert (exc.stage, exc.limit, exc.value) == ("ideal basis", "max_pairs", 3)
 
 
 def test_saturation_budget_errors_name_their_stage():

@@ -156,6 +156,38 @@ def test_specialize_is_a_ring_map_at_rational_points():
         assert (a * b).specialize(v) == a.specialize(v) * b.specialize(v)
 
 
+def _specialize_term_by_term(p, values):
+    # every value raised to every term's exponent, nothing skipped
+    fixed = [(p.ctx.index(n), Fraction(v)) for n, v in values.items()]
+    keep = [i for i in range(len(p.ctx)) if i not in {i for i, _ in fixed}]
+    out = {}
+    for exp, c in p.terms.items():
+        for i, v in fixed:
+            c *= v ** exp[i]
+        e = tuple(exp[i] for i in keep)
+        out[e] = out.get(e, Fraction(0)) + c
+    return {e: c for e, c in out.items() if c}
+
+
+_VALUES = st.one_of(st.sampled_from([0, 1, -1, Fraction(1, 2), Fraction(-1, 2)]),
+                    st.fractions(max_denominator=9).filter(lambda v: abs(v) < 20))
+
+
+@given(st.dictionaries(st.tuples(*[st.integers(0, 4)] * 3),
+                       st.one_of(st.integers(-50, 50), st.fractions(max_denominator=7))
+                       .filter(bool), max_size=8),
+       st.dictionaries(st.sampled_from(CTX.names), _VALUES, min_size=1))
+def test_specialize_matches_the_term_by_term_formula(terms, values):
+    # integer and Fraction coefficients, values drawn from 0, 1, -1, +-1/2
+    # and random fractions: equal terms, Fraction coefficients, equal str
+    p = Polynomial._raw(CTX, terms)
+    q = p.specialize(values)
+    expected = _specialize_term_by_term(p, values)
+    assert q.terms == expected
+    assert all(type(c) is Fraction for c in q.terms.values())
+    assert str(q) == str(Polynomial._raw(q.ctx, expected))
+
+
 def test_rename_embeds_upward():
     big = VariableContext.make(source=("x", "y"), target=("u",), parameter=("s",))
     p = X * Y + S

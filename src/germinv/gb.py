@@ -20,10 +20,12 @@ Results are decoded once, where they leave the engine: the kept basis of an
 The reducer keys each term once into a heap and pops the largest live term
 (Monagan and Pearce, CASC 2007), so no step rescans the polynomial, and
 takes the first basis element whose lead divides it. It reduces every
-term, so a membership test asks whether the remainder is zero. A basis run
-shares one memo of each monomial's first divisor among the reductions by
-its element list: elements are only appended, so a first divisor never
-changes.
+term, so a membership test asks whether the remainder is zero, except in
+the harvest of an ideal quotient (`top`): that run stops each reduction at
+its first irreducible term, since its module basis is thrown away and the
+quotient's reduced basis reduces the tails anyway. A run shares one memo
+of each monomial's first divisor among the reductions by its element list:
+elements are only appended, so a first divisor never changes.
 
 An ideal run first interreduces its inputs (Becker and Weispfenning,
 Groebner Bases, 1993, ch. 5): in ascending lead order each is reduced by
@@ -46,7 +48,8 @@ Algebra, 1.7): the generators are homogenized by a new variable h, their
 global basis is computed under "total degree, then the local order", and
 its leads with h = 1 are the leads of a standard basis for the local order.
 Everything downstream (elimination, the dimension counts, local colengths,
-and saturation, the iterated quotient of `syzygy`) runs on this engine.
+and saturation, the quotient of `syzygy` iterated until one reduces to
+zero) runs on this engine.
 Dimension counting never inspects coefficients: it reads the staircase of
 the leading ideal, which is the correct recipe for both the polynomial ring
 and the local ring at the origin.
@@ -251,26 +254,33 @@ class _Engine:
         return ResourceLimitError(f"{stage} exceeded the degree bound {above}max_degree={limit}",
                                   stage, "max_degree", limit)
 
-    def reduce(self, f: Dict[Exponent, Fraction],
+    def reduce(self, fs: Sequence[Dict[Exponent, Fraction]],
                basis: Sequence[Dict[Exponent, Fraction]]) -> bool:
-        """Whether f reduces to zero by the Groebner basis `basis`, both
-        exponent-keyed: membership in what the basis generates."""
-        h = _intify(f)
-        if not h:
+        """Whether every f in `fs` reduces to zero by the Groebner basis
+        `basis`, all exponent-keyed: membership in what the basis generates.
+        One run: the reductions share one divisor memo, and the first
+        nonzero remainder ends it."""
+        hs = [h for h in map(_intify, fs) if h]
+        if not hs:
             return True
         basis = [_intify(b) for b in basis]
-        self._admit([h] + basis)
+        self._admit(hs + basis)
         pack = self.pack
         elts = [self.elt({pack(e): c for e, c in b.items()}) for b in basis if b]
-        return not self._reduce({pack(e): c for e, c in h.items()}, elts, {})
+        memo: Dict[int, int] = {}
+        return not any(self._reduce({pack(e): c for e, c in h.items()}, elts, memo)
+                       for h in hs)
 
     def _reduce(self, h: Dict[int, int], elts: Sequence[_Elt],
-                memo: Dict[int, int]) -> Dict[int, int]:
+                memo: Dict[int, int], top: bool = False) -> Dict[int, int]:
         """Fully pseudo-reduce a packed, primitive h, which it consumes, by
-        `elts`. The remainder is primitive, and a positive rational multiple
-        of the one over Q. `memo` maps a monomial to the index of its first
-        divisor in `elts`, or to ~k for none among the first k; calls may
-        share it while `elts` only grows by appending.
+        `elts`; with `top`, stop at the first term no lead divides, which
+        leaves that lead irreducible and the tail below it unreduced. The
+        remainder is primitive, and a positive rational multiple of the one
+        over Q.
+        `memo` maps a monomial to the index of its first divisor in `elts`,
+        or to ~k for none among the first k; calls may share it while
+        `elts` only grows by appending.
         """
         if not h:
             return h
@@ -291,6 +301,8 @@ class _Engine:
                         break
                 else:
                     memo[e] = ~len(elts)
+                    if top:
+                        break
                     continue  # settled: coefficient may still change, monomial won't return
                 memo[e] = i
             red = elts[i]
@@ -345,8 +357,8 @@ class _Engine:
                 del out[tz]
         return _primitive(out) if out else out
 
-    def basis(self, gens: Sequence[Dict[Exponent, Fraction]],
-              lead_stop=None, harvest: bool = False) -> Optional[List[_Elt]]:
+    def basis(self, gens: Sequence[Dict[Exponent, Fraction]], lead_stop=None,
+              harvest: bool = False, top: bool = False) -> Optional[List[_Elt]]:
         """Minimal Groebner basis of the exponent-keyed `gens`, leads in
         descending order, as packed elements.
 
@@ -358,13 +370,15 @@ class _Engine:
         dominates) only elements led in slot 0 pair, and every element led
         elsewhere is kept: the result is a minimal basis of the slot-0 part
         plus a generating set, not a basis, of the syzygies (see `syzygy`).
+        With `top` each s-polynomial is only top-reduced, so new elements
+        keep their tails.
         """
         gens = [_intify(g) for g in gens if g]
         self._admit(gens)
-        return self._basis(gens, lead_stop, harvest)
+        return self._basis(gens, lead_stop, harvest, top)
 
     def _basis(self, gens: Sequence[Dict[Exponent, int]], lead_stop,
-               harvest: bool) -> Optional[List[_Elt]]:
+               harvest: bool, top: bool) -> Optional[List[_Elt]]:
         """The pair loop of `basis` on primitive inputs, the ideal's
         interreduced first; one divisor memo serves every reduction."""
         cfg, n, dmask, guard = self.cfg, self.nvars, self.dmask, self.guard
@@ -430,7 +444,7 @@ class _Engine:
                     break
             if skip:
                 continue
-            h = self._reduce(self.spoly(f, g, lcm), elts, memo)
+            h = self._reduce(self.spoly(f, g, lcm), elts, memo, top)
             if not h:
                 continue
             new = self.elt(h)
@@ -552,13 +566,15 @@ class Ideal:
         self.config = config
         self.gens: List[Polynomial] = _sorted_gens(ctx, gens, orderings.degrevlex)
         self._basis_cache: Optional[List[Polynomial]] = None
+        self._leads: Optional[List[Exponent]] = None    # of the cached basis
 
     @classmethod
     def _reduced(cls, ctx: VariableContext, basis: List[Polynomial],
-                 config: ComputeConfig) -> "Ideal":
-        """Handle whose gens and cached basis are `basis`, reduced."""
+                 config: ComputeConfig, leads: Optional[List[Exponent]] = None) -> "Ideal":
+        """Handle whose gens and cached basis are `basis`, reduced, with its
+        lead exponents where the caller has them."""
         ideal = cls(ctx, (), config)
-        ideal.gens, ideal._basis_cache = list(basis), list(basis)
+        ideal.gens, ideal._basis_cache, ideal._leads = list(basis), list(basis), leads
         return ideal
 
     # -- basis -----------------------------------------------------------
@@ -570,6 +586,7 @@ class Ideal:
         self._basis_cache = [Polynomial._raw(self.ctx, {x: Fraction(c, e.lc) for x, c
                                                         in eng.decoded(e).items()})
                              for e in elts]
+        self._leads = [eng.exponent(e.lm) for e in elts]
 
     def basis(self) -> List[Polynomial]:
         """Reduced Groebner basis, leads in descending order."""
@@ -579,7 +596,10 @@ class Ideal:
         return self._basis_cache
 
     def leading_monomials(self) -> List[Exponent]:
-        return [max(p.terms, key=orderings.degrevlex) for p in self.basis()]
+        """Lead exponents of the reduced basis, kept with it."""
+        if self._leads is None:
+            self._leads = [max(p.terms, key=orderings.degrevlex) for p in self.basis()]
+        return self._leads
 
     def contains(self, p: Polynomial) -> bool:
         """Membership in the ideal of the polynomial ring: p reduces to zero
@@ -587,7 +607,7 @@ class Ideal:
         local ring, compare colengths instead."""
         if p.ctx != self.ctx:
             raise GermInputError("membership argument over the wrong context")
-        return self._engine().reduce(p.terms, [b.terms for b in self.basis()])
+        return self._engine().reduce([p.terms], [b.terms for b in self.basis()])
 
     # -- constructions ---------------------------------------------------
 
@@ -608,28 +628,44 @@ class Ideal:
         eng = _Engine(key, self.config, n)
         keep = [i for i in range(n) if i not in front]
         new_ctx = self.ctx.drop(names)
-        out = []
+        out, leads = [], []
         for elt in eng.basis([g.terms for g in _sorted_gens(self.ctx, self.gens, key)]):
-            if not any(eng.exponent(elt.lm)[i] for i in front):
+            lead = eng.exponent(elt.lm)
+            if not any(lead[i] for i in front):
                 out.append(Polynomial._raw(new_ctx, {
                     tuple(e[i] for i in keep): Fraction(c, elt.lc)
                     for e, c in eng.decoded(elt).items()}))
-        return Ideal._reduced(new_ctx, out, self.config)
+                leads.append(tuple(lead[i] for i in keep))
+        return Ideal._reduced(new_ctx, out, self.config, leads)
 
     def saturation(self, f: Polynomial) -> "Ideal":
-        """Stable colon ideal (I : f^infinity): I : f, (I : f) : f, ... by
-        `syzygy.ideal_quotient` on reduced bases, up to the first repeat."""
+        """Stable colon ideal (I : f^infinity): K = I, I : f, (I : f) : f,
+        ... by `syzygy.ideal_quotient` on reduced bases, up to the first K
+        with K : f = K (Becker and Weispfenning, Groebner Bases, 1993,
+        ch. 6). K lies in K : f, so a link is confirmed when every harvested
+        generator of K : f reduces to zero by K's basis, in one engine run;
+        no basis of K : f is computed. Before that, a zero-dimensional K is
+        confirmed by 1 in K + (f): then f vanishes at no point of V(K), and
+        K : f = K. Where it fails, f vanishes at a point of V(K), so
+        K : f is larger and the harvest goes on.
+        """
         from .syzygy import ideal_quotient
         if f.ctx != self.ctx:
             raise GermInputError("saturation argument over the wrong context")
         if f.is_zero():
             raise GermInputError("saturation by zero")
-        basis = self.basis()
+        K = self
         while True:
-            colon = ideal_quotient(basis, f, self.config).basis()
-            if colon == basis:
-                return Ideal._reduced(self.ctx, basis, self.config)
-            basis = colon
+            basis = K.basis()
+            # the bound -1 stops the basis loop at its first constant lead only
+            if K.dimension() in (0, EMPTY) and \
+                    Ideal(self.ctx, basis + [f], self.config).dimension_bound(-1) is EMPTY:
+                break
+            colon = ideal_quotient(basis, f, self.config)
+            if self._engine().reduce([g.terms for g in colon.gens], [b.terms for b in basis]):
+                break
+            K = colon
+        return Ideal._reduced(self.ctx, basis, self.config, K.leading_monomials())
 
     # -- dimensions ------------------------------------------------------
 

@@ -269,6 +269,14 @@ def _local_dim(ctx: VariableContext, gens: Sequence[Polynomial],
     return d
 
 
+def _local_dim_at_zero(ctx: VariableContext, gens: Sequence[Polynomial], t: str,
+                       config: ComputeConfig, what: str) -> int:
+    """`_local_dim` of the generators plus t, counted at t = 0: the germs
+    modulo I + (t) are the germs of the other variables modulo I with
+    t = 0, and that count runs over one variable fewer."""
+    return _local_dim(ctx.drop([t]), [g.specialize({t: 0}) for g in gens], config, what)
+
+
 # -- transversality-failure ideal and its multiplicities ---------------------
 
 def ft_ideal(G: ImageEquation) -> Ideal:
@@ -292,9 +300,8 @@ def ft_ideal(G: ImageEquation) -> Ideal:
 def ft_codim(G: ImageEquation) -> int:
     """dim of the local quotient by FT + (parameter); 0 exactly when stable."""
     if "ft_codim" not in G._cache:
-        s = Polynomial.variable(G.ctx, G.spec.parameter)
-        G._cache["ft_codim"] = _local_dim(G.ctx, ft_ideal(G).basis() + [s], G.config,
-                                          "ft codimension")
+        G._cache["ft_codim"] = _local_dim_at_zero(G.ctx, ft_ideal(G).basis(),
+                                                  G.spec.parameter, G.config, "ft codimension")
     return G._cache["ft_codim"]
 
 
@@ -320,7 +327,8 @@ def samuel_multiplicity(I: Ideal, t: str) -> SamuelResult:
 
     I is a handle of the polynomial ring, read under its config. Every
     colength is a `local_colength` of its reduced basis, or of its
-    saturation by t, plus a power of t.
+    saturation by t, plus a power of t; those plus t itself are counted at
+    t = 0, over the other variables.
 
     Needs A to be at most a curve (leading-term dimension <= 1). The t-torsion
     H = (I : t^inf)/I then has finite length and t is a nonzerodivisor on
@@ -330,8 +338,9 @@ def samuel_multiplicity(I: Ideal, t: str) -> SamuelResult:
 
     * d_1 == e exactly when H = 0, that is when A is Cohen-Macaulay; then
       d_k = k*e is proven and the profile is reported as (e, 2e, 3e). When
-      the saturation hands back I's own reduced basis, H = 0 is seen
-      without a second colength;
+      the saturation hands back I's own reduced basis (its first quotient
+      reduces to zero by that basis), H = 0 is seen without a second
+      colength;
     * otherwise d_k is computed until an increment equals e, and the profile
       ends with that d_k.
     """
@@ -347,12 +356,12 @@ def samuel_multiplicity(I: Ideal, t: str) -> SamuelResult:
         return _local_dim(ctx, base + [tvar ** k], config,
                           f"multiplicity profile step k={k}")
 
-    profile = [d(1)]
+    profile = [_local_dim_at_zero(ctx, base, t, config, "multiplicity profile step k=1")]
     with _stage("multiplicity saturation"):
         sat = I.saturation(tvar)
     # I saturated already (H = 0): e is the colength d_1 just computed
-    e = profile[0] if sat.gens == base else _local_dim(
-        ctx, sat.gens + [tvar], config, "multiplicity of the saturated quotient")
+    e = profile[0] if sat.gens == base else _local_dim_at_zero(
+        ctx, sat.gens, t, config, "multiplicity of the saturated quotient")
     if profile[0] == e:
         return SamuelResult(e, (e, 2 * e, 3 * e))
     while len(profile) < 2 or profile[-1] - profile[-2] > e:
@@ -408,8 +417,13 @@ class SliceResult(NamedTuple):
 def _off_slice_count(G: ImageEquation, value: Fraction):
     """Total Milnor number of g_{s:=value}'s critical points off its zero set,
     over the whole affine target space: the global dimension of the
-    coordinate ring modulo the Jacobian ideal saturated by the slice."""
+    coordinate ring modulo the Jacobian ideal saturated by the slice.
+
+    The slice is taken with its denominators cleared (`_intify`, a positive
+    multiple, which changes neither ideal), so its partials and the
+    saturation's inputs carry no Fraction arithmetic."""
     gsl = _dg(G)[0].specialize({G.spec.parameter: value})
+    gsl = Polynomial._raw(gsl.ctx, _intify(gsl.terms))
     jac = [p for p in (gsl.partial(n) for n in gsl.ctx.names) if not p.is_zero()]
     if not jac:
         return INFINITE
@@ -509,8 +523,8 @@ def ae_codimension(G: ImageEquation) -> int:
     Only meaningful when the user asserts the unfolding is stable."""
     if not G.spec.is_stable_unfolding:
         raise GermInputError("ae codimension needs is_stable_unfolding asserted")
-    s = Polynomial.variable(G.ctx, G.spec.parameter)
-    return _local_dim(G.ctx, _br_ideal(G).basis() + [s], G.config, "ae codimension")
+    return _local_dim_at_zero(G.ctx, _br_ideal(G).basis(), G.spec.parameter, G.config,
+                              "ae codimension")
 
 
 # -- logarithmic characteristic ideal ----------------------------------------
@@ -744,12 +758,13 @@ def full_report(G: ImageEquation, with_lc: bool = True,
     the limits it was built with, and cross-check; disagreements become
     warnings, never silent preferences. `s0` pins the slice sample point.
 
-    The slice oracle and the Bruce-Roberts basis, which share nothing with
-    the FT route, run in one forked worker (`_worker`) while this process
-    computes the image Milnor number; the worker sends the basis back as
-    exponent -> coefficient dicts, and it fills `G`'s cache, where every
-    later count reads it. Errors come out in the order of a sequential run: the Milnor
-    number's, then the oracle's, then the Bruce-Roberts basis's.
+    The slice oracle, the Bruce-Roberts basis and its colength, which
+    share nothing with the FT route, run in one forked worker (`_worker`)
+    while this process computes the image Milnor number; the worker sends
+    the basis back as exponent -> coefficient dicts with the colength, and
+    both fill `G`'s cache, where every later count reads them. Errors come
+    out in the order of a sequential run: the Milnor number's, then the
+    oracle's, then the Bruce-Roberts basis's, then its colength's.
     """
     spec = G.spec
     warnings: List[str] = []
@@ -757,13 +772,15 @@ def full_report(G: ImageEquation, with_lc: bool = True,
 
     _dg(G)    # before the fork, so that both processes share it
     with _worker(lambda: (slice_milnor_total(G, s0=s0),
-                          [p.terms for p in _br_ideal(G).basis()])) as join:
+                          [p.terms for p in _br_ideal(G).basis()],
+                          bruce_roberts_number(G))) as join:
         mu = image_milnor_number(G)
-        oracle, br_terms = join()
+        oracle, br_terms, mu_br = join()
 
     # reduced bases are unique: the one G would find
     G._cache.setdefault("br", Ideal._reduced(
         G.ctx, [Polynomial._raw(G.ctx, t) for t in br_terms], G.config))
+    G._cache.setdefault("mu_br", mu_br)
 
     codim = mu.profile[0]
     stability = "stable" if mu.multiplicity == 0 else "unstable"
@@ -782,7 +799,6 @@ def full_report(G: ImageEquation, with_lc: bool = True,
             f"independent slice count {oracle.total} (at s0={oracle.s0}) does not "
             f"match the multiplicity route {mu.multiplicity}")
 
-    mu_br = bruce_roberts_number(G)
     ae = ae_codimension(G) if spec.is_stable_unfolding else None
     # Mond's conjecture, Ae-codim <= mu_I, is a theorem for source dimension
     # n <= 2 (Mond for curves, de Jong and van Straten for surfaces), so there

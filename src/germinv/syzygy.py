@@ -32,13 +32,22 @@ of it would cost the pairs of two syzygies, most of which reduce to zero
   it (0, a), lies in the span of Z.
 - Z is no basis, so no Z element may be dropped for a lead that another Z
   lead divides; the engine's minimalize step keeps each of them.
+- The argument holds as well when every reduction stops at its first
+  irreducible term (the engine's `top`): a top-reduction still subtracts
+  multiples of G and Z with leads at most the lcm, a standard
+  representation, and its result is 0, a new G element led in slot 0 or,
+  when slot 0 has cancelled, a harvested syzygy; only tails stay
+  unreduced. `ideal_quotient` harvests so, since its caller reduces the
+  quotient's basis; `syzygy_basis` reduces fully, its syzygies being its
+  output.
 
 Nothing above counts the tracking slots or asks that every input have one,
 so the argument holds as well when only some inputs are tracked. With the
 rows (f, 1) and (p_i, 0), the module they generate meets slot 0 = 0 in the
 vectors (0, a) with a*f in (p_1..p_k), and the harvest generates that ideal
 quotient (`ideal_quotient`) at the price of one tracking slot instead of k;
-it is the one colon routine, which `Ideal.saturation` iterates to a repeat.
+it is the one colon routine, which `Ideal.saturation` iterates until a
+quotient adds nothing.
 
 Vector fields live here too: a field is its coefficient tuple against the
 coordinate partials, slot i multiplying the partial by `ctx.names[i]`, and
@@ -82,13 +91,13 @@ def _encode(vec: Sequence[Polynomial], rank: int) -> Dict[Exponent, Fraction]:
 
 
 def _harvest(ctx: VariableContext, rows: Sequence[Sequence[Polynomial]],
-             config: ComputeConfig) -> List[Vector]:
+             config: ComputeConfig, top: bool = False) -> List[Vector]:
     """Tracking slots of the syzygies harvested from `rows`, each row an
-    input in slot 0 followed by its tracking slots."""
+    input in slot 0 followed by its tracking slots; `top` top-reduces."""
     n, rank = len(ctx), len(rows[0])
     eng = _engine(ctx, rank, config)
     elements: List[Vector] = []
-    for elt in eng.basis([_encode(r, rank) for r in rows], harvest=True):
+    for elt in eng.basis([_encode(r, rank) for r in rows], harvest=True, top=top):
         # the first slot dominates the order, so an element has a term there
         # exactly when its lead is there
         if eng.exponent(elt.lm)[n] == 0:
@@ -132,7 +141,8 @@ def ideal_quotient(gens: Sequence[Polynomial], f: Polynomial,
     One harvest that tracks f alone: the rows (f, 1) and (p, 0) for each
     nonzero generator p. A syzygy (0, a) of them is a*f + sum b_p p = 0, so
     the harvested slots generate exactly the quotient (Greuel and Pfister,
-    A Singular Introduction to Commutative Algebra, 1.8.8). Zero generators
+    A Singular Introduction to Commutative Algebra, 1.8.8). The harvest
+    only top-reduces, which leaves the reduced basis alone. Zero generators
     are skipped; f = 0 gives the unit ideal.
     """
     ctx = f.ctx
@@ -142,7 +152,7 @@ def ideal_quotient(gens: Sequence[Polynomial], f: Polynomial,
             raise GermInputError("ideal quotient inputs over mixed contexts")
     one, zero = Polynomial.constant(ctx, 1), Polynomial.zero(ctx)
     rows = [[f, one]] + [[p, zero] for p in gens]
-    return Ideal(ctx, [v[0] for v in _harvest(ctx, rows, config)], config)
+    return Ideal(ctx, [v[0] for v in _harvest(ctx, rows, config, top=True)], config)
 
 
 def kernel_fields(g: Polynomial, config: ComputeConfig = DEFAULT_CONFIG) -> List[Vector]:

@@ -231,8 +231,12 @@ def test_elimination_keeps_its_reduced_basis(monkeypatch):
     monkeypatch.setattr(gb._Engine, "basis",
                         lambda self, *a, **k: runs.append(1) or real(self, *a, **k))
     kept = [h.basis() for h in handles]
+    # the lead exponents come with the basis, under degrevlex, also after
+    # an elimination, whose order is degrevlex on the kept variables
+    leads = [h.leading_monomials() for h in handles]
     assert runs == []
-    for h, basis in zip(handles, kept):
+    for h, basis, lead in zip(handles, kept, leads):
+        assert lead == [max(p.terms, key=degrevlex) for p in basis]
         assert Ideal(h.ctx, h.gens).basis() == basis
     assert len(runs) == len(handles)
 

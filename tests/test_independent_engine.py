@@ -19,11 +19,19 @@ variable t first: I : f is the intersection of I and (f), which is
 t*I + (1 - t)*(f) with t eliminated, divided by f; I : f^infinity is
 I + (1 - t*f) with t eliminated (Rabinowitsch's trick).
 
+The saturation's two ways to stop are both held to it: seeded
+zero-dimensional ideals of eight rational points, saturated by a
+polynomial that vanishes at none of them (1 in K + (f) ends the chain at
+once) and by one that vanishes at exactly one (a quotient must be
+harvested, and the point goes).
+
 `Ideal.quotient_dimension` is held to the number of standard monomials of
 sympy's grevlex basis, found by a walk up from 1 rather than by a staircase
 box, and `local_colength` to the same number on ideals that hold a pure
 power of every variable: their zero set is at most the origin, so the
-colength there is the global one.
+colength there is the global one. A colength of I + (z) is held to the
+colength of I with z = 0, and the slice oracle's integer slice to the
+monic slice of g and to sympy's count of its saturated Jacobian ideal.
 """
 
 import random
@@ -34,7 +42,9 @@ from pathlib import Path
 import pytest
 import sympy
 
-from germinv import INFINITE, Ideal, Polynomial, VariableContext, ft_ideal, local_colength
+from germinv import (INFINITE, Ideal, Polynomial, VariableContext, ft_ideal, image_equation,
+                     local_colength, slice_milnor_total)
+from germinv import syzygy
 from germinv.germfile import parse_germ_file
 from germinv.invariants import _br_ideal
 from germinv.syzygy import ideal_quotient
@@ -189,6 +199,38 @@ def test_report_saturations_match_sympy(name, request):
         same_basis(Ideal(g.ctx, jac).saturation(g), sympy_saturation(jac, g))
 
 
+def eight_points(rng):
+    """Generators of the ideal of the points {0, a} x {0, b} x {0, c}, a, b
+    and c seeded nonzero rationals, mixed by a seeded unimodular change,
+    and the point (a, b, c)."""
+    a, b, c = (Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3))
+               for _ in range(3))
+    x, y, z = (Polynomial.variable(C3, n) for n in C3.names)
+    g = [x * (x - a), y * (y - b), z * (z - c)]
+    mixed = [g[0] + rand_poly(rng, C3, 2, 1) * g[1], g[1] + rand_poly(rng, C3, 2, 1) * g[2], g[2]]
+    return mixed, (a, b, c)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_zero_dimensional_saturations_match_sympy(seed, monkeypatch):
+    rng = random.Random(5100 + seed)
+    gens, point = eight_points(rng)
+    x, y, z = (Polynomial.variable(C3, n) for n in C3.names)
+    scale = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+    nowhere = scale * (x * x + y * y + z * z + 1)
+    once = scale * sum(((v - p) ** 2 for v, p in zip((x, y, z), point)), Polynomial.zero(C3))
+    calls = []
+    real = syzygy.ideal_quotient
+    monkeypatch.setattr(syzygy, "ideal_quotient",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    for f, count, harvests in ((nowhere, 8, 0), (once, 7, 1)):
+        calls.clear()
+        sat = Ideal(C3, gens).saturation(f)
+        assert len(calls) == harvests
+        assert sat.quotient_dimension() == count
+        same_basis(sat, sympy_saturation(gens, f))
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_seeded_eliminations_match_sympy(seed):
     rng = random.Random(6000 + seed)
@@ -221,10 +263,11 @@ def test_graph_eliminations_match_sympy(name):
 def sympy_standard_monomials(ctx: VariableContext, gens):
     """How many monomials no lead of sympy's grevlex basis divides, walking
     up from 1; INFINITE when that basis is neither zero-dimensional nor the
-    unit ideal's [1], which sympy does not count as zero-dimensional."""
+    unit ideal's [1], which sympy does not count as zero-dimensional. The
+    generators are Polynomials or sympy expressions."""
     syms = sympy.symbols(ctx.names)
-    theirs = sympy.groebner([as_sympy(g).as_expr() for g in gens], *syms,
-                            order="grevlex", domain="QQ")
+    theirs = sympy.groebner([g if isinstance(g, sympy.Expr) else as_sympy(g).as_expr()
+                             for g in gens], *syms, order="grevlex", domain="QQ")
     if not theirs.is_zero_dimensional and theirs.exprs != [1]:
         return INFINITE
     leads = [p.monoms(order="grevlex")[0] for p in theirs.polys]
@@ -269,3 +312,37 @@ def test_local_colength_matches_the_global_one(seed):
     gens += [rand_poly(rng, C3, 3, 2) for _ in range(rng.randint(1, 3))]
     count = sympy_standard_monomials(C3, gens)
     assert local_colength(C3, gens) == Ideal(C3, gens).quotient_dimension() == count
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_colength_with_a_variable_is_the_count_at_zero(seed):
+    # the germs modulo I + (z) are the germs in x, y modulo I with z = 0;
+    # there that ideal holds pure powers of x and y, so sympy's global count
+    # is the local one. An ideal inside (z) is INFINITE both ways.
+    rng = random.Random(8100 + seed)
+    x, y, z = (Polynomial.variable(C3, n) for n in C3.names)
+    gens = [x ** rng.randint(1, 4) + z * rand_poly(rng, C3, 2, 2),
+            y ** rng.randint(1, 4) + z * rand_poly(rng, C3, 2, 2)]
+    gens += [rand_poly(rng, C3, 3, 2) for _ in range(rng.randint(0, 2))]
+    xy = C3.drop(["z"])
+    at_zero = [g.specialize({"z": 0}) for g in gens]
+    count = sympy_standard_monomials(xy, at_zero)
+    assert local_colength(C3, gens + [z]) == local_colength(xy, at_zero) == count
+    inside = [z * rand_poly(rng, C3, 3, 2) for _ in range(2)]
+    assert local_colength(C3, inside + [z]) is INFINITE
+    assert local_colength(xy, [g.specialize({"z": 0}) for g in inside]) is INFINITE
+
+
+@pytest.mark.parametrize("name", ["s1"] + [n for n in FAMILY if n.endswith("skew")])
+def test_integer_slice_counts_as_the_monic_one(name):
+    # the oracle clears the denominators of g_s0; the monic g_s0, with its
+    # Fraction coefficients, and sympy's saturation must count the same
+    gf = parse_germ_file(FAMILY[name]) if name in FAMILY else load(name)
+    G = image_equation(gf.spec, gf.config())
+    s0 = Fraction(25, 49)
+    g = G.g.specialize({G.spec.parameter: s0})
+    assert any(c.denominator != 1 for c in g.terms.values())
+    jac = [p for p in (g.partial(n) for n in g.ctx.names) if not p.is_zero()]
+    monic = Ideal(g.ctx, jac).saturation(g).quotient_dimension()
+    theirs = sympy_standard_monomials(g.ctx, sympy_saturation(jac, g))
+    assert slice_milnor_total(G, s0=s0).raw == monic == theirs

@@ -220,6 +220,7 @@ def test_stable_unfolding_gate(s1_image):
 
 YS = VariableContext.make(source=("y",), parameter=("s",))
 XT = VariableContext.make(source=("x",), parameter=("t",))
+XYT = VariableContext.make(source=("x", "y"), parameter=("t",))
 
 
 def local_ideal(ctx, *texts, config=DEFAULT_CONFIG):
@@ -251,13 +252,15 @@ def test_multiplicity_budget_is_a_resource_limit():
 
 def test_resource_limit_names_its_stage_limit_and_value():
     # the message is the one the command line prints; a colength's stage
-    # prefix keeps the attributes of the engine error under it. One step
-    # cannot interreduce the inputs of the first colength; s1's report
+    # prefix keeps the attributes of the engine error under it. The basis
+    # of I needs no step (coprime leads, no term divisible by the other
+    # lead), but one step cannot interreduce the inputs of the first
+    # colength, which counts (x^2 + y^4, x^3 + x^2) at t = 0; s1's report
     # interreduces its first inputs within three steps but needs more
     # than three pairs for their basis.
     cfg = ComputeConfig(max_pairs=1)
     with pytest.raises(ResourceLimitError) as info:
-        samuel_multiplicity(local_ideal(XT, "x^3 - t^2 + x^2*t", config=cfg), "t")
+        samuel_multiplicity(local_ideal(XYT, "x^2 + y^4", "x^3 + x^2 + t*x", config=cfg), "t")
     exc = info.value
     assert str(exc) == ("multiplicity profile step k=1: "
                         "ideal reduction exceeded the pair budget (max_pairs=1 steps)")

@@ -47,7 +47,7 @@ def module(gens, ctx, rank):
     of them, computed once."""
     eng = _engine(ctx, rank, DEFAULT_CONFIG)
     basis = [eng.decoded(e) for e in eng.basis([_encode(v, rank) for v in gens])]
-    return lambda vec: eng.reduce(_encode(vec, rank), basis)
+    return lambda vec: eng.reduce([_encode(vec, rank)], basis)
 
 
 # -- exactness ------------------------------------------------------------------

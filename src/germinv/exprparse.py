@@ -9,19 +9,21 @@ tighter than '+'/'-'; '/' only forms rational literals):
     power  := atom ('^' INT)?
     atom   := INT ('/' INT)? | NAME | '(' expr ')'
 
-Errors carry 1-based line/column positions.
+Errors carry 1-based line/column positions; parentheses nested deeper than
+the stack allows are one too ("parentheses nested too deeply").
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List
 
 from .errors import ParseError
 from .poly import Polynomial, VariableContext
 
-_OPS = set("+-*^()/")
-_DIGITS = set("0123456789")   # not str.isdigit, which accepts '²' that int() refuses
+_OPS = "+-*^()/"
+_LEXEME = re.compile(r"\n|[ \t\r]+|[0-9]+|\w+|.")
 
 
 class _Token:
@@ -35,43 +37,22 @@ class _Token:
 
 
 def _tokenize(text: str) -> List[_Token]:
+    """The lexemes of `text`, each a token by its first character, then 'end'."""
     toks: List[_Token] = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        start_col = col
-        if ch in _DIGITS:
-            j = i
-            while j < len(text) and text[j] in _DIGITS:
-                j += 1
-            toks.append(_Token("int", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Token("name", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _OPS:
-            toks.append(_Token(ch, ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, start_col)
+    line, line_start = 1, 0
+    for m in _LEXEME.finditer(text):
+        lexeme, col = m.group(), m.start() - line_start + 1
+        ch = lexeme[0]
+        if "0" <= ch <= "9":   # not str.isdigit, which accepts '²' that int() refuses
+            toks.append(_Token("int", lexeme, line, col))
+        elif ch.isalpha() or ch == "_":
+            toks.append(_Token("name", lexeme, line, col))
+        elif ch in _OPS:
+            toks.append(_Token(ch, ch, line, col))
+        elif ch == "\n":
+            line, line_start = line + 1, m.end()
+        elif ch not in " \t\r":
+            raise ParseError(f"unexpected character {ch!r}", line, col)
     end_line, end_col = (toks[-1].line, toks[-1].col + len(toks[-1].text)) if toks else (1, 1)
     toks.append(_Token("end", "", end_line, end_col))
     return toks
@@ -129,28 +110,25 @@ class _Parser:
     def power(self) -> Polynomial:
         p = self.atom()
         if self.peek().kind == "^":
-            caret = self.take()
-            t = self.peek()
+            caret, t = self.take(), self.take()
             if t.kind != "int":
                 self.fail("expected integer exponent after '^'", t if t.kind != "end" else caret)
-            self.take()
             p = p ** int(t.text)
         return p
 
     def atom(self) -> Polynomial:
         t = self.take()
         if t.kind == "int":
-            num = int(t.text)
+            num, den = int(t.text), 1
             if self.peek().kind == "/":
                 self.take()
-                d = self.peek()
+                d = self.take()
                 if d.kind != "int":
-                    self.fail("expected integer denominator after '/'")
-                self.take()
-                if int(d.text) == 0:
+                    self.fail("expected integer denominator after '/'", d)
+                den = int(d.text)
+                if not den:
                     self.fail("zero denominator", d)
-                return Polynomial.constant(self.ctx, Fraction(num, int(d.text)))
-            return Polynomial.constant(self.ctx, num)
+            return Polynomial.constant(self.ctx, Fraction(num, den))
         if t.kind == "name":
             if t.text not in self.ctx.names:
                 self.fail(f"unknown variable {t.text!r}", t)
@@ -168,4 +146,9 @@ class _Parser:
 
 def parse_polynomial(text: str, ctx: VariableContext) -> Polynomial:
     """Parse `text` into a Polynomial over `ctx`; raises ParseError on bad input."""
-    return _Parser(_tokenize(text), ctx).parse()
+    parser = _Parser(_tokenize(text), ctx)
+    try:
+        return parser.parse()
+    except RecursionError:
+        tok = parser.toks[min(parser.pos, len(parser.toks) - 1)]
+        raise ParseError("parentheses nested too deeply", tok.line, tok.col) from None

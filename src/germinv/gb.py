@@ -216,13 +216,8 @@ class _Engine:
         self.nvars = nvars
         self.rank = rank
         self.stage = "module" if rank else "ideal"
-        self._fit(max(cfg.max_degree, 0))
-
-    def _fit(self, bound: int) -> None:
-        """Lay out the fields for element terms of ring degree up to `bound`."""
-        self.bound = bound
-        self.dmask, self._shifts, self.guard, self._step, self._zero = \
-            _layout(self.key, self.nvars, self.rank, bound)
+        self.bound = None
+        self._admit(())
 
     def pack(self, e: Exponent) -> int:
         z = self._zero[e[self.nvars]] if self.rank else self._zero[0]
@@ -245,7 +240,9 @@ class _Engine:
         or the inputs' degree where that is larger."""
         bound = max(self.cfg.max_degree, 0, *(sum(e[:self.nvars]) for p in polys for e in p))
         if bound != self.bound:
-            self._fit(bound)
+            self.bound = bound
+            self.dmask, self._shifts, self.guard, self._step, self._zero = \
+                _layout(self.key, self.nvars, self.rank, bound)
 
     def _over_bound(self, step: str) -> ResourceLimitError:
         """The error for a term above the run's degree bound at `step`."""
@@ -372,15 +369,11 @@ class _Engine:
         plus a generating set, not a basis, of the syzygies (see `syzygy`).
         With `top` each s-polynomial is only top-reduced, so new elements
         keep their tails.
+        An ideal's inputs are interreduced first, and one divisor memo
+        serves every reduction of the run.
         """
         gens = [_intify(g) for g in gens if g]
         self._admit(gens)
-        return self._basis(gens, lead_stop, harvest, top)
-
-    def _basis(self, gens: Sequence[Dict[Exponent, int]], lead_stop,
-               harvest: bool, top: bool) -> Optional[List[_Elt]]:
-        """The pair loop of `basis` on primitive inputs, the ideal's
-        interreduced first; one divisor memo serves every reduction."""
         cfg, n, dmask, guard = self.cfg, self.nvars, self.dmask, self.guard
         pack = self.pack
         elts = [self.elt({pack(e): c for e, c in g.items()}) for g in gens]

@@ -37,11 +37,12 @@ the parsed object exactly; that round trip is a test invariant.
 
 from __future__ import annotations
 
+import re
 from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .config import ComputeConfig, DEFAULT_CONFIG
 from .errors import GermInputError, ParseError
-from .exprparse import _DIGITS, parse_polynomial
+from .exprparse import parse_polynomial
 from .invariants import MapGermSpec
 from .poly import Polynomial, VariableContext
 
@@ -51,24 +52,21 @@ _CONFIG = {"seed": "seed", "retries": "s0_retries",
 _DECLARATIONS = ("source", "target", "parameter")
 
 Statement = Tuple[int, int, str, str]   # (line, indent, keyword, rest)
+_STATEMENT = re.compile(r"(\s*)(\S+)(.*?)\s*")  # indent, keyword, rest
 
 
 def _statements(lines: Sequence[str]) -> Iterator[Statement]:
     """A statement per line not blank once its `#` comment is cut; `rest`
     keeps its separator, so `keyword + rest` is the line's text."""
     for lineno, raw in enumerate(lines, 1):
-        body = raw.split("#", 1)[0]
-        text = body.strip()
-        if text:
-            keyword = text.split(None, 1)[0]
-            yield lineno, len(body) - len(body.lstrip()), keyword, text[len(keyword):]
+        m = _STATEMENT.fullmatch(raw.split("#", 1)[0])
+        if m:
+            yield lineno, len(m[1]), m[2], m[3]
 
 
 def _integer(text: str, lineno: int, reason: str) -> int:
     """An optional sign, then ASCII digits; `int` alone takes '٣' and '1_0'."""
-    text = text.strip()
-    digits = text[1:] if text[:1] in ("+", "-") else text
-    if not digits or not set(digits) <= _DIGITS:
+    if not re.fullmatch(r"[+-]?[0-9]+", text.strip()):
         raise ParseError(reason, lineno, 1)
     return int(text)
 
@@ -255,10 +253,7 @@ def print_germ_file(gf: GermFile) -> str:
     out = ["source " + " ".join(spec.source), "target " + " ".join(spec.target),
            "parameter " + spec.parameter]
     for branch in spec.branches:
-        out.append("branch")
-        for p in branch:
-            out.append(f"    {p}")
-        out.append("end")
+        out += ["branch", *(f"    {p}" for p in branch), "end"]
     if spec.is_stabilisation:
         out.append("stabilisation")
     if spec.is_stable_unfolding:

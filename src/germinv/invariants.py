@@ -432,8 +432,7 @@ def _off_slice_count(G: ImageEquation, value: Fraction):
     return sat.quotient_dimension()
 
 
-def slice_milnor_total(G: ImageEquation, s0: Optional[Fraction] = None,
-                       seed: Optional[int] = None) -> SliceResult:
+def slice_milnor_total(G: ImageEquation, s0: Optional[Fraction] = None) -> SliceResult:
     """Total Milnor number of the critical points a nearby slice gains.
 
     Fixing the parameter at a small nonzero rational turns g into an
@@ -462,7 +461,7 @@ def slice_milnor_total(G: ImageEquation, s0: Optional[Fraction] = None,
     below the baseline) and outvoted ones are reported in `rejected`.
     """
     cfg = G.config
-    rng = random.Random(cfg.seed if seed is None else seed)
+    rng = random.Random(cfg.seed)
 
     if "slice_base" not in G._cache:
         G._cache["slice_base"] = _off_slice_count(G, Fraction(0))

@@ -152,8 +152,8 @@ def test_route_disagreement_exits_3(capsys, tmp_corpus, monkeypatch):
     import germinv.invariants as inv
     real = inv.slice_milnor_total
 
-    def lying_oracle(G, s0=None, seed=None):
-        r = real(G, s0=s0, seed=seed)
+    def lying_oracle(G, s0=None):
+        r = real(G, s0=s0)
         return inv.SliceResult(r.total + 41, r.s0, r.raw, r.baseline, r.rejected)
 
     monkeypatch.setattr(inv, "slice_milnor_total", lying_oracle)
@@ -231,6 +231,15 @@ def test_human_table_has_the_machine_rows(capsys, argv):
     table = [(line[:width].rstrip(), line[width + 2:]) for line in human.splitlines()]
     assert table == [(label, value) for label, (_, value) in zip(labels, rows)]
     assert len(set(labels)) == len(labels)
+
+
+def test_deeply_nested_milnor_argument_exits_1(capsys):
+    deep = "(" * 300 + "x^2 + y^2" + ")" * 300
+    code, out, err = run(capsys, "milnor", deep, "--vars", "x,y")
+    assert code == 1 and out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error: line 1, column ")
+    assert line.endswith(": parentheses nested too deeply")
 
 
 def test_milnor_human_table_has_the_machine_row(capsys):
@@ -470,6 +479,20 @@ def test_stale_cache_is_recomputed(capsys, tmp_path, tmp_corpus):
     code, out, _ = run(capsys, "ft", path, "--format", "machine")
     assert code == 0 and machine_dict(out)["ft_codim"] == "1"
     assert sidecar.read_text() == good    # rewritten with the right key
+
+
+def test_deeply_nested_sidecar_factor_is_recomputed(capsys, tmp_path, tmp_corpus):
+    # a factor too deep to parse makes the sidecar stale, not the run fail
+    path = tmp_corpus("s1")
+    sidecar = tmp_path / "s1.germ.gcache"
+    run(capsys, "ft", path, "--format", "machine")
+    good = sidecar.read_text()
+    magic, key, factor = good.splitlines()
+    factor = factor[len("factor="):]
+    sidecar.write_text(f"{magic}\n{key}\nfactor={'(' * 300}{factor}{')' * 300}\n")
+    code, out, _ = run(capsys, "ft", path, "--format", "machine")
+    assert code == 0 and machine_dict(out)["ft_codim"] == "1"
+    assert sidecar.read_text() == good    # rewritten
 
 
 def test_undecodable_sidecar_is_recomputed(capsys, tmp_path, tmp_corpus):

@@ -376,8 +376,8 @@ def test_packing_fits_inputs_beyond_max_degree(monkeypatch):
     exc = info.value
     assert (exc.stage, exc.limit, exc.value) == ("ideal basis", "max_degree", 6)
     runs = []
-    real = gb._Engine._basis
-    monkeypatch.setattr(gb._Engine, "_basis",
+    real = gb._Engine.basis
+    monkeypatch.setattr(gb._Engine, "basis",
                         lambda self, *a, **k: runs.append(1) or real(self, *a, **k))
     elim = Ideal(ctx, gens, config=ComputeConfig(max_degree=120)).elimination(["t"])
     assert [str(b) for b in elim.basis()] == ["x^6*y + 2*x^4*y"]

@@ -1,7 +1,10 @@
+import string
+
 import pytest
+from hypothesis import given, strategies as st
 
 from germinv import ParseError, VariableContext
-from germinv.exprparse import parse_polynomial
+from germinv.exprparse import _tokenize, parse_polynomial
 from germinv.germfile import parse_germ_file, print_germ_file
 
 from conftest import CORPUS
@@ -102,6 +105,55 @@ def test_expression_error_paths(text, reason, line, column):
         parse_polynomial(text, ctx)
     assert (err.value.reason, err.value.line, err.value.column) == (reason, line, column)
     assert str(err.value) == f"line {line}, column {column}: {reason}"
+
+
+def test_deep_nesting_is_a_parse_error():
+    # the column is where the stack ran out, which depends on the caller's
+    # depth, so only the line and the reason are fixed
+    def nested(depth):
+        return MINIMAL.replace("x*y", "(" * depth + "x*y" + ")" * depth)
+
+    with pytest.raises(ParseError) as err:
+        parse_germ_file(nested(300))
+    assert (err.value.reason, err.value.line) == ("parentheses nested too deeply", 7)
+    assert parse_germ_file(nested(150)) == parse_germ_file(MINIMAL)
+
+
+# multi-line text with every token kind, blanks, and non-ASCII letters,
+# digits and symbols (a superscript, an Arabic-Indic digit, a fraction, a
+# Roman numeral, a non-BMP letter, NBSP and a vertical tab)
+TOKEN_TEXT = st.text(string.ascii_letters + string.digits + "+-*^()/_ \t\r\n"
+                     "\u00b2\u0663\u00bd\u00e9\u00b7\u2167\u00df\U0001d501\u00a0\x0b",
+                     max_size=40)
+
+
+def _offset(text, line, col):
+    """The index of the 1-based (line, col) in `text`; only '\\n' ends a line."""
+    return sum(len(s) + 1 for s in text.split("\n")[:line - 1]) + col - 1
+
+
+@given(TOKEN_TEXT)
+def test_tokens_reassemble_their_text_at_their_positions(text):
+    try:
+        toks = _tokenize(text)
+    except ParseError as e:
+        # the error points at a character no token starts with, and all
+        # before it tokenizes
+        at = _offset(text, e.line, e.column)
+        ch = text[at]
+        assert e.reason == f"unexpected character {ch!r}"
+        assert ch not in string.digits + "+-*^()/ \t\r\n"
+        assert not (ch.isalpha() or ch == "_")
+        _tokenize(text[:at])
+        return
+    end = 0
+    for tok in toks[:-1]:
+        at = _offset(text, tok.line, tok.col)
+        assert text[at:at + len(tok.text)] == tok.text
+        assert text[end:at].strip(" \t\r\n") == ""   # only skipped blanks between
+        end = at + len(tok.text)
+    assert text[end:].strip(" \t\r\n") == ""
+    assert toks[-1].kind == "end" and _offset(text, toks[-1].line, toks[-1].col) == end
 
 
 def test_unknown_variable_in_branch():

@@ -8,10 +8,10 @@ an aligned table of labels). Exit codes: 0 success, 1 bad input, 2 resource limi
 exceeded, 3 the routes that must agree did not.
 
 Every command starts from the image equation. Its branch factors are
-written to a sidecar `<file>.gcache` keyed by a content hash of the
-declarations and branch block; a later run still eliminates every branch and
-must find the same factors, or it stops with exit code 1. The sidecar never
-stores invariants — those are recomputed every time, disagreements included.
+written to a sidecar `<file>.gcache` keyed by the text of the declarations
+and branch block; a later run still eliminates every branch and must find
+the same factors, or it stops with exit code 1. The sidecar never stores
+invariants — those are recomputed every time, disagreements included.
 Asserted weights are checked on the image equation (`euler_degree`) before
 any command does other work, so weights that do not make it weighted
 homogeneous exit 1 at once.
@@ -125,7 +125,8 @@ def _resolve_config(gf: Optional[GermFile], args) -> ComputeConfig:
 # -- image-equation cache -----------------------------------------------------
 
 def _content_key(gf: GermFile) -> str:
-    import hashlib    # sidecar only: it loads OpenSSL, about 5 ms and 3 MB a process
+    """The declarations and branches on one line. No name and no printed
+    polynomial holds "; ", so two germs share a key only if they are equal."""
     spec = gf.spec
     parts = ["source " + " ".join(spec.source),
              "target " + " ".join(spec.target),
@@ -134,35 +135,26 @@ def _content_key(gf: GermFile) -> str:
         parts.append("branch")
         parts.extend(str(p) for p in branch)
         parts.append("end")
-    return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
+    return "; ".join(parts)
 
 
-def _cache_load(path: str, key: str, gf: GermFile) -> Optional[List[Polynomial]]:
+def _cache_load(path: str, key: str, gf: GermFile) -> Optional[List[str]]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except (OSError, UnicodeDecodeError):   # unreadable: recompute and rewrite
         return None
-    if len(lines) < 3 or lines[0] != _CACHE_MAGIC or lines[1] != f"key={key}":
+    if (lines[:2] != [_CACHE_MAGIC, f"key={key}"]
+            or len(lines) != 2 + len(gf.spec.branches)
+            or not all(line.startswith("factor=") for line in lines[2:])):
         return None
-    tctx = gf.spec.target_ctx()
-    factors = []
-    for line in lines[2:]:
-        if not line.startswith("factor="):
-            return None
-        try:
-            factors.append(parse_polynomial(line[len("factor="):], tctx))
-        except ParseError:
-            return None
-    if len(factors) != len(gf.spec.branches):
-        return None
-    return factors
+    return [line[len("factor="):] for line in lines[2:]]
 
 
 def _cache_store(path: str, key: str, factors: Sequence[Polynomial]) -> None:
     """Write the sidecar through a temp file and a rename, so that a
     concurrent run reads either the old sidecar or the whole new one."""
-    import tempfile   # sidecar only, like hashlib in _content_key
+    import tempfile   # sidecar writes only: a run that reads one never loads it
     body = "\n".join([_CACHE_MAGIC, f"key={key}"]
                      + [f"factor={p}" for p in factors]) + "\n"
     tmp = None
@@ -189,7 +181,10 @@ def _load_image(gf: GermFile, germ_path: str, cfg: ComputeConfig,
     cache_path = germ_path + ".gcache"
     cached = _cache_load(cache_path, key, gf)
     if cached is not None:
-        return image_equation(gf.spec, cfg, cached_factors=cached)
+        try:
+            return image_equation(gf.spec, cfg, cached_factors=cached)
+        except ParseError:      # a factor line that does not parse: stale
+            pass
     G = image_equation(gf.spec, cfg)
     _cache_store(cache_path, key, G.factors)
     return G

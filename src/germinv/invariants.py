@@ -42,6 +42,7 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .config import ComputeConfig, DEFAULT_CONFIG
 from .errors import GermInputError, ResourceLimitError
+from .exprparse import parse_polynomial
 from .gb import EMPTY, INFINITE, Ideal, _intify, local_colength
 from .poly import Polynomial, VariableContext
 from .syzygy import Vector, ideal_quotient, kernel_fields, parameter_part
@@ -167,7 +168,7 @@ def _branch_image(branch: Sequence[Polynomial], spec: MapGermSpec,
 
 
 def image_equation(spec: MapGermSpec, config: ComputeConfig = DEFAULT_CONFIG,
-                   cached_factors: Optional[Sequence[Polynomial]] = None
+                   cached_factors: Optional[Sequence[str]] = None
                    ) -> ImageEquation:
     """Equation of the image of the unfolding in target-parameter space.
 
@@ -177,10 +178,11 @@ def image_equation(spec: MapGermSpec, config: ComputeConfig = DEFAULT_CONFIG,
     by construction: the graph ideal is prime, so its contraction is prime
     and its monic generator irreducible. Two branches therefore share an
     image component exactly when their factors are equal, and the product
-    would then not be reduced. `cached_factors` (one per branch, read from
-    a `.gcache` sidecar) must equal the eliminated factors. Each factor
-    generates its branch image, which passes through the origin, so g
-    vanishes there and on every branch.
+    would then not be reduced. `cached_factors` (one text per branch, read
+    from a `.gcache` sidecar) must equal the eliminated factors: a text
+    that is not the factor's own print is parsed, and a `ParseError` means
+    a stale sidecar. Each factor generates its branch image, which passes
+    through the origin, so g vanishes there and on every branch.
     """
     factors = []
     for b in spec.branches:
@@ -190,7 +192,9 @@ def image_equation(spec: MapGermSpec, config: ComputeConfig = DEFAULT_CONFIG,
                 "branch image is not a hypersurface (elimination ideal not "
                 "principal); the branch is probably not generically finite")
         factors.append(basis[0])
-    if cached_factors is not None and list(cached_factors) != factors:
+    if cached_factors is not None and factors != [
+            f if str(f) == text else parse_polynomial(text, f.ctx)
+            for f, text in zip(factors, cached_factors)]:
         raise GermInputError(
             "the image factors in the .gcache sidecar differ from the "
             "eliminated ones; delete the sidecar")

@@ -525,21 +525,97 @@ def test_no_cache_leaves_no_sidecar(capsys, tmp_path, tmp_corpus):
     assert not (tmp_path / "crosscap.germ.gcache").exists()
 
 
-def test_a_no_cache_report_loads_no_sidecar_or_record_modules():
+def _modules_loaded_by(argv):
     # each germ is one process, so its imports are paid on every run:
-    # dataclasses pulls in inspect, and hashlib and tempfile serve only the sidecar
-    argv = ["report", "--format", "machine", "--no-cache", "--with-lc", corpus_path("s1")]
+    # dataclasses pulls in inspect, hashlib loads OpenSSL through _hashlib,
+    # and tempfile serves only a sidecar write
     script = ("import sys\n"
               "from germinv.cli import console_main\n"
               f"code = console_main({argv!r})\n"
               "print('loaded=' + ','.join(m for m in ('dataclasses', 'inspect', 'hashlib',"
-              " 'tempfile') if m in sys.modules))\n"
+              " '_hashlib', 'tempfile') if m in sys.modules))\n"
               "raise SystemExit(code)\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "loaded="
+    return proc.stdout.splitlines()[-1]
+
+
+def test_a_no_cache_report_loads_no_sidecar_or_record_modules():
+    argv = ["report", "--format", "machine", "--no-cache", "--with-lc", corpus_path("s1")]
+    assert _modules_loaded_by(argv) == "loaded="
+
+
+def test_a_sidecar_hit_loads_no_digest_temp_file_or_record_modules(capsys, tmp_path,
+                                                                   tmp_corpus):
+    path = tmp_corpus("s1")
+    run(capsys, "image", path, "--format", "machine")
+    sidecar = tmp_path / "s1.germ.gcache"
+    written = sidecar.read_bytes()
+    # a miss would rewrite the sidecar through tempfile
+    assert _modules_loaded_by(["report", "--format", "machine", "--with-lc", path]) \
+        == "loaded="
+    assert sidecar.read_bytes() == written
+
+
+def test_parent_format_sidecar_is_rewritten(capsys, tmp_path, tmp_corpus):
+    # before the key was the text itself it was its SHA-256: this is s1's
+    path = tmp_corpus("s1")
+    _, plain, _ = run(capsys, "report", path, "--no-cache", "--format", "machine")
+    run(capsys, "image", path, "--format", "machine")
+    sidecar = tmp_path / "s1.germ.gcache"
+    good = sidecar.read_text()
+    magic, key, factor = good.splitlines()
+    assert key == ("key=source x y; target y1 y2 y3; parameter s; "
+                   "branch; x; y^2; x^2*y + y^3 + y*s; end")
+    sidecar.write_text(f"{magic}\nkey=86565977fcf83e9a819a525781c86535f5bff971637a"
+                       f"b5efa6589eb54e63a029\n{factor}\n")
+    code, out, _ = run(capsys, "report", path, "--format", "machine")
+    assert code == 0 and out == plain
+    assert sidecar.read_text() == good
+
+
+def test_equal_factor_in_another_print_is_accepted(capsys, tmp_path, tmp_corpus):
+    path = tmp_corpus("s1")
+    _, plain, _ = run(capsys, "report", path, "--no-cache", "--format", "machine")
+    run(capsys, "image", path, "--format", "machine")
+    sidecar = tmp_path / "s1.germ.gcache"
+    magic, key, _ = sidecar.read_text().splitlines()
+    reordered = ("factor=-y3^2 + y2*s^2 + 2*y2^2*s + y2^3 + 2*y1^2*y2*s"
+                 " + 2*y1^2*y2^2 + y1^4*y2")
+    sidecar.write_text(f"{magic}\n{key}\n{reordered}\n")
+    written = sidecar.read_bytes()
+    code, out, _ = run(capsys, "report", path, "--format", "machine")
+    assert code == 0 and out == plain
+    assert sidecar.read_bytes() == written     # a hit: not rewritten
+
+
+def test_a_sidecar_hit_parses_no_factor_line(capsys, monkeypatch, tmp_path, tmp_corpus):
+    import germinv.cli
+    import germinv.exprparse
+    import germinv.germfile
+    import germinv.invariants
+    path = tmp_corpus("s1")
+    run(capsys, "image", path, "--format", "machine")
+    factor = (tmp_path / "s1.germ.gcache").read_text().splitlines()[2][len("factor="):]
+    parsed, cached = [], []
+    parse, image = germinv.exprparse.parse_polynomial, germinv.cli.image_equation
+
+    def recording_parse(text, ctx):
+        parsed.append(text)
+        return parse(text, ctx)
+
+    def recording_image(*args, **kwargs):
+        cached.append(kwargs.get("cached_factors"))
+        return image(*args, **kwargs)
+
+    for module in (germinv.cli, germinv.exprparse, germinv.germfile, germinv.invariants):
+        monkeypatch.setattr(module, "parse_polynomial", recording_parse)
+    monkeypatch.setattr(germinv.cli, "image_equation", recording_image)
+    code, _, _ = run(capsys, "report", path, "--format", "machine")
+    assert code == 0 and cached == [[factor]]
+    assert parsed and factor not in parsed      # the branch lines are parsed
 
 
 def test_cache_store_leaves_only_the_sidecar(capsys, tmp_path, tmp_corpus):

@@ -29,7 +29,7 @@ from .config import ComputeConfig, DEFAULT_CONFIG
 from .errors import GermInputError, ParseError, ResourceLimitError
 from .exprparse import parse_polynomial
 from .gb import EMPTY, INFINITE
-from .germfile import GermFile, load_germ_file, load_limits
+from .germfile import GermFile, declaration_lines, load_germ_file, load_limits
 from .invariants import (
     ImageEquation, ae_codimension, bruce_roberts_number, euler_degree, ft_codim,
     ft_dimension, ft_ideal, full_report, image_equation, image_milnor_number,
@@ -127,15 +127,7 @@ def _resolve_config(gf: Optional[GermFile], args) -> ComputeConfig:
 def _content_key(gf: GermFile) -> str:
     """The declarations and branches on one line. No name and no printed
     polynomial holds "; ", so two germs share a key only if they are equal."""
-    spec = gf.spec
-    parts = ["source " + " ".join(spec.source),
-             "target " + " ".join(spec.target),
-             "parameter " + spec.parameter]
-    for branch in spec.branches:
-        parts.append("branch")
-        parts.extend(str(p) for p in branch)
-        parts.append("end")
-    return "; ".join(parts)
+    return "; ".join(line.strip() for line in declaration_lines(gf.spec))
 
 
 def _cache_load(path: str, key: str, gf: GermFile) -> Optional[List[str]]:
@@ -238,21 +230,8 @@ def _cmd_report(G: ImageEquation, args) -> _Output:
         except (ValueError, ZeroDivisionError):
             raise GermInputError(f"--s0 must be a rational, got {args.s0!r}") from None
     r = full_report(G, with_lc=args.with_lc, s0=s0)
-    rows: List[Tuple[str, object]] = [
-        ("mu_image", r.mu_image),
-        ("mu_image_oracle", r.mu_image_oracle),
-        ("oracle_s0", r.oracle_s0),
-        ("ft_codim", r.ft_codim),
-        ("ft_dim", r.ft_dim),
-        ("mu_br", r.mu_br),
-        ("cm_flag", r.cm_flag),
-        ("stability", r.stability),
-        ("ae_codim", r.ae_codim),
-        ("samuel_profile", r.samuel_profile),
-    ]
-    if args.with_lc:
-        rows.append(("lc_dim", r.lc_dim))
-    rows.append(("route_disagreement", r.route_disagreement))
+    rows = [(key, value) for key, value in zip(r._fields, r)
+            if key != "warnings" and (key != "lc_dim" or args.with_lc)]
     return rows, r.warnings, 3 if r.route_disagreement else 0
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import List
+from typing import List, NamedTuple
 
 from .errors import ParseError
 from .poly import Polynomial, VariableContext
@@ -26,14 +26,11 @@ _OPS = "+-*^()/"
 _LEXEME = re.compile(r"\n|[ \t\r]+|[0-9]+|\w+|.")
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        self.kind = kind      # 'int' | 'name' | one of + - * ^ ( ) / | 'end'
-        self.text = text
-        self.line = line
-        self.col = col
+class _Token(NamedTuple):
+    kind: str      # 'int' | 'name' | one of + - * ^ ( ) / | 'end'
+    text: str
+    line: int
+    col: int
 
 
 def _tokenize(text: str) -> List[_Token]:

@@ -32,7 +32,9 @@ Every `ParseError` names the file line that caused it.
 
 `print_germ_file` emits the canonical form: fixed section order, one
 canonical expression per branch line. Parsing the printed form reproduces
-the parsed object exactly; that round trip is a test invariant.
+the parsed object exactly; that round trip is a test invariant. Its
+declarations and branch blocks come from `declaration_lines`, which also
+gives the text of the image-equation sidecar's key (`cli._content_key`).
 """
 
 from __future__ import annotations
@@ -103,8 +105,8 @@ class GermFile(NamedTuple):
     spec: MapGermSpec
     overrides: Tuple[Tuple[str, int], ...] = ()   # (config field, value)
 
-    def config(self, base: ComputeConfig = DEFAULT_CONFIG) -> ComputeConfig:
-        return base.with_overrides(**dict(self.overrides)) if self.overrides else base
+    def config(self) -> ComputeConfig:
+        return DEFAULT_CONFIG.with_overrides(**dict(self.overrides))
 
 
 def parse_germ_file(text: str) -> GermFile:
@@ -247,13 +249,20 @@ def load_limits(path: str) -> Dict[str, int]:
     return overrides
 
 
-def print_germ_file(gf: GermFile) -> str:
-    """Canonical text for a parsed germ file (fixed section order)."""
-    spec = gf.spec
+def declaration_lines(spec: MapGermSpec) -> List[str]:
+    """The canonical `source`, `target` and `parameter` lines of a spec, then
+    each branch as `branch`, one indented expression a line, and `end`."""
     out = ["source " + " ".join(spec.source), "target " + " ".join(spec.target),
            "parameter " + spec.parameter]
     for branch in spec.branches:
         out += ["branch", *(f"    {p}" for p in branch), "end"]
+    return out
+
+
+def print_germ_file(gf: GermFile) -> str:
+    """Canonical text for a parsed germ file (fixed section order)."""
+    spec = gf.spec
+    out = declaration_lines(spec)
     if spec.is_stabilisation:
         out.append("stabilisation")
     if spec.is_stable_unfolding:

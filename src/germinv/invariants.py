@@ -44,23 +44,22 @@ from .config import ComputeConfig, DEFAULT_CONFIG
 from .errors import GermInputError, ResourceLimitError
 from .exprparse import parse_polynomial
 from .gb import EMPTY, INFINITE, Ideal, _intify, local_colength
-from .poly import Polynomial, VariableContext
+from .poly import Polynomial, Record, VariableContext
 from .syzygy import Vector, ideal_quotient, kernel_fields, parameter_part
 
 # -- input specification -----------------------------------------------------
 
-class MapGermSpec:
+class MapGermSpec(Record):
     """A polynomial map germ with a one-parameter unfolding.
 
     Branches are (n+1)-tuples of polynomials in the source variables and the
     parameter; each branch is a germ at the origin of its own source copy,
     so multigerm inputs must be pre-translated. The flags are user
     assertions about the unfolding that the computations cannot verify; they
-    gate the operations whose meaning depends on them. Asserted weights must
-    name every target and parameter variable, each with a positive integer.
+    gate the operations whose meaning depends on them. Asserted weights name
+    exactly the target and parameter variables, each with a positive `int`.
 
-    Immutable: equal specs compare equal, and assigning a field raises
-    AttributeError.
+    A `Record`, so equal specs compare equal; a spec is not hashable.
     """
 
     __slots__ = ("source", "target", "parameter", "branches",
@@ -71,10 +70,8 @@ class MapGermSpec:
                  branches: Tuple[Tuple[Polynomial, ...], ...],
                  is_stabilisation: bool = False, is_stable_unfolding: bool = False,
                  weights: Optional[Mapping[str, int]] = None):
-        for name, value in zip(self.__slots__, (source, target, parameter, branches,
-                                                is_stabilisation, is_stable_unfolding,
-                                                weights)):
-            object.__setattr__(self, name, value)
+        self._fill(source, target, parameter, branches, is_stabilisation,
+                   is_stable_unfolding, weights)
         if len(self.target) != len(self.source) + 1:
             raise GermInputError("target needs exactly one more variable than source")
         if not self.branches:
@@ -89,32 +86,16 @@ class MapGermSpec:
                 if p.constant_term():
                     raise GermInputError("branch component does not vanish at the origin")
         if self.weights is not None:
-            missing = [n for n in self.target_ctx().names if n not in self.weights]
+            weighted = self.target_ctx().names
+            unknown = [n for n in self.weights if n not in weighted]
+            if unknown:
+                raise GermInputError(f"weight for unknown variable {unknown[0]!r}")
+            missing = [n for n in weighted if n not in self.weights]
             if missing:
                 raise GermInputError(f"weights missing for {missing}")
-            if any(int(v) <= 0 for v in self.weights.values()):
+            # not bool, and not another int subclass, whose print may be a name
+            if any(type(v) is not int or v <= 0 for v in self.weights.values()):
                 raise GermInputError("weights must be positive integers")
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return MapGermSpec, self._values()
-
-    def __eq__(self, other):
-        if other.__class__ is not MapGermSpec:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self) -> str:
-        return "MapGermSpec(" + ", ".join(
-            f"{name}={value!r}" for name, value in zip(self.__slots__, self._values())) + ")"
 
     def source_ctx(self) -> VariableContext:
         return VariableContext.make(source=self.source, parameter=(self.parameter,))
@@ -671,18 +652,20 @@ def euler_ideal_identity(G: ImageEquation) -> bool:
 # -- report ------------------------------------------------------------------
 
 class InvariantReport(NamedTuple):
+    """The report; its fields, in order, are the rows of `germinv report`."""
+
     mu_image: int
     mu_image_oracle: Optional[int]
+    oracle_s0: Optional[Fraction]
     ft_codim: int
+    ft_dim: object                    # 0, 1, or EMPTY
     mu_br: Optional[int]
     cm_flag: bool
     stability: str                    # "stable" | "unstable"
     ae_codim: Optional[int]
     samuel_profile: Tuple[int, ...]
-    ft_dim: object                    # 0, 1, or EMPTY
-    lc_dim: Optional[int]
-    oracle_s0: Optional[Fraction]
-    warnings: Tuple[str, ...]
+    lc_dim: Optional[int]             # a row only under --with-lc
+    warnings: Tuple[str, ...]         # printed after the rows
     route_disagreement: bool = False  # two routes to the same number differed
 
 
@@ -841,15 +824,15 @@ def full_report(G: ImageEquation, with_lc: bool = True,
     return InvariantReport(
         mu_image=mu.multiplicity,
         mu_image_oracle=oracle.total,
+        oracle_s0=oracle.s0,
         ft_codim=codim,
+        ft_dim=fdim,
         mu_br=mu_br,
         cm_flag=cm_flag,
         stability=stability,
         ae_codim=ae,
         samuel_profile=mu.profile,
-        ft_dim=fdim,
         lc_dim=lc_dim,
-        oracle_s0=oracle.s0,
         warnings=tuple(warnings),
         route_disagreement=disagreement,
     )

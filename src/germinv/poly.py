@@ -27,11 +27,45 @@ ROLE_COTANGENT = "cotangent"
 ROLES = (ROLE_SOURCE, ROLE_TARGET, ROLE_PARAMETER, ROLE_COTANGENT)
 
 
-class VariableContext:
+class Record:
+    """An immutable slotted record. `__init__` sets the fields once through
+    `_fill`, in slot order; equality, pickling and the repr go over
+    `__slots__`. Assigning or deleting a field raises AttributeError, and a
+    record equals only a record of its own class."""
+
+    __slots__ = ()
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__name__}(" + ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__slots__, self._values())) + ")"
+
+
+class VariableContext(Record):
     """Ordered, role-tagged variable list shared by a family of polynomials.
 
-    Immutable: equal contexts compare and hash equal, and assigning a field
-    raises AttributeError. Not a tuple, since its length counts variables.
+    A `Record`, so equal contexts compare equal; they hash equal too. Not a
+    tuple, since its length counts variables.
     """
 
     __slots__ = ("names", "roles")
@@ -46,28 +80,10 @@ class VariableContext:
                 raise GermInputError(f"unknown variable role {r!r}")
         if roles.count(ROLE_PARAMETER) > 1:
             raise GermInputError("a context carries at most one parameter variable")
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "roles", roles)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return VariableContext, (self.names, self.roles)
-
-    def __eq__(self, other):
-        if other.__class__ is not VariableContext:
-            return NotImplemented
-        return self.names == other.names and self.roles == other.roles
+        self._fill(names, roles)
 
     def __hash__(self) -> int:
         return hash((self.names, self.roles))
-
-    def __repr__(self) -> str:
-        return f"VariableContext(names={self.names!r}, roles={self.roles!r})"
 
     @staticmethod
     def make(**groups: Iterable[str]) -> "VariableContext":

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from germinv import InvariantReport
 from germinv.cli import _label, console_main
 
 from conftest import corpus_path
@@ -110,6 +111,20 @@ def test_report_machine_keys_and_values(capsys, tmp_corpus):
     assert d["route_disagreement"] == "false"
     assert d["warnings"] == "0"
     assert "lc_dim" not in d          # only present under --with-lc
+
+
+def test_report_rows_are_the_report_record_in_order(capsys, tmp_corpus):
+    # schema v1 fixes the row order; the rows are the record's fields
+    path = tmp_corpus("s1")
+    rows = ["mu_image", "mu_image_oracle", "oracle_s0", "ft_codim", "ft_dim",
+            "mu_br", "cm_flag", "stability", "ae_codim", "samuel_profile"]
+    for extra, lc in (((), []), (("--with-lc",), ["lc_dim"])):
+        code, out, _ = run(capsys, "report", path, *extra, "--format", "machine")
+        keys = [line.split("=", 1)[0] for line in out.splitlines()]
+        assert code == 0
+        assert keys == ["schema", *rows, *lc, "route_disagreement", "warnings"]
+        assert keys[1:-1] == [f for f in InvariantReport._fields
+                              if f != "warnings" and (f != "lc_dim" or lc)]
 
 
 def test_report_with_lc_adds_the_dimension(capsys, tmp_corpus):

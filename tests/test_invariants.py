@@ -348,6 +348,16 @@ def test_equal_contexts_are_equal_and_hash_equal():
     assert a != (a.names, a.roles) and (a.names, a.roles) != a and a != a.names
     assert repr(a) == ("VariableContext(names=('x', 'y', 's'), "
                        "roles=('source', 'source', 'parameter'))")
+    # a spec is the same kind of record, but not hashable
+    spec = load("s1").spec
+    fields = ("source", "target", "parameter", "branches", "is_stabilisation",
+              "is_stable_unfolding", "weights")
+    values = tuple(getattr(spec, name) for name in fields)
+    assert spec == MapGermSpec(*values) and spec != values and values != spec
+    assert repr(spec) == "MapGermSpec(" + ", ".join(
+        f"{name}={value!r}" for name, value in zip(fields, values)) + ")"
+    with pytest.raises(TypeError):
+        hash(spec)
 
 
 def test_record_fields_cannot_be_assigned():
@@ -356,6 +366,8 @@ def test_record_fields_cannot_be_assigned():
                           (ComputeConfig(), "max_pairs")):
         with pytest.raises(AttributeError):
             setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            delattr(record, field)
 
 
 def test_with_overrides_replaces_only_the_named_fields():
@@ -535,10 +547,16 @@ def test_euler_degree_rejects_bad_weights():
                         weights={"y1": 1, "y2": 1, "y3": 1, "s": 1})
     with pytest.raises(GermInputError, match="weighted homogeneous"):
         euler_degree(image_equation(wrong))
-    # incomplete or nonpositive weights are refused with the spec, before
-    # any image equation is computed
+    # weights no germ file can state are refused with the spec, before any
+    # image equation is computed: incomplete, nonpositive, not an int (True
+    # would print as y1=True), or for an unknown name (the printer drops it)
+    good = {"y1": 2, "y2": 2, "y3": 3, "s": 2}
     for weights, match in (({"y1": 1}, r"missing for \['y2', 'y3', 's'\]"),
-                           ({"y1": -1, "y2": 2, "y3": 3, "s": 2}, "positive")):
+                           ({**good, "y1": -1}, "positive"),
+                           ({**good, "y1": 2.5}, "positive integers"),
+                           ({**good, "y1": "2"}, "positive integers"),
+                           ({**good, "y1": True}, "positive integers"),
+                           ({**good, "z": 1}, "unknown variable 'z'")):
         with pytest.raises(GermInputError, match=match):
             MapGermSpec(source=base.source, target=base.target,
                         parameter=base.parameter, branches=base.branches,

@@ -12,10 +12,8 @@ stable/unstable verdict.
 from .config import ComputeConfig, DEFAULT_CONFIG
 from .errors import GermInputError, ParseError, ResourceLimitError
 from .poly import VariableContext, Polynomial
-from .gb import Ideal, local_colength, INFINITE, EMPTY
-from .syzygy import (
-    syzygy_basis, kernel_fields, tangent_fields, parameter_part, ideal_quotient,
-)
+from .gb import Ideal, local_colength, INFINITE, EMPTY, syzygy_basis, ideal_quotient
+from .syzygy import kernel_fields, tangent_fields, parameter_part
 from .invariants import (
     MapGermSpec, ImageEquation, InvariantReport, SamuelResult, SliceResult,
     LCIdeal, image_equation, ft_ideal, ft_codim, ft_dimension,

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .config import ComputeConfig, DEFAULT_CONFIG
-from .errors import GermInputError, ParseError, ResourceLimitError
+from .errors import GermInputError, ResourceLimitError
 from .exprparse import parse_polynomial
 from .gb import EMPTY, INFINITE
 from .germfile import GermFile, declaration_lines, load_germ_file, load_limits
@@ -173,10 +173,7 @@ def _load_image(gf: GermFile, germ_path: str, cfg: ComputeConfig,
     cache_path = germ_path + ".gcache"
     cached = _cache_load(cache_path, key, gf)
     if cached is not None:
-        try:
-            return image_equation(gf.spec, cfg, cached_factors=cached)
-        except ParseError:      # a factor line that does not parse: stale
-            pass
+        return image_equation(gf.spec, cfg, cached_factors=cached)
     G = image_equation(gf.spec, cfg)
     _cache_store(cache_path, key, G.factors)
     return G

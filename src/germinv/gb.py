@@ -1,4 +1,5 @@
-"""Standard bases over Q: one reduction engine for ideals and modules.
+"""Standard bases over Q: one reduction engine for ideals and modules, and
+the module runs that harvest syzygies and ideal quotients on it.
 
 The engine is `_Engine`: one element type, one s-polynomial, one reducer and
 one pair loop, all under a global term order (1 the smallest monomial). A
@@ -34,12 +35,53 @@ pair. A module run keeps its rows, since a row that reduces into a tracking
 slot is a syzygy to harvest. The pair loop selects pairs by sugar and
 applies the chain criterion and, for ideals, the product criterion. Ideal
 bases are tail-interreduced into the unique reduced basis; module bases keep
-their tails (that buys nothing for harvesting syzygies). A syzygy run
-(`harvest`) forms pairs only between
-elements led in slot 0, the slot of the inputs, and keeps every element led
-in a tracking slot: those are the harvested syzygies, a generating set of
-the syzygy module but not a basis of it, so minimalization, which only a
-basis survives, keeps each of them (the argument is in `syzygy`).
+their tails (that buys nothing for harvesting syzygies).
+
+A module run (`_harvest`) is the classical free-module construction of
+syzygies: present each input p_i as a row r_i = (p_i, e_i) in R x R^k, run
+the engine under a module order whose first slot dominates (`_module_key`),
+and harvest the rows whose first slot vanished. The ring order is
+degrevlex; among the tracking slots the order is term-over-position (any
+order works there, and this one yields markedly smaller syzygies than
+stratifying by component). The run (the engine's `harvest`) pairs only the
+elements G led in slot 0 and keeps every element Z led in a tracking slot
+without pairing it. Z is a generating set of the syzygy module, which is all
+a caller needs; a basis of it would cost the pairs of two syzygies, most of
+which reduce to zero (a special case of Moeller, Mora and Traverso, ISSAC
+1992):
+
+- Slot 0 dominates, so reducing a slot-0-led element by G reduces its first
+  slot by the first slots of G, and G runs Buchberger's algorithm on
+  (p_1..p_k) with cofactors. Only the chain criterion skips pairs there;
+  the product criterion never applies to modules. The first slots of G are
+  therefore a Groebner basis of (p_1..p_k).
+- Every row lies in G or in Z, so a syzygy (0, a) = sum a_i r_i is a
+  combination sum b_g g + sum c_z z, and (b_g) is a syzygy of the first
+  slots of G.
+- By Schreyer's theorem such a syzygy is generated by the lifts of the
+  processed G-G pairs (Gebauer and Moeller cover the chain-skipped ones). In
+  the module each lift is the result of reducing that pair, which is 0, a
+  new G element (whose own lift term cancels it) or a harvested syzygy,
+  plus the multiples of Z the reduction subtracted. So sum b_g g, and with
+  it (0, a), lies in the span of Z.
+- Z is no basis, so no Z element may be dropped for a lead that another Z
+  lead divides; the engine's minimalize step keeps each of them.
+- The argument holds as well when every reduction stops at its first
+  irreducible term (the engine's `top`): a top-reduction still subtracts
+  multiples of G and Z with leads at most the lcm, a standard
+  representation, and its result is 0, a new G element led in slot 0 or,
+  when slot 0 has cancelled, a harvested syzygy; only tails stay
+  unreduced. `ideal_quotient` harvests so, since its caller reduces the
+  quotient's basis; `syzygy_basis` reduces fully, its syzygies being its
+  output.
+
+Nothing above counts the tracking slots or asks that every input have one,
+so the argument holds as well when only some inputs are tracked. With the
+rows (f, 1) and (p_i, 0), the module they generate meets slot 0 = 0 in the
+vectors (0, a) with a*f in (p_1..p_k), and the harvest generates that ideal
+quotient (`ideal_quotient`) at the price of one tracking slot instead of k;
+it is the one colon routine, which `Ideal.saturation` iterates until a
+quotient adds nothing.
 
 An `Ideal` handle speaks about the polynomial ring. The one question asked
 of the ring of germs at the origin, a colength, is `local_colength`, by
@@ -48,8 +90,7 @@ Algebra, 1.7): the generators are homogenized by a new variable h, their
 global basis is computed under "total degree, then the local order", and
 its leads with h = 1 are the leads of a standard basis for the local order.
 Everything downstream (elimination, the dimension counts, local colengths,
-and saturation, the quotient of `syzygy` iterated until one reduces to
-zero) runs on this engine.
+and saturation) runs on this engine.
 Dimension counting never inspects coefficients: it reads the staircase of
 the leading ideal, which is the correct recipe for both the polynomial ring
 and the local ring at the origin.
@@ -63,12 +104,14 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from operator import sub
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .config import ComputeConfig, DEFAULT_CONFIG
 from .errors import GermInputError, ResourceLimitError
 from . import orderings
 from .poly import Exponent, Polynomial, VariableContext
+
+Vector = Tuple[Polynomial, ...]
 
 
 class _Sentinel:
@@ -366,7 +409,8 @@ class _Engine:
         already saw the leads. With `harvest` (a module run whose slot 0
         dominates) only elements led in slot 0 pair, and every element led
         elsewhere is kept: the result is a minimal basis of the slot-0 part
-        plus a generating set, not a basis, of the syzygies (see `syzygy`).
+        plus a generating set, not a basis, of the syzygies (see the module
+        docstring).
         With `top` each s-polynomial is only top-reduced, so new elements
         keep their tails.
         An ideal's inputs are interreduced first, and one divisor memo
@@ -541,7 +585,7 @@ def local_colength(ctx: VariableContext, gens: Iterable[Polynomial],
     for g in gens:
         d = max(sum(e) for e in g.terms)
         homog.append({e + (d - sum(e),): c for e, c in g.terms.items()})
-    eng = _Engine(orderings.lazard(orderings.local, n), config, n + 1)
+    eng = _Engine(orderings.lazard(n), config, n + 1)
     return staircase_count([eng.exponent(e.lm)[:n] for e in eng.basis(homog)], n)
 
 
@@ -633,7 +677,7 @@ class Ideal:
 
     def saturation(self, f: Polynomial) -> "Ideal":
         """Stable colon ideal (I : f^infinity): K = I, I : f, (I : f) : f,
-        ... by `syzygy.ideal_quotient` on reduced bases, up to the first K
+        ... by `ideal_quotient` on reduced bases, up to the first K
         with K : f = K (Becker and Weispfenning, Groebner Bases, 1993,
         ch. 6). K lies in K : f, so a link is confirmed when every harvested
         generator of K : f reduces to zero by K's basis, in one engine run;
@@ -642,7 +686,6 @@ class Ideal:
         K : f = K. Where it fails, f vanishes at a point of V(K), so
         K : f is larger and the harvest goes on.
         """
-        from .syzygy import ideal_quotient
         if f.ctx != self.ctx:
             raise GermInputError("saturation argument over the wrong context")
         if f.is_zero():
@@ -705,3 +748,87 @@ class Ideal:
             return seen["bound"]
         self._keep_basis(eng, raw)
         return self.dimension()
+
+
+# -- module runs -------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _module_key(n: int):
+    """The first slot dominates, then degrevlex term-over-position with
+    lower components first; one key object per n."""
+    return lambda t: ((1 if t[n] == 0 else 0),) + orderings.degrevlex(t[:n]) + (-t[n],)
+
+
+def _engine(ctx: VariableContext, rank: int, config: ComputeConfig) -> _Engine:
+    """Engine for submodules of R^rank under `_module_key`."""
+    return _Engine(_module_key(len(ctx)), config, len(ctx), rank=rank)
+
+
+def _encode(vec: Sequence[Polynomial], rank: int) -> Dict[Exponent, Fraction]:
+    return {e + (comp, rank - comp): c
+            for comp, p in enumerate(vec) for e, c in p.terms.items()}
+
+
+def _harvest(ctx: VariableContext, rows: Sequence[Sequence[Polynomial]],
+             config: ComputeConfig, top: bool = False) -> List[Vector]:
+    """Tracking slots of the syzygies harvested from `rows`, each row an
+    input in slot 0 followed by its tracking slots; `top` top-reduces."""
+    n, rank = len(ctx), len(rows[0])
+    eng = _engine(ctx, rank, config)
+    elements: List[Vector] = []
+    for elt in eng.basis([_encode(r, rank) for r in rows], harvest=True, top=top):
+        # the first slot dominates the order, so an element has a term there
+        # exactly when its lead is there
+        if eng.exponent(elt.lm)[n] == 0:
+            continue
+        split: List[Dict[Exponent, Fraction]] = [{} for _ in range(rank - 1)]
+        sign = 1 if elt.lc > 0 else -1
+        for t, c in eng.decoded(elt).items():
+            split[t[n] - 1][t[:n]] = Fraction(sign * c)
+        elements.append(tuple(Polynomial._raw(ctx, d) for d in split))
+    return elements
+
+
+def syzygy_basis(polys: Sequence[Polynomial],
+                 config: ComputeConfig = DEFAULT_CONFIG) -> List[Vector]:
+    """Generating set of {(a_1..a_k) : sum a_i p_i = 0}, not a basis (see
+    the module docstring), as a list of k-tuples.
+
+    Computed over the polynomial ring; a generating set over the local ring
+    too, localization being flat. Harvested vectors have primitive integer
+    coefficients and a positive leading coefficient.
+    """
+    polys = list(polys)
+    if not polys:
+        raise GermInputError("syzygies of an empty tuple")
+    ctx = polys[0].ctx
+    for p in polys:
+        if p.ctx != ctx:
+            raise GermInputError("syzygy inputs over mixed contexts")
+    k = len(polys)
+    one = Polynomial.constant(ctx, 1)
+    zero = Polynomial.zero(ctx)
+    rows = [[p] + [one if j == i else zero for j in range(k)] for i, p in enumerate(polys)]
+    return _harvest(ctx, rows, config)
+
+
+def ideal_quotient(gens: Sequence[Polynomial], f: Polynomial,
+                   config: ComputeConfig = DEFAULT_CONFIG) -> Ideal:
+    """The ideal quotient (gens) : f = {a : a*f in (gens)}, as a handle
+    whose reduced basis is computed once and cached.
+
+    One harvest that tracks f alone: the rows (f, 1) and (p, 0) for each
+    nonzero generator p. A syzygy (0, a) of them is a*f + sum b_p p = 0, so
+    the harvested slots generate exactly the quotient (Greuel and Pfister,
+    A Singular Introduction to Commutative Algebra, 1.8.8). The harvest
+    only top-reduces, which leaves the reduced basis alone. Zero generators
+    are skipped; f = 0 gives the unit ideal.
+    """
+    ctx = f.ctx
+    gens = [p for p in gens if not p.is_zero()]
+    for p in gens:
+        if p.ctx != ctx:
+            raise GermInputError("ideal quotient inputs over mixed contexts")
+    one, zero = Polynomial.constant(ctx, 1), Polynomial.zero(ctx)
+    rows = [[f, one]] + [[p, zero] for p in gens]
+    return Ideal(ctx, [v[0] for v in _harvest(ctx, rows, config, top=True)], config)

@@ -11,7 +11,7 @@ from that single equation:
   basis is computed once and read by every count of that ideal. A field
   sum a_i dg/dy_i + a_s dg/ds annihilates g exactly when a_s dg/ds lies in
   (dg/dy), so that ideal is the quotient (dg/dy) : dg/ds, computed by one
-  syzygy run that tracks a single slot (`syzygy.ideal_quotient`);
+  syzygy run that tracks a single slot (`gb.ideal_quotient`);
 * the multiplicity of that ideal along the parameter counts the vanishing
   cycles of a nearby fiber (`image_milnor_number`); it is the colength of
   the ideal saturated by the parameter, plus the parameter, and an
@@ -42,10 +42,9 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .config import ComputeConfig, DEFAULT_CONFIG
 from .errors import GermInputError, ResourceLimitError
-from .exprparse import parse_polynomial
-from .gb import EMPTY, INFINITE, Ideal, _intify, local_colength
+from .gb import EMPTY, INFINITE, Ideal, Vector, _intify, ideal_quotient, local_colength
 from .poly import Polynomial, Record, VariableContext
-from .syzygy import Vector, ideal_quotient, kernel_fields, parameter_part
+from .syzygy import kernel_fields, parameter_part
 
 # -- input specification -----------------------------------------------------
 
@@ -56,8 +55,10 @@ class MapGermSpec(Record):
     parameter; each branch is a germ at the origin of its own source copy,
     so multigerm inputs must be pre-translated. The flags are user
     assertions about the unfolding that the computations cannot verify; they
-    gate the operations whose meaning depends on them. Asserted weights name
-    exactly the target and parameter variables, each with a positive `int`.
+    gate the operations whose meaning depends on them. Source, target,
+    branches and each branch are tuples, the flags are bools, and asserted
+    weights name exactly the target and parameter variables, each with a
+    positive `int`.
 
     A `Record`, so equal specs compare equal; a spec is not hashable.
     """
@@ -72,6 +73,13 @@ class MapGermSpec(Record):
                  weights: Optional[Mapping[str, int]] = None):
         self._fill(source, target, parameter, branches, is_stabilisation,
                    is_stable_unfolding, weights)
+        # the types the parser gives: a list would compare unequal to its
+        # tuple, and a flag that is no bool would print as asserted
+        if not all(type(v) is tuple for v in (source, target, branches)) or \
+                not all(type(b) is tuple for b in branches):
+            raise GermInputError("source, target, branches and each branch must be tuples")
+        if type(is_stabilisation) is not bool or type(is_stable_unfolding) is not bool:
+            raise GermInputError("the flags must be bools")
         if len(self.target) != len(self.source) + 1:
             raise GermInputError("target needs exactly one more variable than source")
         if not self.branches:
@@ -160,9 +168,9 @@ def image_equation(spec: MapGermSpec, config: ComputeConfig = DEFAULT_CONFIG,
     and its monic generator irreducible. Two branches therefore share an
     image component exactly when their factors are equal, and the product
     would then not be reduced. `cached_factors` (one text per branch, read
-    from a `.gcache` sidecar) must equal the eliminated factors: a text
-    that is not the factor's own print is parsed, and a `ParseError` means
-    a stale sidecar. Each factor generates its branch image, which passes
+    from a `.gcache` sidecar) must be the eliminated factors' own prints;
+    any other text, an equal polynomial printed otherwise included, is
+    refused. Each factor generates its branch image, which passes
     through the origin, so g vanishes there and on every branch.
     """
     factors = []
@@ -173,9 +181,7 @@ def image_equation(spec: MapGermSpec, config: ComputeConfig = DEFAULT_CONFIG,
                 "branch image is not a hypersurface (elimination ideal not "
                 "principal); the branch is probably not generically finite")
         factors.append(basis[0])
-    if cached_factors is not None and factors != [
-            f if str(f) == text else parse_polynomial(text, f.ctx)
-            for f, text in zip(factors, cached_factors)]:
+    if cached_factors is not None and list(cached_factors) != list(map(str, factors)):
         raise GermInputError(
             "the image factors in the .gcache sidecar differ from the "
             "eliminated ones; delete the sidecar")

@@ -6,7 +6,7 @@ max(). Three orders are in use: `degrevlex`, the `local` (anti-degree) order
 and the `elimination` order of a front block of variables. The local order
 makes 1 the largest monomial; the standard-basis engine, which needs a
 well-order, runs it through Lazard's homogenization under `lazard`. Module
-orders are built on these keys in `syzygy`. Each key factory returns one
+orders are built on these keys in `gb`. Each key factory returns one
 object per shape, which the engine's cached packing layouts are keyed by.
 """
 
@@ -46,8 +46,8 @@ def _block(front: Tuple[int, ...], n: int) -> Key:
 
 
 @lru_cache(maxsize=None)
-def lazard(key: Key, n: int) -> Key:
+def lazard(n: int) -> Key:
     """Key on exponents (x_1..x_n, h) of the homogenized ring: total degree
-    first, then `key` on the x-part. A global order for any `key`; on a
-    homogeneous polynomial its lead is the `key` lead of the x-parts."""
-    return lambda e: (sum(e),) + key(e[:n])
+    first, then `local` on the x-part. A global order; on a homogeneous
+    polynomial its lead is the `local` lead of the x-parts."""
+    return lambda e: (sum(e),) + local(e[:n])

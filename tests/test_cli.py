@@ -496,18 +496,23 @@ def test_stale_cache_is_recomputed(capsys, tmp_path, tmp_corpus):
     assert sidecar.read_text() == good    # rewritten with the right key
 
 
-def test_deeply_nested_sidecar_factor_is_recomputed(capsys, tmp_path, tmp_corpus):
-    # a factor too deep to parse makes the sidecar stale, not the run fail
+SIDECAR_DIFFERS = ("error: the image factors in the .gcache sidecar differ from the "
+                   "eliminated ones; delete the sidecar\n")
+
+
+def test_deeply_nested_sidecar_factor_exits_1(capsys, tmp_path, tmp_corpus):
+    # a factor line is compared with the fresh factor's print, never parsed:
+    # one too deep to parse is just another text, and the sidecar is kept
     path = tmp_corpus("s1")
     sidecar = tmp_path / "s1.germ.gcache"
     run(capsys, "ft", path, "--format", "machine")
-    good = sidecar.read_text()
-    magic, key, factor = good.splitlines()
+    magic, key, factor = sidecar.read_text().splitlines()
     factor = factor[len("factor="):]
     sidecar.write_text(f"{magic}\n{key}\nfactor={'(' * 300}{factor}{')' * 300}\n")
-    code, out, _ = run(capsys, "ft", path, "--format", "machine")
-    assert code == 0 and machine_dict(out)["ft_codim"] == "1"
-    assert sidecar.read_text() == good    # rewritten
+    written = sidecar.read_bytes()
+    code, out, err = run(capsys, "ft", path, "--format", "machine")
+    assert (code, out, err) == (1, "", SIDECAR_DIFFERS)
+    assert sidecar.read_bytes() == written
 
 
 def test_undecodable_sidecar_is_recomputed(capsys, tmp_path, tmp_corpus):
@@ -591,9 +596,10 @@ def test_parent_format_sidecar_is_rewritten(capsys, tmp_path, tmp_corpus):
     assert sidecar.read_text() == good
 
 
-def test_equal_factor_in_another_print_is_accepted(capsys, tmp_path, tmp_corpus):
+def test_equal_factor_in_another_print_exits_1(capsys, tmp_path, tmp_corpus):
+    # the program writes each factor in its own print, so a line in another
+    # one was edited by hand, even where it names the same polynomial
     path = tmp_corpus("s1")
-    _, plain, _ = run(capsys, "report", path, "--no-cache", "--format", "machine")
     run(capsys, "image", path, "--format", "machine")
     sidecar = tmp_path / "s1.germ.gcache"
     magic, key, _ = sidecar.read_text().splitlines()
@@ -601,16 +607,15 @@ def test_equal_factor_in_another_print_is_accepted(capsys, tmp_path, tmp_corpus)
                  " + 2*y1^2*y2^2 + y1^4*y2")
     sidecar.write_text(f"{magic}\n{key}\n{reordered}\n")
     written = sidecar.read_bytes()
-    code, out, _ = run(capsys, "report", path, "--format", "machine")
-    assert code == 0 and out == plain
-    assert sidecar.read_bytes() == written     # a hit: not rewritten
+    code, out, err = run(capsys, "report", path, "--format", "machine")
+    assert (code, out, err) == (1, "", SIDECAR_DIFFERS)
+    assert sidecar.read_bytes() == written
 
 
 def test_a_sidecar_hit_parses_no_factor_line(capsys, monkeypatch, tmp_path, tmp_corpus):
     import germinv.cli
     import germinv.exprparse
     import germinv.germfile
-    import germinv.invariants
     path = tmp_corpus("s1")
     run(capsys, "image", path, "--format", "machine")
     factor = (tmp_path / "s1.germ.gcache").read_text().splitlines()[2][len("factor="):]
@@ -625,7 +630,7 @@ def test_a_sidecar_hit_parses_no_factor_line(capsys, monkeypatch, tmp_path, tmp_
         cached.append(kwargs.get("cached_factors"))
         return image(*args, **kwargs)
 
-    for module in (germinv.cli, germinv.exprparse, germinv.germfile, germinv.invariants):
+    for module in (germinv.cli, germinv.exprparse, germinv.germfile):
         monkeypatch.setattr(module, "parse_polynomial", recording_parse)
     monkeypatch.setattr(germinv.cli, "image_equation", recording_image)
     code, _, _ = run(capsys, "report", path, "--format", "machine")

@@ -44,10 +44,10 @@ import sympy
 
 from germinv import (INFINITE, Ideal, Polynomial, VariableContext, ft_ideal, image_equation,
                      local_colength, slice_milnor_total)
-from germinv import syzygy
+from germinv import gb
 from germinv.germfile import parse_germ_file
 from germinv.invariants import _br_ideal
-from germinv.syzygy import ideal_quotient
+from germinv.gb import ideal_quotient
 
 from conftest import load
 
@@ -220,8 +220,8 @@ def test_zero_dimensional_saturations_match_sympy(seed, monkeypatch):
     nowhere = scale * (x * x + y * y + z * z + 1)
     once = scale * sum(((v - p) ** 2 for v, p in zip((x, y, z), point)), Polynomial.zero(C3))
     calls = []
-    real = syzygy.ideal_quotient
-    monkeypatch.setattr(syzygy, "ideal_quotient",
+    real = gb.ideal_quotient
+    monkeypatch.setattr(gb, "ideal_quotient",
                         lambda *a, **k: calls.append(1) or real(*a, **k))
     for f, count, harvests in ((nowhere, 8, 0), (once, 7, 1)):
         calls.clear()

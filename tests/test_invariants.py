@@ -57,6 +57,23 @@ def test_spec_shape_validation():
         spec_of(("x", "y", "x + 1"))                    # origin not fixed
 
 
+def test_spec_refuses_fields_the_parser_never_gives():
+    # a list compares unequal to the parsed spec's tuple, and a flag that is
+    # no bool prints as asserted: each is refused with the spec
+    parsed = load("s1").spec
+    fields = {name: getattr(parsed, name) for name in MapGermSpec.__slots__}
+    assert MapGermSpec(**fields) == parsed
+    for field, value, match in (
+            ("source", list(parsed.source), "must be tuples"),
+            ("target", list(parsed.target), "must be tuples"),
+            ("branches", list(parsed.branches), "must be tuples"),
+            ("branches", (list(parsed.branches[0]),), "must be tuples"),
+            ("is_stabilisation", "no", "must be bools"),
+            ("is_stable_unfolding", 1, "must be bools")):
+        with pytest.raises(GermInputError, match=match):
+            MapGermSpec(**{**fields, field: value})
+
+
 def test_branch_not_finite_is_rejected():
     spec = spec_of(("x", "x^2", "x^3"))                 # twisted cubic image
     with pytest.raises(GermInputError, match="elimination ideal not principal"):

@@ -3,13 +3,12 @@ import random
 
 import pytest
 
-from germinv import gb, syzygy
+from germinv import gb
 from germinv.config import DEFAULT_CONFIG
 from germinv.errors import GermInputError
-from germinv.gb import Ideal, _Engine, local_colength
+from germinv.gb import Ideal, _Engine, ideal_quotient, local_colength
 from germinv.orderings import degrevlex, elimination, lazard, local
 from germinv.poly import Polynomial, VariableContext
-from germinv.syzygy import ideal_quotient
 
 
 def sample_exponents(rng, n, count, max_deg=5):
@@ -48,8 +47,8 @@ def test_keys_are_total_and_multiplicative():
     ctx = VariableContext.make(source=("x", "y", "z"))
     engines = [_Engine(key, DEFAULT_CONFIG, 3)
                for key in (degrevlex, local, elimination((0, 1), 3))]
-    engines.append(_Engine(lazard(local, 3), DEFAULT_CONFIG, 4))
-    engines.append(syzygy._engine(ctx, 3, DEFAULT_CONFIG))
+    engines.append(_Engine(lazard(3), DEFAULT_CONFIG, 4))
+    engines.append(gb._engine(ctx, 3, DEFAULT_CONFIG))
     for eng in engines:
         rng = random.Random(3)
         key, n = eng.key, eng.nvars
@@ -86,8 +85,8 @@ def test_layouts_are_built_once_per_engine_shape():
     # each key factory returns one object per shape, so engines of one shape
     # share their packing layout and a second run adds no cache entry
     assert elimination([0], 2) is elimination((0,), 2)
-    assert lazard(local, 3) is lazard(local, 3)
-    assert syzygy._module_key(3) is syzygy._module_key(3)
+    assert lazard(3) is lazard(3)
+    assert gb._module_key(3) is gb._module_key(3)
     ctx = VariableContext.make(source=("t",), target=("x", "y"))
     t, x, y = (Polynomial.variable(ctx, n) for n in ("t", "x", "y"))
 

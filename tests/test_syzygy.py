@@ -12,7 +12,7 @@ from germinv import (
 )
 from germinv.config import DEFAULT_CONFIG
 from germinv.germfile import load_germ_file, parse_germ_file
-from germinv.syzygy import _encode, _engine
+from germinv.gb import _encode, _engine
 
 from conftest import corpus_path
 

@@ -607,9 +607,8 @@ class Ideal:
 
     @classmethod
     def _reduced(cls, ctx: VariableContext, basis: List[Polynomial],
-                 config: ComputeConfig, leads: Optional[List[Exponent]] = None) -> "Ideal":
-        """Handle whose gens and cached basis are `basis`, reduced, with its
-        lead exponents where the caller has them."""
+                 config: ComputeConfig, leads: List[Exponent]) -> "Ideal":
+        """Handle whose gens and cached basis are `basis`, reduced, with its leads."""
         ideal = cls(ctx, (), config)
         ideal.gens, ideal._basis_cache, ideal._leads = list(basis), list(basis), leads
         return ideal
@@ -635,16 +634,16 @@ class Ideal:
     def leading_monomials(self) -> List[Exponent]:
         """Lead exponents of the reduced basis, kept with it."""
         if self._leads is None:
-            self._leads = [max(p.terms, key=orderings.degrevlex) for p in self.basis()]
+            self.basis()
         return self._leads
 
-    def contains(self, p: Polynomial) -> bool:
-        """Membership in the ideal of the polynomial ring: p reduces to zero
-        by the reduced basis. p must lie over this ideal's context. For the
-        local ring, compare colengths instead."""
-        if p.ctx != self.ctx:
+    def contains(self, *ps: Polynomial) -> bool:
+        """Whether every p, over this ideal's context, lies in the ideal of
+        the polynomial ring: one engine run reduces each to zero by the
+        reduced basis. For the local ring, compare colengths instead."""
+        if any(p.ctx != self.ctx for p in ps):
             raise GermInputError("membership argument over the wrong context")
-        return self._engine().reduce([p.terms], [b.terms for b in self.basis()])
+        return self._engine().reduce([p.terms for p in ps], [b.terms for b in self.basis()])
 
     # -- constructions ---------------------------------------------------
 
@@ -679,9 +678,9 @@ class Ideal:
         """Stable colon ideal (I : f^infinity): K = I, I : f, (I : f) : f,
         ... by `ideal_quotient` on reduced bases, up to the first K
         with K : f = K (Becker and Weispfenning, Groebner Bases, 1993,
-        ch. 6). K lies in K : f, so a link is confirmed when every harvested
-        generator of K : f reduces to zero by K's basis, in one engine run;
-        no basis of K : f is computed. Before that, a zero-dimensional K is
+        ch. 6). K lies in K : f, so a link is confirmed when K `contains`
+        every harvested generator of K : f, in one engine run; no basis of
+        K : f is computed. Before that, a zero-dimensional K is
         confirmed by 1 in K + (f): then f vanishes at no point of V(K), and
         K : f = K. Where it fails, f vanishes at a point of V(K), so
         K : f is larger and the harvest goes on.
@@ -698,7 +697,7 @@ class Ideal:
                     Ideal(self.ctx, basis + [f], self.config).dimension_bound(-1) is EMPTY:
                 break
             colon = ideal_quotient(basis, f, self.config)
-            if self._engine().reduce([g.terms for g in colon.gens], [b.terms for b in basis]):
+            if K.contains(*colon.gens):
                 break
             K = colon
         return Ideal._reduced(self.ctx, basis, self.config, K.leading_monomials())

@@ -3,7 +3,8 @@
 A map germ (C^n, S) -> (C^{n+1}, 0), given by one or more polynomial
 branches together with a one-parameter unfolding, has as its image a
 hypersurface {g = 0} in target-parameter space. Everything here is derived
-from that single equation:
+from that single equation, each object once into its cache by `_derived`,
+which names the stage a budget error came from:
 
 * the parameter components of the vector fields annihilating g generate the
   ideal measuring where the projection to the parameter axis fails to be
@@ -31,12 +32,13 @@ number are computed independently and compared, not reconciled.
 
 from __future__ import annotations
 
+import functools
 import gc
 import os
 import pickle
 import random
 import signal
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -117,8 +119,8 @@ class MapGermSpec(Record):
 class ImageEquation:
     """The reduced equation of the image hypersurface.
 
-    Derived objects are cached here, and every operation taking an
-    ImageEquation shares them. A copy under another config,
+    Derived objects are cached here by `_derived`, and every operation
+    taking an ImageEquation shares them. A copy under another config,
     `ImageEquation(G.spec, G.g, G.factors, config)`, starts with an empty
     cache, so a tighter config is obeyed rather than answered from the
     original's results.
@@ -175,7 +177,8 @@ def image_equation(spec: MapGermSpec, config: ComputeConfig = DEFAULT_CONFIG,
     """
     factors = []
     for b in spec.branches:
-        basis = _branch_image(b, spec, config).basis()
+        with _stage("image equation"):
+            basis = _branch_image(b, spec, config).basis()
         if len(basis) != 1:
             raise GermInputError(
                 "branch image is not a hypersurface (elimination ideal not "
@@ -191,43 +194,11 @@ def image_equation(spec: MapGermSpec, config: ComputeConfig = DEFAULT_CONFIG,
                 raise GermInputError(
                     f"branches {i} and {j} share an image component; "
                     "the image equation would not be reduced")
-    g = factors[0]
-    for f in factors[1:]:
-        g = g * f
+    g = functools.reduce(lambda a, b: a * b, factors)
     return ImageEquation(spec, g, tuple(factors), config)
 
 
 # -- shared derived objects --------------------------------------------------
-
-def _dg(G: ImageEquation) -> Tuple[Polynomial, Tuple[Polynomial, ...]]:
-    """The primitive integer multiple of g, a positive one, and its partials
-    in context order, free of Fraction arithmetic. No ideal, quotient,
-    saturation or syzygy module changes when its generators are scaled by one
-    positive constant; `G.g` stays monic, as `image` prints it."""
-    if "dg" not in G._cache:
-        g = Polynomial._raw(G.ctx, _intify(G.g.terms))
-        G._cache["dg"] = g, tuple(g.partial(n) for n in G.ctx.names)
-    return G._cache["dg"]
-
-
-def _kernel(G: ImageEquation) -> List[Vector]:
-    if "kernel" not in G._cache:
-        G._cache["kernel"] = kernel_fields(_dg(G)[0], G.config)
-    return G._cache["kernel"]
-
-
-def _br_ideal(G: ImageEquation) -> Ideal:
-    """Bruce-Roberts ideal: parameter components of the fields tangent to
-    the image, as a global handle (see `ft_ideal`).
-
-    A field with parameter slot a is tangent when a*dg/ds lies in
-    (dg/dy, g), its other slots and the cofactor of g supplying the rest, so
-    the ideal is the quotient (dg/dy, g) : dg/ds.
-    """
-    if "br" not in G._cache:
-        G._cache["br"] = _slot_quotient(G, (_dg(G)[0],), "tangent-field ideal")
-    return G._cache["br"]
-
 
 @contextmanager
 def _stage(what: str):
@@ -239,14 +210,53 @@ def _stage(what: str):
         raise ResourceLimitError(f"{what}: {exc}", exc.stage, exc.limit, exc.value) from exc
 
 
-def _slot_quotient(G: ImageEquation, extra: Tuple[Polynomial, ...], what: str) -> Ideal:
-    """(dg/dy, extra) : dg/ds over the target coordinates y, its reduced
-    basis computed at once, so a budget error of either run names `what`."""
+def _derived(key: str, stage: Optional[str] = None):
+    """Memo of a function of an ImageEquation G: computed once into
+    `G._cache[key]`, its budget errors prefixed with `stage` (`_stage`)."""
+    def memo(compute):
+        @functools.wraps(compute)
+        def derived(G: ImageEquation):
+            if key not in G._cache:
+                with _stage(stage) if stage else nullcontext():
+                    G._cache[key] = compute(G)
+            return G._cache[key]
+        return derived
+    return memo
+
+
+@_derived("dg")
+def _dg(G: ImageEquation) -> Tuple[Polynomial, Tuple[Polynomial, ...]]:
+    """The primitive integer multiple of g, a positive one, and its partials
+    in context order, free of Fraction arithmetic. No ideal, quotient,
+    saturation or syzygy module changes when its generators are scaled by one
+    positive constant; `G.g` stays monic, as `image` prints it."""
+    g = Polynomial._raw(G.ctx, _intify(G.g.terms))
+    return g, tuple(g.partial(n) for n in G.ctx.names)
+
+
+@_derived("kernel", "kernel fields")
+def _kernel(G: ImageEquation) -> List[Vector]:
+    return kernel_fields(_dg(G)[0], G.config)
+
+
+@_derived("br", "tangent-field ideal")
+def _br_ideal(G: ImageEquation) -> Ideal:
+    """Bruce-Roberts ideal: parameter components of the fields tangent to
+    the image, as a global handle (see `ft_ideal`).
+
+    A field with parameter slot a is tangent when a*dg/ds lies in
+    (dg/dy, g), its other slots and the cofactor of g supplying the rest, so
+    the ideal is the quotient (dg/dy, g) : dg/ds.
+    """
+    return _slot_quotient(G, (_dg(G)[0],))
+
+
+def _slot_quotient(G: ImageEquation, extra: Tuple[Polynomial, ...]) -> Ideal:
+    """(dg/dy, extra) : dg/ds over the target coordinates y, as a handle of
+    its reduced basis and leads only, which pickles small."""
     dg, s = _dg(G)[1], G.ctx.parameter_index()
-    with _stage(what):
-        quotient = ideal_quotient(dg[:s] + dg[s + 1:] + extra, dg[s], G.config)
-        quotient.basis()
-    return quotient
+    quotient = ideal_quotient(dg[:s] + dg[s + 1:] + extra, dg[s], G.config)
+    return Ideal._reduced(G.ctx, quotient.basis(), G.config, quotient.leading_monomials())
 
 
 def _local_dim(ctx: VariableContext, gens: Sequence[Polynomial],
@@ -270,6 +280,7 @@ def _local_dim_at_zero(ctx: VariableContext, gens: Sequence[Polynomial], t: str,
 
 # -- transversality-failure ideal and its multiplicities ---------------------
 
+@_derived("ft", "ft ideal")
 def ft_ideal(G: ImageEquation) -> Ideal:
     """FT ideal: parameter components of the fields annihilating g.
 
@@ -283,17 +294,14 @@ def ft_ideal(G: ImageEquation) -> Ideal:
     every count here reads that basis, and `LCIdeal.substitution_identity`
     checks it against the parameter slots of the kernel fields.
     """
-    if "ft" not in G._cache:
-        G._cache["ft"] = _slot_quotient(G, (), "ft ideal")
-    return G._cache["ft"]
+    return _slot_quotient(G, ())
 
 
+@_derived("ft_codim")
 def ft_codim(G: ImageEquation) -> int:
     """dim of the local quotient by FT + (parameter); 0 exactly when stable."""
-    if "ft_codim" not in G._cache:
-        G._cache["ft_codim"] = _local_dim_at_zero(G.ctx, ft_ideal(G).basis(),
-                                                  G.spec.parameter, G.config, "ft codimension")
-    return G._cache["ft_codim"]
+    return _local_dim_at_zero(G.ctx, ft_ideal(G).basis(), G.spec.parameter, G.config,
+                              "ft codimension")
 
 
 def ft_dimension(G: ImageEquation):
@@ -343,10 +351,6 @@ def samuel_multiplicity(I: Ideal, t: str) -> SamuelResult:
     base = I.basis()
     tvar = Polynomial.variable(ctx, t)
 
-    def d(k: int) -> int:
-        return _local_dim(ctx, base + [tvar ** k], config,
-                          f"multiplicity profile step k={k}")
-
     profile = [_local_dim_at_zero(ctx, base, t, config, "multiplicity profile step k=1")]
     with _stage("multiplicity saturation"):
         sat = I.saturation(tvar)
@@ -356,10 +360,13 @@ def samuel_multiplicity(I: Ideal, t: str) -> SamuelResult:
     if profile[0] == e:
         return SamuelResult(e, (e, 2 * e, 3 * e))
     while len(profile) < 2 or profile[-1] - profile[-2] > e:
-        profile.append(d(len(profile) + 1))
+        k = len(profile) + 1
+        profile.append(_local_dim(ctx, base + [tvar ** k], config,
+                                  f"multiplicity profile step k={k}"))
     return SamuelResult(e, tuple(profile))
 
 
+@_derived("mu_image")
 def image_milnor_number(G: ImageEquation) -> SamuelResult:
     """Number of vanishing cycles of a nearby fiber of the unfolding.
 
@@ -371,9 +378,7 @@ def image_milnor_number(G: ImageEquation) -> SamuelResult:
     """
     if not G.spec.is_stabilisation:
         raise GermInputError("image Milnor number needs is_stabilisation asserted")
-    if "mu_image" not in G._cache:
-        G._cache["mu_image"] = samuel_multiplicity(ft_ideal(G), G.spec.parameter)
-    return G._cache["mu_image"]
+    return samuel_multiplicity(ft_ideal(G), G.spec.parameter)
 
 
 # -- independent slice oracle ------------------------------------------------
@@ -423,6 +428,11 @@ def _off_slice_count(G: ImageEquation, value: Fraction):
     return sat.quotient_dimension()
 
 
+@_derived("slice_base")
+def _slice_base(G: ImageEquation):
+    return _off_slice_count(G, Fraction(0))
+
+
 def slice_milnor_total(G: ImageEquation, s0: Optional[Fraction] = None) -> SliceResult:
     """Total Milnor number of the critical points a nearby slice gains.
 
@@ -454,9 +464,7 @@ def slice_milnor_total(G: ImageEquation, s0: Optional[Fraction] = None) -> Slice
     cfg = G.config
     rng = random.Random(cfg.seed)
 
-    if "slice_base" not in G._cache:
-        G._cache["slice_base"] = _off_slice_count(G, Fraction(0))
-    base = G._cache["slice_base"]
+    base = _slice_base(G)
     if base is INFINITE:
         raise GermInputError(
             "slice-count baseline is degenerate: the parameter-zero slice has a "
@@ -476,8 +484,7 @@ def slice_milnor_total(G: ImageEquation, s0: Optional[Fraction] = None) -> Slice
     rejected: List[Fraction] = []
     seen: List[Tuple[Fraction, int]] = []    # valid but so far unconfirmed
     for _ in range(cfg.s0_retries):
-        a = rng.randint(1, SLICE_COEFF_BOUND)
-        b = rng.randint(1, SLICE_COEFF_BOUND)
+        a, b = rng.randint(1, SLICE_COEFF_BOUND), rng.randint(1, SLICE_COEFF_BOUND)
         val = Fraction(min(a, b), max(a, b))
         d = _off_slice_count(G, val)
         if d is INFINITE or d < base:
@@ -498,13 +505,11 @@ def slice_milnor_total(G: ImageEquation, s0: Optional[Fraction] = None) -> Slice
 
 # -- tangent-field invariants ------------------------------------------------
 
+@_derived("mu_br")
 def bruce_roberts_number(G: ImageEquation) -> int:
     """Local dimension of the quotient by the parameter components of the
     fields tangent to the image (not merely annihilating its equation)."""
-    if "mu_br" not in G._cache:
-        G._cache["mu_br"] = _local_dim(G.ctx, _br_ideal(G).basis(), G.config,
-                                       "tangent-field quotient")
-    return G._cache["mu_br"]
+    return _local_dim(G.ctx, _br_ideal(G).basis(), G.config, "tangent-field quotient")
 
 
 def ae_codimension(G: ImageEquation) -> int:
@@ -614,18 +619,15 @@ def _rank_strata_bound(G: ImageEquation) -> bool:
         return False
 
 
+@_derived("lc")
 def lc_ideal(G: ImageEquation) -> LCIdeal:
-    if "lc" not in G._cache:
-        ctx = G.ctx
-        pnames = [ctx.fresh_name(f"p{i + 1}") for i in range(len(ctx) - 1)]
-        qname = ctx.fresh_name("q")
-        ext = ctx.extend(pnames + [qname], "cotangent")
-        covars = [Polynomial.variable(ext, n) for n in pnames + [qname]]
-        gens = [sum((comp.rename(ext) * cv for comp, cv in zip(v, covars)),
-                    Polynomial.zero(ext)) for v in _kernel(G)]
-        handle = Ideal(ext, gens, G.config)
-        G._cache["lc"] = LCIdeal(handle, tuple(gens), tuple(pnames) + (qname,), G)
-    return G._cache["lc"]
+    ctx = G.ctx
+    names = [ctx.fresh_name(f"p{i + 1}") for i in range(len(ctx) - 1)] + [ctx.fresh_name("q")]
+    ext = ctx.extend(names, "cotangent")
+    covars = [Polynomial.variable(ext, n) for n in names]
+    gens = [sum((comp.rename(ext) * cv for comp, cv in zip(v, covars)),
+                Polynomial.zero(ext)) for v in _kernel(G)]
+    return LCIdeal(Ideal(ext, gens, G.config), tuple(gens), tuple(names), G)
 
 
 # -- quasi-homogeneous checks ------------------------------------------------
@@ -752,27 +754,26 @@ def full_report(G: ImageEquation, with_lc: bool = True,
 
     The slice oracle, the Bruce-Roberts basis and its colength, which
     share nothing with the FT route, run in one forked worker (`_worker`)
-    while this process computes the image Milnor number; the worker sends
-    the basis back as exponent -> coefficient dicts with the colength, and
-    both fill `G`'s cache, where every later count reads them. Errors come
-    out in the order of a sequential run: the Milnor number's, then the
-    oracle's, then the Bruce-Roberts basis's, then its colength's.
+    while this process computes the image Milnor number; the worker hands
+    back the oracle's result with the cache entries it computed, the
+    Bruce-Roberts handle (its reduced basis and leads) and colength, and
+    they are merged into `G`'s cache, where every later count reads them.
+    Errors come out in the order of a sequential run: the Milnor number's,
+    then the oracle's, then the Bruce-Roberts basis's, then its colength's.
+
+    A curve (n = 1) with r branches has mu(g(y, 0)) = 2 delta - r + 1 (Milnor)
+    and mu_I = delta - r + 1 (Mond), which both routes must match.
     """
     spec = G.spec
     warnings: List[str] = []
     disagreement = False
 
     _dg(G)    # before the fork, so that both processes share it
-    with _worker(lambda: (slice_milnor_total(G, s0=s0),
-                          [p.terms for p in _br_ideal(G).basis()],
-                          bruce_roberts_number(G))) as join:
+    with _worker(lambda: (slice_milnor_total(G, s0=s0), bruce_roberts_number(G),
+                          {key: G._cache[key] for key in ("br", "mu_br")})) as join:
         mu = image_milnor_number(G)
-        oracle, br_terms, mu_br = join()
-
-    # reduced bases are unique: the one G would find
-    G._cache.setdefault("br", Ideal._reduced(
-        G.ctx, [Polynomial._raw(G.ctx, t) for t in br_terms], G.config))
-    G._cache.setdefault("mu_br", mu_br)
+        oracle, mu_br, computed = join()
+    G._cache.update(computed)
 
     codim = mu.profile[0]
     stability = "stable" if mu.multiplicity == 0 else "unstable"
@@ -790,6 +791,18 @@ def full_report(G: ImageEquation, with_lc: bool = True,
         warnings.append(
             f"independent slice count {oracle.total} (at s0={oracle.s0}) does not "
             f"match the multiplicity route {mu.multiplicity}")
+
+    if len(spec.source) == 1:
+        mu0 = milnor_number(_dg(G)[0].specialize({spec.parameter: 0}), G.config)
+        r = len(spec.branches)
+        if mu0 is INFINITE or mu0 < r - 1 or (mu0 - r + 1) % 2:
+            disagreement = True
+            warnings.append(f"the curve at {spec.parameter}=0 has Milnor number {mu0}, which "
+                            f"no reduced curve with {r} branches has (Milnor's formula)")
+        elif oracle.total == mu.multiplicity != (mu0 - r + 1) // 2:
+            raise GermInputError(
+                "the stabilisation assertion is false: both routes give mu_image "
+                f"{mu.multiplicity}, Milnor's formula {(mu0 - r + 1) // 2}")
 
     ae = ae_codimension(G) if spec.is_stable_unfolding else None
     # Mond's conjecture, Ae-codim <= mu_I, is a theorem for source dimension

@@ -128,11 +128,16 @@ def test_membership_explicit_combinations():
     rng = random.Random(31)
     g1, g2 = X2 ** 2 + Y2 ** 3, X2 * Y2 - X2
     ideal = Ideal(C2, [g1, g2])
+    members = []
     for _ in range(20):
         a, b = rand_poly(rng, C2), rand_poly(rng, C2)
-        assert ideal.contains(a * g1 + b * g2)
+        members.append(a * g1 + b * g2)
+        assert ideal.contains(members[-1])
     assert not ideal.contains(X2)
     assert not ideal.contains(Polynomial.constant(C2, 1))
+    # several at once: true exactly when each is a member
+    assert ideal.contains(*members) and ideal.contains()
+    assert not ideal.contains(*members[:10], X2, *members[10:])
 
 
 # -- local (Lazard) behavior ------------------------------------------------------
@@ -437,3 +442,5 @@ def test_context_mismatch_rejected():
     UV = VariableContext.make(source=("u", "v"))
     with pytest.raises(GermInputError):
         ideal.contains(Polynomial.variable(UV, "u"))
+    with pytest.raises(GermInputError):
+        ideal.contains(X2, X3 * Z3)

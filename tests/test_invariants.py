@@ -21,6 +21,7 @@ import germinv.invariants as inv
 from germinv.errors import ParseError
 from germinv.exprparse import parse_polynomial
 from germinv.germfile import GermFile, parse_germ_file
+from germinv.orderings import degrevlex
 
 from conftest import load
 
@@ -277,9 +278,9 @@ def test_resource_limit_names_its_stage_limit_and_value():
     # prefix keeps the attributes of the engine error under it. The basis
     # of I needs no step (coprime leads, no term divisible by the other
     # lead), but one step cannot interreduce the inputs of the first
-    # colength, which counts (x^2 + y^4, x^3 + x^2) at t = 0; s1's report
-    # interreduces its first inputs within three steps but needs more
-    # than three pairs for their basis.
+    # colength, which counts (x^2 + y^4, x^3 + x^2) at t = 0; s1's branch
+    # elimination interreduces its first inputs within three steps but
+    # needs more than three pairs for their basis, and names its stage.
     cfg = ComputeConfig(max_pairs=1)
     with pytest.raises(ResourceLimitError) as info:
         samuel_multiplicity(local_ideal(XYT, "x^2 + y^4", "x^3 + x^2 + t*x", config=cfg), "t")
@@ -292,7 +293,7 @@ def test_resource_limit_names_its_stage_limit_and_value():
         full_report(image_equation(gf.spec, gf.config().with_overrides(max_pairs=3)),
                     with_lc=False)
     exc = info.value
-    assert str(exc) == "ideal basis exceeded the pair budget max_pairs=3"
+    assert str(exc) == "image equation: ideal basis exceeded the pair budget max_pairs=3"
     assert (exc.stage, exc.limit, exc.value) == ("ideal basis", "max_pairs", 3)
 
 
@@ -317,11 +318,14 @@ def test_saturation_budget_errors_name_their_stage():
 
 
 def test_quotient_budget_errors_name_their_ideal():
-    # FT and BR are each one quotient run; an exhausted budget says which
+    # FT and BR are each one quotient run, and the kernel fields, which the
+    # LC ideal pairs with cotangent coordinates, one syzygy run; an
+    # exhausted budget says which
     gf = load("s1")
     G = image_equation(gf.spec, gf.config())
     for call, what in ((ft_ideal, "ft ideal"),
-                       (bruce_roberts_number, "tangent-field ideal")):
+                       (bruce_roberts_number, "tangent-field ideal"),
+                       (lc_ideal, "kernel fields")):
         tight = ImageEquation(G.spec, G.g, G.factors, ComputeConfig(max_pairs=1))
         with pytest.raises(ResourceLimitError) as info:
             call(tight)
@@ -457,12 +461,75 @@ def test_a_dead_worker_is_a_resource_error():
 
 
 def test_without_fork_the_report_is_the_same(monkeypatch):
+    # the worker hands back the Bruce-Roberts handle and colength it
+    # cached, which are what one process caches itself
     gf = load("s1")
-    forked = full_report(image_equation(gf.spec, gf.config()), with_lc=True)
+    F = image_equation(gf.spec, gf.config())
+    forked = full_report(F, with_lc=True)
     monkeypatch.delattr(os, "fork")
     G = image_equation(gf.spec, gf.config())
     assert full_report(G, with_lc=True) == forked
     assert "br" in G._cache
+    kept, own = F._cache["br"], G._cache["br"]
+    assert kept.gens == kept.basis() == own.basis() == own.gens
+    assert kept._leads == own._leads == own.leading_monomials()
+    assert F._cache["mu_br"] == G._cache["mu_br"] == forked.mu_br
+
+
+def test_a_report_leaves_its_derived_objects_cached(monkeypatch):
+    # after a report with the LC check every count reads what it cached:
+    # no quotient or kernel run starts again
+    gf = load("s1")
+    G = image_equation(gf.spec, gf.config())
+    report = full_report(G, with_lc=True)
+    runs = []
+    for name in ("ideal_quotient", "kernel_fields"):
+        real = getattr(inv, name)
+        monkeypatch.setattr(inv, name, lambda *a, real=real, name=name, **k:
+                            runs.append(name) or real(*a, **k))
+    assert ft_codim(G) == report.ft_codim
+    assert bruce_roberts_number(G) == report.mu_br
+    assert lc_ideal(G).substitution_identity()
+    assert runs == []
+    # a fresh equation does run them, so the counter sees them
+    H = image_equation(gf.spec, gf.config())
+    ft_codim(H)
+    lc_ideal(H)
+    assert runs == ["ideal_quotient", "kernel_fields"]
+
+
+@pytest.mark.parametrize("name", ["s1", "exam1"])
+def test_cached_quotients_hold_their_reduced_basis_only(name, request):
+    # the FT and BR handles drop the quotient run's harvested generators
+    # (s1's FT harvest has 3 that differ from its basis, exam1's BR harvest
+    # 38 against a basis of 20) and keep the leads of their basis
+    G = request.getfixturevalue(f"{name}_image")
+    for handle in (ft_ideal(G), inv._br_ideal(G)):
+        assert handle.gens == handle.basis()
+        assert handle.leading_monomials() == [max(p.terms, key=degrevlex)
+                                              for p in handle.basis()]
+
+
+def test_a_curve_stabilisation_is_checked_by_milnors_formula(monkeypatch):
+    # E_6 (x^3, x^4 + s*x): g(y, 0) = y1^4 - y2^3 has Milnor number 6 and
+    # one branch, so a stabilisation has mu_I = (6 - 1 + 1)/2 = 3, where
+    # both routes count 2: the assertion is refuted
+    text = families.germ_text(families.CURVE, (("x^3", "x^4 + s*x"),), None, False)
+    gf = parse_germ_file(text)
+    with pytest.raises(GermInputError, match="stabilisation assertion is false: both "
+                       "routes give mu_image 2, Milnor's formula 3"):
+        full_report(image_equation(gf.spec, gf.config()), with_lc=False)
+    # A_6 (x^2, x^7 + s*x): 6 = 2*3 - 1 + 1 and mu_I = 3 pass; a Milnor
+    # number that fits no reduced curve is a route disagreement
+    branches, _, mu, _ = families._curve("A_even", 3)
+    gf = parse_germ_file(families.germ_text(families.CURVE, branches, None, False))
+    assert full_report(image_equation(gf.spec, gf.config()), with_lc=False).mu_image == mu
+    for mu0 in (INFINITE, 5):
+        monkeypatch.setattr(inv, "milnor_number", lambda h, config: mu0)
+        r = full_report(image_equation(gf.spec, gf.config()), with_lc=False)
+        assert r.route_disagreement and r.mu_image == mu
+        assert r.warnings == (f"the curve at s=0 has Milnor number {mu0}, which no "
+                              "reduced curve with 1 branches has (Milnor's formula)",)
 
 
 # -- milnor oracle ------------------------------------------------------------------

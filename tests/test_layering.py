@@ -68,3 +68,17 @@ def test_invariants_does_not_parse():
 def test_syzygy_uses_only_public_names_of_gb():
     names = [name for source, name in _imports("syzygy") if source == "gb"]
     assert names and not [n for n in names if n.startswith("_")]
+
+
+def test_invariants_touches_the_cache_only_in_the_memo():
+    # `_derived` computes each derived object into an equation's cache; only
+    # the constructor and `full_report`, which merges the entries its worker
+    # hands back, touch that cache besides
+    touching = set()
+    for top in _tree("invariants").body:
+        scopes = [(f"{top.name}.", n) for n in top.body] if isinstance(top, ast.ClassDef) \
+            else [("", top)]
+        for prefix, node in scopes:
+            if any(isinstance(n, ast.Attribute) and n.attr == "_cache" for n in ast.walk(node)):
+                touching.add(prefix + getattr(node, "name", "<module>"))
+    assert touching == {"ImageEquation.__init__", "_derived", "full_report"}

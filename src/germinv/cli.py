@@ -32,8 +32,8 @@ from .gb import EMPTY, INFINITE
 from .germfile import GermFile, declaration_lines, load_germ_file, load_limits
 from .invariants import (
     ImageEquation, ae_codimension, bruce_roberts_number, euler_degree, ft_codim,
-    ft_dimension, ft_ideal, full_report, image_equation, image_milnor_number,
-    lc_ideal, milnor_number,
+    curve_formula_check, ft_dimension, ft_ideal, full_report, image_equation,
+    image_milnor_number, lc_ideal, milnor_number,
 )
 from .poly import Polynomial, VariableContext
 
@@ -198,8 +198,10 @@ def _cmd_ft(G: ImageEquation, args) -> _Output:
 
 def _cmd_mu_image(G: ImageEquation, args) -> _Output:
     mu = image_milnor_number(G)
-    return [("mu_image", mu.multiplicity), ("samuel_profile", mu.profile),
-            ("stability", "stable" if mu.multiplicity == 0 else "unstable")], (), 0
+    warnings = curve_formula_check(G, mu.multiplicity, "the multiplicity route gives")
+    rows = [("mu_image", mu.multiplicity), ("samuel_profile", mu.profile),
+            ("stability", "stable" if mu.multiplicity == 0 else "unstable")]
+    return rows, warnings, 3 if warnings else 0
 
 
 def _cmd_mu_br(G: ImageEquation, args) -> _Output:

@@ -28,10 +28,11 @@ quotient's reduced basis reduces the tails anyway. A run shares one memo
 of each monomial's first divisor among the reductions by its element list:
 elements are only appended, so a first divisor never changes.
 
-An ideal run first interreduces its inputs (Becker and Weispfenning,
-Groebner Bases, 1993, ch. 5): in ascending lead order each is reduced by
-those kept before it, and those that become zero are dropped, so they never
-pair. A module run keeps its rows, since a row that reduces into a tracking
+An ideal run sorts its inputs by their packed terms, leads ascending, and
+interreduces them (Becker and Weispfenning, Groebner Bases, 1993, ch. 5):
+each is reduced by those kept before it, and those that become zero are
+dropped, so they never pair; the run depends only on its set of inputs. A
+module run keeps its rows in order, since a row that reduces into a tracking
 slot is a syzygy to harvest. The pair loop selects pairs by sugar and
 applies the chain criterion and, for ideals, the product criterion. Ideal
 bases are tail-interreduced into the unique reduced basis; module bases keep
@@ -413,8 +414,9 @@ class _Engine:
         docstring).
         With `top` each s-polynomial is only top-reduced, so new elements
         keep their tails.
-        An ideal's inputs are interreduced first, and one divisor memo
-        serves every reduction of the run.
+        An ideal's inputs are sorted by their packed terms, leads ascending,
+        and interreduced first: the run does not depend on how they were
+        listed. One divisor memo serves every reduction of the run.
         """
         gens = [_intify(g) for g in gens if g]
         self._admit(gens)
@@ -423,7 +425,7 @@ class _Engine:
         elts = [self.elt({pack(e): c for e, c in g.items()}) for g in gens]
         memo: Dict[int, int] = {}
         if not self.rank:
-            inputs, elts = sorted(elts, key=lambda e: e.lm), []
+            inputs, elts = sorted(elts, key=lambda e: sorted(e.terms.items(), reverse=True)), []
             for elt in inputs:
                 h = self._reduce(elt.terms, elts, memo)
                 if h:
@@ -550,17 +552,13 @@ def monomial_dimension(leads: Sequence[Exponent], nvars: int):
     return 0
 
 
-def _sorted_gens(ctx: VariableContext, gens: Iterable[Polynomial], key) -> List[Polynomial]:
-    """The nonzero generators, checked to lie over `ctx`, sorted by their
-    terms under the order key, largest first: the pair order of a run, and
-    with it every budget message, does not depend on how they were listed."""
+def _nonzero_gens(ctx: VariableContext, gens: Iterable[Polynomial]) -> List[Polynomial]:
+    """The nonzero generators, as given, checked to lie over `ctx`."""
     gens = [g for g in gens if not g.is_zero()]
     for g in gens:
         if g.ctx != ctx:
             raise GermInputError("ideal generator over the wrong context")
-    return sorted(gens, reverse=True,
-                  key=lambda p: sorted(((key(e), c) for e, c in p.terms.items()),
-                                       reverse=True))
+    return gens
 
 
 def local_colength(ctx: VariableContext, gens: Iterable[Polynomial],
@@ -578,7 +576,7 @@ def local_colength(ctx: VariableContext, gens: Iterable[Polynomial],
     `max_degree` bounds the homogenized degree.
     """
     n = len(ctx)
-    gens = _sorted_gens(ctx, gens, orderings.local)
+    gens = _nonzero_gens(ctx, gens)
     if any(g.constant_term() for g in gens):
         return 0
     homog = []
@@ -590,8 +588,8 @@ def local_colength(ctx: VariableContext, gens: Iterable[Polynomial],
 
 
 class Ideal:
-    """An ideal of the polynomial ring: generators and a lazily cached
-    reduced basis, both under degrevlex.
+    """An ideal of the polynomial ring: its nonzero generators, kept as
+    given, and a lazily cached reduced basis under degrevlex.
 
     A question about the ring of germs at the origin is a colength, asked of
     `local_colength`; the one other order in use serves `elimination`.
@@ -601,7 +599,7 @@ class Ideal:
                  config: ComputeConfig = DEFAULT_CONFIG):
         self.ctx = ctx
         self.config = config
-        self.gens: List[Polynomial] = _sorted_gens(ctx, gens, orderings.degrevlex)
+        self.gens: List[Polynomial] = _nonzero_gens(ctx, gens)
         self._basis_cache: Optional[List[Polynomial]] = None
         self._leads: Optional[List[Exponent]] = None    # of the cached basis
 
@@ -650,22 +648,20 @@ class Ideal:
     def elimination(self, names: Iterable[str]) -> "Ideal":
         """The intersection with the subring omitting `names`.
 
-        One engine run under the order that eliminates `names`, on the
-        generators sorted by that order. Under it an element is free of
-        `names` exactly when its lead is, and the kept elements are the new
-        handle's reduced basis: on monomials without the eliminated
-        variables the elimination order is degrevlex on the rest, and a
-        reduced basis stays reduced on a subset.
+        One engine run under the order that eliminates `names`. Under it an
+        element is free of `names` exactly when its lead is, and the kept
+        elements are the new handle's reduced basis: on monomials without
+        the eliminated variables the elimination order is degrevlex on the
+        rest, and a reduced basis stays reduced on a subset.
         """
         names = list(names)
         n = len(self.ctx)
         front = [self.ctx.index(v) for v in names]
-        key = orderings.elimination(front, n)
-        eng = _Engine(key, self.config, n)
+        eng = _Engine(orderings.elimination(front, n), self.config, n)
         keep = [i for i in range(n) if i not in front]
         new_ctx = self.ctx.drop(names)
         out, leads = [], []
-        for elt in eng.basis([g.terms for g in _sorted_gens(self.ctx, self.gens, key)]):
+        for elt in eng.basis([g.terms for g in self.gens]):
             lead = eng.exponent(elt.lm)
             if not any(lead[i] for i in front):
                 out.append(Polynomial._raw(new_ctx, {

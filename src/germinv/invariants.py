@@ -533,9 +533,7 @@ class LCIdeal(NamedTuple):
     both facts are kept as an executable invariant.
     """
 
-    ideal: Ideal
-    gens: Tuple[Polynomial, ...]  # one per kernel field, in field order;
-                                  # the handle above resorts and drops zeros
+    ideal: Ideal                  # its gens: one per kernel field, in field order
     cotangent: Tuple[str, ...]    # p-names then q-name
     base: ImageEquation
 
@@ -552,9 +550,9 @@ class LCIdeal(NamedTuple):
         G = self.base
         kern = _kernel(G)
         pidx = G.ctx.parameter_index()
-        if len(kern) != len(self.gens):
+        if len(kern) != len(self.ideal.gens):
             return False
-        for xi, v in zip(self.gens, kern):
+        for xi, v in zip(self.ideal.gens, kern):
             if xi.specialize(values) != v[pidx]:
                 return False
         return parameter_part(G.ctx, kern, G.config).basis() == ft_ideal(G).basis()
@@ -627,7 +625,7 @@ def lc_ideal(G: ImageEquation) -> LCIdeal:
     covars = [Polynomial.variable(ext, n) for n in names]
     gens = [sum((comp.rename(ext) * cv for comp, cv in zip(v, covars)),
                 Polynomial.zero(ext)) for v in _kernel(G)]
-    return LCIdeal(Ideal(ext, gens, G.config), tuple(gens), tuple(names), G)
+    return LCIdeal(Ideal(ext, gens, G.config), tuple(names), G)
 
 
 # -- quasi-homogeneous checks ------------------------------------------------
@@ -655,6 +653,24 @@ def euler_ideal_identity(G: ImageEquation) -> bool:
     s = Polynomial.variable(G.ctx, G.spec.parameter)
     ft_s = Ideal(G.ctx, ft_ideal(G).basis() + [s], G.config)
     return _br_ideal(G).basis() == ft_s.basis()
+
+
+def curve_formula_check(G: ImageEquation, mu: Optional[int], routes: str) -> Tuple[str, ...]:
+    """For a curve (n = 1) with r branches, mu0 = mu(g(y, 0)) = 2 delta - r + 1
+    (Milnor) and mu_I = delta - r + 1 (Mond). Returns the warning for a mu0
+    no reduced curve has; raises `GermInputError` when `mu`, what `routes`
+    give, is not (mu0 - r + 1)/2. Nothing for n > 1 or `mu` None."""
+    spec, r = G.spec, len(G.spec.branches)
+    if len(spec.source) != 1:
+        return ()
+    mu0 = milnor_number(_dg(G)[0].specialize({spec.parameter: 0}), G.config)
+    if mu0 is INFINITE or mu0 < r - 1 or (mu0 - r + 1) % 2:
+        return (f"the curve at {spec.parameter}=0 has Milnor number {mu0}, which "
+                f"no reduced curve with {r} branches has (Milnor's formula)",)
+    if mu is not None and mu != (mu0 - r + 1) // 2:
+        raise GermInputError(f"the stabilisation assertion is false: {routes} mu_image "
+                             f"{mu}, Milnor's formula {(mu0 - r + 1) // 2}")
+    return ()
 
 
 # -- report ------------------------------------------------------------------
@@ -760,9 +776,6 @@ def full_report(G: ImageEquation, with_lc: bool = True,
     they are merged into `G`'s cache, where every later count reads them.
     Errors come out in the order of a sequential run: the Milnor number's,
     then the oracle's, then the Bruce-Roberts basis's, then its colength's.
-
-    A curve (n = 1) with r branches has mu(g(y, 0)) = 2 delta - r + 1 (Milnor)
-    and mu_I = delta - r + 1 (Mond), which both routes must match.
     """
     spec = G.spec
     warnings: List[str] = []
@@ -792,17 +805,12 @@ def full_report(G: ImageEquation, with_lc: bool = True,
             f"independent slice count {oracle.total} (at s0={oracle.s0}) does not "
             f"match the multiplicity route {mu.multiplicity}")
 
-    if len(spec.source) == 1:
-        mu0 = milnor_number(_dg(G)[0].specialize({spec.parameter: 0}), G.config)
-        r = len(spec.branches)
-        if mu0 is INFINITE or mu0 < r - 1 or (mu0 - r + 1) % 2:
-            disagreement = True
-            warnings.append(f"the curve at {spec.parameter}=0 has Milnor number {mu0}, which "
-                            f"no reduced curve with {r} branches has (Milnor's formula)")
-        elif oracle.total == mu.multiplicity != (mu0 - r + 1) // 2:
-            raise GermInputError(
-                "the stabilisation assertion is false: both routes give mu_image "
-                f"{mu.multiplicity}, Milnor's formula {(mu0 - r + 1) // 2}")
+    # a false stabilisation is refuted only where both routes agree
+    curve = curve_formula_check(G, mu.multiplicity if oracle.total == mu.multiplicity
+                                else None, "both routes give")
+    if curve:
+        disagreement = True
+        warnings += curve
 
     ae = ae_codimension(G) if spec.is_stable_unfolding else None
     # Mond's conjecture, Ae-codim <= mu_I, is a theorem for source dimension

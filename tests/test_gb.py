@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import lcm
@@ -74,12 +75,33 @@ def test_reduced_basis_shape():
                 assert not all(a >= b for a, b in zip(exp, other))
 
 
-def test_basis_deterministic_and_generator_order_free():
+def test_basis_deterministic_and_generator_order_free(monkeypatch):
     gens = [X2 ** 2 - Y2, X2 * Y2 + X2, Y2 ** 3]
     a = Ideal(C2, gens).basis()
     b = Ideal(C2, list(reversed(gens))).basis()
     assert a == b
     assert a == Ideal(C2, gens).basis()
+    # the engine orders a run's inputs itself: two inputs led by x^2*y, as
+    # the slice Jacobians share leads, give the same result and the same
+    # reductions however they are listed, and a handle keeps them as given
+    a, b, c, d = (parse_polynomial(t, C3) for t in
+                  ("x^2*y + z^3 + x", "2*x^2*y - y^2*z + z", "y^3 - x*z", "z^4 - x*y"))
+    for first, second in ((a, b), (b, a)):
+        assert Ideal(C3, [first, Polynomial.zero(C3), second]).gens == [first, second]
+    calls = []
+    real = gb._Engine._reduce
+    monkeypatch.setattr(gb._Engine, "_reduce",
+                        lambda self, *args: calls.append(1) or real(self, *args))
+    runs = []
+    for perm in itertools.permutations([a, b, c, d]):
+        run = []
+        for compute in (lambda: Ideal(C3, perm).basis(),
+                        lambda: Ideal(C3, perm).elimination(["x"]).basis(),
+                        lambda: local_colength(C3, perm)):
+            calls.clear()
+            run.append((compute(), len(calls)))
+        runs.append(run)
+    assert all(run == runs[0] for run in runs)
 
 
 # -- membership -----------------------------------------------------------------

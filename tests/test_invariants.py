@@ -17,6 +17,7 @@ from germinv import (
     full_report, ideal_quotient, image_equation, image_milnor_number, kernel_fields,
     lc_ideal, milnor_number, samuel_multiplicity, slice_milnor_total,
 )
+import germinv.cli as cli
 import germinv.invariants as inv
 from germinv.errors import ParseError
 from germinv.exprparse import parse_polynomial
@@ -197,7 +198,7 @@ def test_rank_strata_certificate_refuses_a_large_entry_locus():
                           for v in kernel_fields(G.g) for y in (y1, y2)]
     lc = lc_ideal(G)
     assert not inv._rank_strata_bound(G)
-    fallback = Ideal(lc.ideal.ctx, lc.gens, G.config).dimension_bound(len(G.ctx) + 1)
+    fallback = Ideal(lc.ideal.ctx, lc.ideal.gens, G.config).dimension_bound(len(G.ctx) + 1)
     assert lc.certified_dimension() == fallback == 6
 
 
@@ -210,7 +211,7 @@ def test_rank_strata_certificate_refuses_a_large_critical_locus(s1_image):
     assert Ideal(TCTX, [g.partial(n) for n in TCTX.names]).dimension() == 3
     assert not inv._rank_strata_bound(G)
     lc = lc_ideal(G)
-    fallback = Ideal(lc.ideal.ctx, lc.gens, G.config).dimension_bound(5)
+    fallback = Ideal(lc.ideal.ctx, lc.ideal.gens, G.config).dimension_bound(5)
     assert lc.certified_dimension() == fallback == 5
 
 
@@ -513,23 +514,31 @@ def test_cached_quotients_hold_their_reduced_basis_only(name, request):
 def test_a_curve_stabilisation_is_checked_by_milnors_formula(monkeypatch):
     # E_6 (x^3, x^4 + s*x): g(y, 0) = y1^4 - y2^3 has Milnor number 6 and
     # one branch, so a stabilisation has mu_I = (6 - 1 + 1)/2 = 3, where
-    # both routes count 2: the assertion is refuted
+    # both routes count 2: the assertion is refuted, by the report and by
+    # the mu-image command alike
     text = families.germ_text(families.CURVE, (("x^3", "x^4 + s*x"),), None, False)
     gf = parse_germ_file(text)
     with pytest.raises(GermInputError, match="stabilisation assertion is false: both "
                        "routes give mu_image 2, Milnor's formula 3"):
         full_report(image_equation(gf.spec, gf.config()), with_lc=False)
+    with pytest.raises(GermInputError, match="stabilisation assertion is false: the "
+                       "multiplicity route gives mu_image 2, Milnor's formula 3"):
+        cli._cmd_mu_image(image_equation(gf.spec, gf.config()), None)
     # A_6 (x^2, x^7 + s*x): 6 = 2*3 - 1 + 1 and mu_I = 3 pass; a Milnor
-    # number that fits no reduced curve is a route disagreement
+    # number that fits no reduced curve is a route disagreement, which
+    # mu-image prints as the report does, with exit code 3
     branches, _, mu, _ = families._curve("A_even", 3)
     gf = parse_germ_file(families.germ_text(families.CURVE, branches, None, False))
     assert full_report(image_equation(gf.spec, gf.config()), with_lc=False).mu_image == mu
+    assert cli._cmd_mu_image(image_equation(gf.spec, gf.config()), None)[1:] == ((), 0)
     for mu0 in (INFINITE, 5):
         monkeypatch.setattr(inv, "milnor_number", lambda h, config: mu0)
         r = full_report(image_equation(gf.spec, gf.config()), with_lc=False)
         assert r.route_disagreement and r.mu_image == mu
         assert r.warnings == (f"the curve at s=0 has Milnor number {mu0}, which no "
                               "reduced curve with 1 branches has (Milnor's formula)",)
+        rows, warnings, code = cli._cmd_mu_image(image_equation(gf.spec, gf.config()), None)
+        assert rows[0] == ("mu_image", mu) and warnings == r.warnings and code == 3
 
 
 # -- milnor oracle ------------------------------------------------------------------

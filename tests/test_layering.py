@@ -61,6 +61,22 @@ def test_gb_imports_no_layer_above_it():
     assert not _imported_modules("gb") & {"syzygy", "invariants", "germfile", "cli"}
 
 
+def test_only_the_engine_sorts_in_gb():
+    # a run orders its inputs itself, so no caller in gb sorts them first
+    tree = _tree("gb")
+    engine = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "_Engine")
+    inside = {id(node) for node in ast.walk(engine)}
+    sorts = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and ((isinstance(node.func, ast.Name) and node.func.id == "sorted")
+                  or (isinstance(node.func, ast.Attribute) and node.func.attr == "sort"))]
+    assert sorts and all(id(node) in inside for node in sorts)
+
+
+def test_only_gb_and_poly_import_the_orders():
+    assert {m for m in MODULES if "orderings" in _imported_modules(m)} == {"gb", "poly"}
+
+
 def test_invariants_does_not_parse():
     assert "exprparse" not in _imported_modules("invariants")
 
